@@ -26,11 +26,12 @@ and "mesh_n"; everything else is optional with documented defaults:
     }
 
 Unknown keys anywhere are rejected.  Exit codes: 0 success; 10-19 config
-errors; 20-29 numerical errors; 30-39 I/O errors.  All CSV output is
-deterministic for a fixed (config, seed, version): floats are serialized
-with 17 significant digits and every sweep is merged in sorted order, so
-repeated runs produce byte-identical files.  BRESSE_THREADS caps the
-number of worker threads used for shift and lambda sweeps.
+errors; 20-29 numerical errors; 30 I/O errors; each error class in
+bresse.errors has its own code.  All CSV output is deterministic for a
+fixed (config, seed, version): floats are serialized with 17 significant
+digits and every sweep is merged in sorted order, so repeated runs produce
+byte-identical files.  BRESSE_THREADS caps the number of worker threads
+used for lambda sweeps.
 """
 
 import argparse
@@ -48,7 +49,7 @@ import numpy as np
 
 from . import __version__
 from .discretization import assemble, build_mesh, project_initial_data
-from .errors import BresseError, ParseError, SchemaError
+from .errors import BresseError, OutputError, ParseError, SchemaError
 from .model import ModelParams, classify_speeds, validate_params
 from .resolvent import fit_growth_exponent, lambda_cap, profile
 from .spectral import axis_scan
@@ -389,12 +390,7 @@ def _run_validate(cfg, out_dir, timings):
 def _run_spectrum(cfg, out_dir, timings):
     sys_ = _build(cfg)
     t0 = time.perf_counter()
-    report = axis_scan(
-        sys_,
-        cfg.spectrum.mu_grid,
-        per_shift=cfg.spectrum.per_shift,
-        threads=_threads(),
-    )
+    report = axis_scan(sys_, cfg.spectrum.mu_grid, per_shift=cfg.spectrum.per_shift)
     timings["axis_scan"] = time.perf_counter() - t0
     csv_path = _spectrum_csv(out_dir, "spectrum.csv", report)
     summary = {
@@ -623,7 +619,7 @@ def main(argv=None) -> int:
         text = Path(args.config).read_text()
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=_sys.stderr)
-        return 30
+        return OutputError.exit_code
     try:
         cfg = parse_config(text)
         if args.out is not None:
@@ -638,7 +634,7 @@ def main(argv=None) -> int:
         return exc.exit_code
     except OSError as exc:
         print(f"error: I/O failure: {exc}", file=_sys.stderr)
-        return 30
+        return OutputError.exit_code
     print(f"{args.command}: ok (config {report.config_digest})")
     for key, value in report.summary.items():
         if isinstance(value, dict):

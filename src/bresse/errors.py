@@ -2,7 +2,7 @@
 
 Every error carries an ``exit_code`` used by the command line interface:
 configuration problems map to 10-19, numerical failures to 20-29, and
-output/I-O failures to 30-39.
+I/O failures to 30.  No two classes share a code.
 """
 
 __all__ = [
@@ -20,7 +20,6 @@ __all__ = [
     "GridBeyondResolution",
     "SingularAtLambda",
     "NoConvergence",
-    "ShiftSingular",
     "EmptyGrid",
     "WindowTooSmall",
     "NonpositiveEnergy",
@@ -48,9 +47,9 @@ class NumericsError(BresseError):
 
 
 class OutputError(BresseError):
-    """Failure while writing result files."""
+    """Failure while reading the config or writing result files."""
 
-    exit_code = 39
+    exit_code = 30
 
 
 class ParseError(ConfigError):
@@ -139,23 +138,15 @@ class SingularAtLambda(NumericsError):
 
 
 class NoConvergence(NumericsError):
-    """An iteration hit its cap before reaching tolerance."""
+    """An iteration hit its cap, or a result failed its certification."""
 
     exit_code = 23
 
-    def __init__(self, max_iters, what="iteration"):
+    def __init__(self, max_iters=None, what="iteration", reason=None):
         self.max_iters = max_iters
-        super().__init__(f"{what} did not converge within {max_iters} iterations")
-
-
-class ShiftSingular(NumericsError):
-    """A spectral shift coincides with an eigenvalue even after perturbation."""
-
-    exit_code = 24
-
-    def __init__(self, shift):
-        self.shift = shift
-        super().__init__(f"shift {shift!r} is singular; retry with a perturbed shift")
+        if reason is None:
+            reason = f"did not converge within {max_iters} iterations"
+        super().__init__(f"{what} {reason}")
 
 
 class EmptyGrid(NumericsError):
@@ -185,4 +176,4 @@ class FactorizationFailed(NumericsError):
 class DimensionMismatch(NumericsError):
     """State or matrix dimensions are inconsistent."""
 
-    exit_code = 28
+    exit_code = 24

@@ -1,33 +1,27 @@
 """Eigenvalues of the damped system via the quadratic pencil.
 
-The homogeneous problem (s^2 M + s C + K) x = 0 is linearized in (s q, q)
-variables as the generalized pencil
+The homogeneous problem (s^2 M + s C + K) x = 0 is linearized in (q, s q)
+variables as the standard companion eigenproblem
 
-    [[-C, -K], [I, 0]]  -  s [[M, 0], [0, I]],
+    Z y = s y,    Z = [[0, I], [-M^{-1} K, -M^{-1} C]],    y = (x, s x),
 
-and eigenvalues nearest a shift sigma are extracted by shift-invert Arnoldi
-iteration with modified Gram-Schmidt orthogonalization.  Applying the
-shift-inverted operator costs one LU solve with Q(sigma) = sigma^2 M +
-sigma C + K per step; no large-matrix eigensolver is involved (the
-projected Hessenberg eigenproblem is a few dozen rows).
+with M^{-1} applied through one Cholesky factor of the mass matrix.  One
+dense eigensolve of Z gives the whole discrete spectrum; each shift then
+selects the eigenvalues nearest to it.
 
 Eigenpair accuracy is certified directly on the quadratic residual
-||(s^2 M + s C + K)x|| / ||x||, never on the projected problem alone.
+||(s^2 M + s C + K)x|| / ||x||, never on the companion problem alone.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import LinAlgError, cho_factor, cho_solve, eig
 
 from .discretization import AssembledSystem
-from .errors import EmptyGrid, NoConvergence, ShiftSingular
+from .errors import EmptyGrid, FactorizationFailed, NoConvergence
 
 __all__ = ["SpectrumReport", "quadratic_eigs", "axis_scan"]
-
-_ARNOLDI_SEED = 271828
-_CHECK_EVERY = 5
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,44 +43,6 @@ class SpectrumReport:
     k_norm: float
 
 
-class _ShiftedOperator:
-    """Applies T = (A - sigma B)^{-1} B using one LU of Q(sigma)."""
-
-    def __init__(self, sys: AssembledSystem, sigma: complex):
-        self.sys = sys
-        self.sigma = sigma
-        Q = sigma * sigma * sys.M + sigma * sys.C + sys.K
-        self.lu = lu_factor(Q.astype(complex))
-        self._probe()
-
-    def _probe(self):
-        # A singular Q produces inf/nan rather than an exception from LU
-        n = self.sys.n_dofs
-        test = lu_solve(self.lu, np.ones(n, dtype=complex))
-        if not np.all(np.isfinite(test)):
-            raise ShiftSingular(self.sigma)
-
-    def apply(self, z: np.ndarray) -> np.ndarray:
-        sys = self.sys
-        n = sys.n_dofs
-        z1, z2 = z[:n], z[n:]
-        rhs = sys.M @ z1 + sys.C @ z2 + self.sigma * (sys.M @ z2)
-        y2 = -lu_solve(self.lu, rhs)
-        y1 = z2 + self.sigma * y2
-        return np.concatenate([y1, y2])
-
-
-def _make_operator(sys: AssembledSystem, sigma: complex) -> _ShiftedOperator:
-    """Factor Q(sigma), perturbing the shift off a singular point if needed."""
-    delta = 1e-8 * (1.0 + abs(sigma))
-    for attempt in range(4):
-        try:
-            return _ShiftedOperator(sys, sigma + attempt * delta)
-        except ShiftSingular:
-            delta *= 10.0
-    raise ShiftSingular(sigma)
-
-
 def _quad_residual(sys: AssembledSystem, s: complex, x: np.ndarray) -> float:
     r = (s * s) * (sys.M @ x) + s * (sys.C @ x) + sys.K @ x
     nx = np.linalg.norm(x)
@@ -95,69 +51,22 @@ def _quad_residual(sys: AssembledSystem, s: complex, x: np.ndarray) -> float:
     return float(np.linalg.norm(r) / nx)
 
 
-def _ritz_candidates(sys, op, V, H, k, per_shift):
-    """Ritz pairs of the projected operator, nearest-to-shift first."""
-    theta, v_small = np.linalg.eig(H[:k, :k])
-    order = np.argsort(-np.abs(theta))  # largest |theta| = nearest shift
-    out = []
+def _companion_eig(sys: AssembledSystem):
+    """All eigenvalues of the pencil and the x-part of their eigenvectors."""
     n = sys.n_dofs
-    for idx in order[: 2 * per_shift + 4]:
-        th = theta[idx]
-        if th == 0.0 or not np.isfinite(th):
-            continue
-        s = op.sigma + 1.0 / th
-        y = V[:, :k] @ v_small[:, idx]
-        x = y[n:]
-        if np.linalg.norm(x) < 1e-12 * np.linalg.norm(y):
-            x = y[:n] / s
-        res = _quad_residual(sys, s, x)
-        out.append((s, res))
-    return out
+    try:
+        m_chol = cho_factor(sys.M)
+    except LinAlgError as exc:
+        raise FactorizationFailed(f"mass matrix is not positive definite: {exc}") from exc
+    Z = np.zeros((2 * n, 2 * n))
+    Z[:n, n:] = np.eye(n)
+    Z[n:, :n] = -cho_solve(m_chol, sys.K)
+    Z[n:, n:] = -cho_solve(m_chol, sys.C)
+    w, y = eig(Z)
+    return w, y[:n]
 
 
-def _eigs_one_shift(sys, sigma, per_shift, tol, max_iters, k_norm):
-    """Arnoldi loop for one shift; returns converged (s, residual) pairs."""
-    op = _make_operator(sys, sigma)
-    dim = 2 * sys.n_dofs
-    per_shift = min(per_shift, dim)
-    max_dim = min(dim, max_iters)
-    rng = np.random.default_rng(_ARNOLDI_SEED)
-    v0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    V = np.zeros((dim, max_dim + 1), dtype=complex)
-    H = np.zeros((max_dim + 1, max_dim), dtype=complex)
-    V[:, 0] = v0 / np.linalg.norm(v0)
-
-    candidates = []
-    tol_abs = tol * k_norm
-    k = 0
-    while k < max_dim:
-        u = op.apply(V[:, k])
-        # Modified Gram-Schmidt with one reorthogonalization pass
-        for _ in range(2):
-            for j in range(k + 1):
-                c = np.vdot(V[:, j], u)
-                H[j, k] += c
-                u -= c * V[:, j]
-        h = np.linalg.norm(u)
-        H[k + 1, k] = h
-        k += 1
-        breakdown = h < 1e-14 * max(1.0, np.abs(H[: k + 1, :k]).max())
-        if not breakdown:
-            V[:, k] = u / h
-        if k % _CHECK_EVERY == 0 or k == max_dim or breakdown:
-            candidates = _ritz_candidates(sys, op, V, H, k, per_shift)
-            nearest = candidates[:per_shift]
-            if nearest and all(res <= tol_abs for _, res in nearest):
-                return nearest
-            if breakdown:
-                break
-    converged = [(s, r) for s, r in candidates[:per_shift] if r <= tol_abs]
-    if not converged:
-        raise NoConvergence(max_iters, what=f"eigensolve at shift {sigma!r}")
-    return converged
-
-
-def _merge(pairs, sort_only=False):
+def _merge(pairs):
     """Deterministic duplicate merge by (Re, Im) with relative tolerance."""
     pairs = sorted(pairs, key=lambda p: (p[0].real, p[0].imag))
     merged = []
@@ -177,33 +86,40 @@ def quadratic_eigs(
     shifts,
     per_shift: int = 5,
     tol: float = 1e-10,
-    max_iters: int = 500,
-    threads: int = 1,
 ) -> SpectrumReport:
     """Eigenvalues of the quadratic pencil nearest each shift.
 
-    For each shift the per_shift nearest eigenvalues are sought; a pair
-    counts only when its quadratic residual is <= tol * ||K||_2.  Results
-    from all shifts are merged (relative tolerance 1e-8), conjugate
-    completed, and sorted by (Re, Im).  Raises ShiftSingular when a shift
-    stays singular after perturbation and NoConvergence when a shift yields
-    no certified pair within max_iters Arnoldi steps.
+    The full spectrum comes from one dense companion eigensolve.  For each
+    shift the per_shift eigenvalues nearest to it are selected (stable sort
+    on distance); a pair counts only when its quadratic residual is
+    <= tol * ||K||_2.  Results from all shifts are merged (relative
+    tolerance 1e-8), conjugate completed, and sorted by (Re, Im).  Raises
+    FactorizationFailed when M is not positive definite and NoConvergence
+    when a shift has no certified pair among its selection.
     """
     shifts = [complex(s) for s in shifts]
     if not shifts:
         raise EmptyGrid("no shifts supplied")
     k_norm = float(np.linalg.norm(sys.K, 2))
+    tol_abs = tol * k_norm
+    w, x = _companion_eig(sys)
 
-    def solve(sigma):
-        return _eigs_one_shift(sys, sigma, per_shift, tol, max_iters, k_norm)
+    residual = {}
+    pairs = []
+    for sigma in shifts:
+        nearest = np.argsort(np.abs(w - sigma), kind="stable")[:per_shift]
+        for i in nearest:
+            if i not in residual:
+                residual[i] = _quad_residual(sys, w[i], x[:, i])
+        certified = [(complex(w[i]), residual[i]) for i in nearest if residual[i] <= tol_abs]
+        if not certified:
+            best = min((residual[i] for i in nearest), default=np.inf)
+            raise NoConvergence(
+                what=f"eigensolve at shift {sigma!r}",
+                reason=f"certified no pair (best residual {best:.3e} exceeds the bound {tol_abs:.3e})",
+            )
+        pairs += certified
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_shift_results = list(pool.map(solve, shifts))
-    else:
-        per_shift_results = [solve(sigma) for sigma in shifts]
-
-    pairs = [pair for chunk in per_shift_results for pair in chunk]
     merged = _merge(pairs)
     conjugated = merged + [
         (s.conjugate(), r) for s, r in merged if s.imag != 0.0
@@ -230,8 +146,6 @@ def axis_scan(
     mu_grid,
     per_shift: int = 5,
     tol: float = 1e-10,
-    max_iters: int = 500,
-    threads: int = 1,
 ) -> SpectrumReport:
     """Scan shifts i*mu along the imaginary axis.
 
@@ -243,6 +157,4 @@ def axis_scan(
     if mu.size == 0:
         raise EmptyGrid("mu_grid is empty")
     shifts = [1j * m for m in np.sort(mu)]
-    return quadratic_eigs(
-        sys, shifts, per_shift=per_shift, tol=tol, max_iters=max_iters, threads=threads
-    )
+    return quadratic_eigs(sys, shifts, per_shift=per_shift, tol=tol)

@@ -8,7 +8,7 @@ import subprocess
 import numpy as np
 import pytest
 
-from bresse import cli
+from bresse import cli, errors
 from bresse.errors import (
     BadInterval,
     NonPositiveParameter,
@@ -142,6 +142,10 @@ class TestParseConfig:
 
 
 class TestMainExitCodes:
+    def test_error_classes_have_distinct_exit_codes(self):
+        codes = {name: getattr(errors, name).exit_code for name in errors.__all__}
+        assert len(set(codes.values())) == len(codes), codes
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = cli.main(["validate", "--config", str(tmp_path / "nope.json")])
         assert code == 30

@@ -1,4 +1,4 @@
-"""Shift-invert eigenvalue computation for the quadratic pencil."""
+"""Companion eigensolve of the quadratic pencil, certified per shift."""
 
 import types
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eig
 
-from bresse.errors import EmptyGrid, NoConvergence
+from bresse.errors import EmptyGrid, FactorizationFailed, NoConvergence
 from bresse.spectral import axis_scan, quadratic_eigs
 
 from conftest import make_system
@@ -56,7 +56,7 @@ def wave_chain(n, rho1=1.0, k3=1.0, d0=0.1, L=1.0):
 
 class TestQuadraticEigs:
     def test_matches_dense_spectrum(self):
-        """Shift-invert results sit on the dense companion spectrum."""
+        """Reported eigenvalues sit on the dense companion spectrum."""
         sys = make_system(24)
         dense = companion_eigenvalues(sys)
         report = quadratic_eigs(sys, [1j, 3j, 6j, 9j])
@@ -104,9 +104,27 @@ class TestQuadraticEigs:
         with pytest.raises(EmptyGrid):
             quadratic_eigs(make_system(16), [])
 
-    def test_iteration_cap(self):
-        with pytest.raises(NoConvergence):
-            quadratic_eigs(make_system(16), [2j], max_iters=1)
+    def test_nearest_eigenvalues_reported(self):
+        """Each shift's per_shift nearest dense eigenvalues are all reported."""
+        sys = make_system(24)
+        dense = companion_eigenvalues(sys)
+        shifts = [1j, 4.5j, 9j, -2.0 + 3.0j]
+        report = quadratic_eigs(sys, shifts, per_shift=4)
+        for sigma in shifts:
+            for s in dense[np.argsort(np.abs(dense - sigma), kind="stable")[:4]]:
+                dist = np.min(np.abs(report.eigenvalues - s))
+                assert dist <= 1e-8 * abs(s), (sigma, s, dist)
+
+    def test_uncertified_shift_raises(self):
+        """A shift with no pair under the residual bound is an error."""
+        with pytest.raises(NoConvergence, match=r"shift 2j.*best residual .* bound 0\.000e\+00"):
+            quadratic_eigs(make_system(16), [2j], tol=0.0)
+
+    def test_indefinite_mass_raises(self):
+        sys, _ = wave_chain(8)
+        sys.M = -sys.M
+        with pytest.raises(FactorizationFailed):
+            quadratic_eigs(sys, [1j])
 
     def test_deterministic(self):
         sys = make_system(16)
@@ -114,12 +132,6 @@ class TestQuadraticEigs:
         r2 = quadratic_eigs(sys, [2j, 5j])
         assert np.array_equal(r1.eigenvalues, r2.eigenvalues)
         assert np.array_equal(r1.residuals, r2.residuals)
-
-    def test_thread_count_does_not_change_results(self):
-        sys = make_system(16)
-        r1 = quadratic_eigs(sys, [1j, 3j, 5j, 7j], threads=1)
-        r2 = quadratic_eigs(sys, [1j, 3j, 5j, 7j], threads=2)
-        assert np.array_equal(r1.eigenvalues, r2.eigenvalues)
 
 
 # ---------------------------------------------------------------------------
