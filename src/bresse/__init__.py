@@ -42,6 +42,7 @@ from .timedomain import (
     DecayFit,
     EnergySeries,
     SimConfig,
+    decay_analysis,
     fit_decay,
     simulate,
     step_midpoint,
@@ -81,5 +82,6 @@ __all__ = [
     "step_midpoint",
     "simulate",
     "fit_decay",
+    "decay_analysis",
     "__version__",
 ]

@@ -25,13 +25,14 @@ and "mesh_n"; everything else is optional with documented defaults:
       "dichotomy": {"unequal_factor": 2.0}
     }
 
-Unknown keys anywhere are rejected.  Exit codes: 0 success; 10-19 config
-errors; 20-29 numerical errors; 30 I/O errors; each error class in
-bresse.errors has its own code.  All CSV output is deterministic for a
-fixed (config, seed, version): floats are serialized with 17 significant
-digits and every sweep is merged in sorted order, so repeated runs produce
-byte-identical files.  BRESSE_THREADS caps the number of worker threads
-used for lambda sweeps.
+Unknown keys anywhere are rejected, and so are out-of-range settings:
+seed must be >= 0; per_shift, count and sample_stride >= 1; lambda_min,
+lambda_max, tol, c_resolve, dt, t_final and unequal_factor > 0.  Exit
+codes: 0 success; 10-19 config errors; 20-29 numerical errors; 30 I/O
+errors; each error class in bresse.errors has its own code.  All CSV
+output is deterministic for a fixed (config, seed, version): floats are
+serialized with 17 significant digits and every sweep is merged in sorted
+order, so repeated runs produce byte-identical files.
 """
 
 import argparse
@@ -39,10 +40,9 @@ import csv
 import hashlib
 import json
 import math
-import os
 import sys as _sys
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -53,13 +53,7 @@ from .errors import BresseError, OutputError, ParseError, SchemaError
 from .model import ModelParams, classify_speeds, validate_params
 from .resolvent import fit_growth_exponent, lambda_cap, profile
 from .spectral import axis_scan
-from .timedomain import (
-    SimConfig,
-    default_initial_data,
-    fit_decay,
-    initial_data_family,
-    simulate,
-)
+from .timedomain import SimConfig, decay_analysis, default_initial_data, simulate
 
 __all__ = [
     "ExperimentConfig",
@@ -71,8 +65,6 @@ __all__ = [
 ]
 
 COMMANDS = ("validate", "spectrum", "resolvent", "simulate", "decay-fit", "dichotomy")
-
-_PARAM_KEYS = ("rho1", "rho2", "k1", "k2", "k3", "l", "L", "alpha", "beta", "d0")
 
 
 @dataclass(frozen=True)
@@ -128,6 +120,43 @@ class RunReport:
     timings: dict
 
 
+# The schema of every config key: (block, key, kind, lower bound).  Block
+# "config" is the top level; "params" is required whole.  Defaults live only
+# on the dataclass each block fills: an absent or null key takes the field
+# default, and a field without one is required.  Integers must be >= their
+# lower bound, other numbers > it.
+_SCHEMA = (
+    *(("params", f.name, "float", None) for f in fields(ModelParams)),
+    ("config", "mesh_n", "int", None),
+    ("config", "seed", "int", 0),
+    ("config", "output_dir", "str", None),
+    ("spectrum", "mu_grid", "list", None),
+    ("spectrum", "per_shift", "int", 1),
+    ("resolvent", "lambda_min", "float", 0.0),
+    ("resolvent", "lambda_max", "float", 0.0),
+    ("resolvent", "count", "int", 1),
+    ("resolvent", "tol", "float", 0.0),
+    ("resolvent", "window", "pair", None),
+    ("resolvent", "c_resolve", "float", 0.0),
+    ("sim", "dt", "float", 0.0),
+    ("sim", "t_final", "float", 0.0),
+    ("sim", "sample_stride", "int", 1),
+    ("sim", "fit_window", "pair", None),
+    ("dichotomy", "unequal_factor", "float", 0.0),
+)
+
+_BLOCKS = {
+    "spectrum": SpectrumSettings,
+    "resolvent": ResolventSettings,
+    "sim": SimSettings,
+    "dichotomy": DichotomySettings,
+}
+
+
+def _keys(block):
+    return {key for b, key, _, _ in _SCHEMA if b == block}
+
+
 def _schema_keys(obj, path, allowed):
     if not isinstance(obj, dict):
         raise SchemaError(path, "an object")
@@ -136,136 +165,83 @@ def _schema_keys(obj, path, allowed):
             raise SchemaError(f"{path}.{key}", "no such key")
 
 
-def _number(obj, path, key, default=None, required=False, integer=False, allow_null=False):
-    if key not in obj or obj[key] is None:
-        if key in obj and obj[key] is None and allow_null:
-            return None
-        if required:
-            raise SchemaError(f"{path}.{key}", "a required number")
-        return default
-    value = obj[key]
+def _finite(value, path):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"{path}.{key}", "a number")
-    if not math.isfinite(value):
-        raise SchemaError(f"{path}.{key}", "a finite number")
-    if integer:
+        raise SchemaError(path, "a number")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
+        raise SchemaError(path, "a finite number")
+    return value
+
+
+def _setting(value, path, kind, lower):
+    """One present, non-null config value, checked against its schema entry."""
+    if kind == "str":
+        if not isinstance(value, str):
+            raise SchemaError(path, "a string path")
+        return value
+    if kind in ("list", "pair"):
+        if not isinstance(value, list) or not value:
+            raise SchemaError(path, "a nonempty array of numbers")
+        items = tuple(float(_finite(item, f"{path}[{i}]")) for i, item in enumerate(value))
+        if kind == "pair" and len(items) != 2:
+            raise SchemaError(path, "an array [lo, hi]")
+        return items
+    value = _finite(value, path)
+    if kind == "int":
         if int(value) != value:
-            raise SchemaError(f"{path}.{key}", "an integer")
+            raise SchemaError(path, "an integer")
+        if lower is not None and value < lower:
+            raise SchemaError(path, f"an integer >= {lower}")
         return int(value)
+    if lower is not None and not value > lower:
+        raise SchemaError(path, f"a number > {lower:g}")
     return float(value)
 
 
-def _number_list(obj, path, key, default):
-    if key not in obj or obj[key] is None:
-        return default
-    value = obj[key]
-    if not isinstance(value, list) or not value:
-        raise SchemaError(f"{path}.{key}", "a nonempty array of numbers")
-    out = []
-    for i, item in enumerate(value):
-        if isinstance(item, bool) or not isinstance(item, (int, float)):
-            raise SchemaError(f"{path}.{key}[{i}]", "a number")
-        if not math.isfinite(item):
-            raise SchemaError(f"{path}.{key}[{i}]", "a finite number")
-        out.append(float(item))
-    return tuple(out)
-
-
-def _pair(obj, path, key, default):
-    value = _number_list(obj, path, key, None)
-    if value is None:
-        return default
-    if len(value) != 2:
-        raise SchemaError(f"{path}.{key}", "an array [lo, hi]")
-    return value
+def _fill(obj, block, cls):
+    """Checked keyword arguments for cls from one config block."""
+    if block != "config":  # the top level also holds the blocks
+        _schema_keys(obj, block, _keys(block))
+    required = {
+        f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING
+    }
+    kwargs = {}
+    for b, key, kind, lower in _SCHEMA:
+        if b != block:
+            continue
+        if obj.get(key) is not None:
+            kwargs[key] = _setting(obj[key], f"{block}.{key}", kind, lower)
+        elif key in required:
+            raise SchemaError(f"{block}.{key}", "a required number")
+    return kwargs
 
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and schema-check a JSON config, applying documented defaults.
 
-    Raises ParseError for malformed JSON, SchemaError for unknown or
-    ill-typed keys, and the model validation errors for bad parameters.
+    Raises ParseError for malformed JSON, SchemaError for unknown,
+    ill-typed or out-of-range keys, and the model validation errors for
+    bad parameters.
     """
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"config is not valid JSON: {exc.msg}", exc.lineno, exc.colno) from exc
-    _schema_keys(
-        raw,
-        "config",
-        {"params", "mesh_n", "seed", "output_dir", "spectrum", "resolvent", "sim", "dichotomy"},
-    )
+    except ValueError as exc:  # an integer literal too long to convert
+        raise ParseError(f"config is not valid JSON: {exc}") from exc
+    _schema_keys(raw, "config", {"params", *_BLOCKS, *_keys("config")})
     if "params" not in raw:
         raise SchemaError("config.params", "a required object")
-    pblock = raw["params"]
-    _schema_keys(pblock, "params", set(_PARAM_KEYS))
-    values = {k: _number(pblock, "params", k, required=True) for k in _PARAM_KEYS}
-    params = validate_params(ModelParams(**values))
-    mesh_n = _number(raw, "config", "mesh_n", required=True, integer=True)
-    seed = _number(raw, "config", "seed", default=0, integer=True)
-    if seed < 0:
-        raise SchemaError("config.seed", "a nonnegative integer")
-    output_dir = raw.get("output_dir", "out")
-    if not isinstance(output_dir, str):
-        raise SchemaError("config.output_dir", "a string path")
-
-    sblock = raw.get("spectrum", {})
-    _schema_keys(sblock, "spectrum", {"mu_grid", "per_shift"})
-    spectrum = SpectrumSettings(
-        mu_grid=_number_list(sblock, "spectrum", "mu_grid", SpectrumSettings.mu_grid),
-        per_shift=_number(sblock, "spectrum", "per_shift", default=5, integer=True),
-    )
-
-    rblock = raw.get("resolvent", {})
-    _schema_keys(
-        rblock, "resolvent", {"lambda_min", "lambda_max", "count", "tol", "window", "c_resolve"}
-    )
-    resolvent = ResolventSettings(
-        lambda_min=_number(rblock, "resolvent", "lambda_min", default=3.0),
-        lambda_max=_number(rblock, "resolvent", "lambda_max", default=None, allow_null=True),
-        count=_number(rblock, "resolvent", "count", default=25, integer=True),
-        tol=_number(rblock, "resolvent", "tol", default=1e-6),
-        window=_pair(rblock, "resolvent", "window", None),
-        c_resolve=_number(rblock, "resolvent", "c_resolve", default=1.0),
-    )
-
-    mblock = raw.get("sim", {})
-    _schema_keys(mblock, "sim", {"dt", "t_final", "sample_stride", "fit_window"})
-    sim = SimSettings(
-        dt=_number(mblock, "sim", "dt", default=None, allow_null=True),
-        t_final=_number(mblock, "sim", "t_final", default=200.0),
-        sample_stride=_number(mblock, "sim", "sample_stride", default=16, integer=True),
-        fit_window=_pair(mblock, "sim", "fit_window", (10.0, 100.0)),
-    )
-
-    dblock = raw.get("dichotomy", {})
-    _schema_keys(dblock, "dichotomy", {"unequal_factor"})
-    dichotomy = DichotomySettings(
-        unequal_factor=_number(dblock, "dichotomy", "unequal_factor", default=2.0),
-    )
-
+    params = validate_params(ModelParams(**_fill(raw["params"], "params", ModelParams)))
+    top = _fill(raw, "config", ExperimentConfig)
+    blocks = {name: cls(**_fill(raw.get(name, {}), name, cls)) for name, cls in _BLOCKS.items()}
     canonical = json.dumps(raw, sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(canonical.encode()).hexdigest()[:16]
-    return ExperimentConfig(
-        params=params,
-        mesh_n=mesh_n,
-        seed=seed,
-        output_dir=output_dir,
-        spectrum=spectrum,
-        resolvent=resolvent,
-        sim=sim,
-        dichotomy=dichotomy,
-        digest=digest,
-        echo=raw,
-    )
-
-
-def _threads() -> int:
-    raw = os.environ.get("BRESSE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+    return ExperimentConfig(params=params, **top, **blocks, digest=digest, echo=raw)
 
 
 def _fmt(value) -> str:
@@ -294,10 +270,12 @@ def _build(cfg: ExperimentConfig, params=None):
     return assemble(p, mesh)
 
 
-def _lambda_grid(cfg: ExperimentConfig, sys_):
+def _profile(cfg: ExperimentConfig, sys_):
+    """Resolvent norms on the config's log-spaced lambda grid."""
     rs = cfg.resolvent
     hi = rs.lambda_max if rs.lambda_max is not None else lambda_cap(sys_, rs.c_resolve)
-    return np.logspace(math.log10(rs.lambda_min), math.log10(hi), rs.count)
+    grid = np.logspace(math.log10(rs.lambda_min), math.log10(hi), rs.count)
+    return profile(sys_, grid, tol=rs.tol, seed=cfg.seed, c_resolve=rs.c_resolve)
 
 
 def _sim_config(cfg: ExperimentConfig, sys_) -> SimConfig:
@@ -343,30 +321,6 @@ def _energy_csv(out_dir, name, series):
     return path
 
 
-def _decay_analysis(cfg: ExperimentConfig, sys_, speed_class):
-    """Default-data decay fit plus the scaling constant over the IC family."""
-    sim_cfg = _sim_config(cfg, sys_)
-    L = cfg.params.L
-    gamma_theory = speed_class.predicted_decay_exponent
-    series0 = None
-    c_obs = 0.0
-    for i, fields in enumerate(initial_data_family(L)):
-        U0 = project_initial_data(sys_, sys_.mesh, fields)
-        series = simulate(sys_, U0, sim_cfg)
-        if i == 0:
-            series0 = series
-        lo, hi = sim_cfg.fit_window
-        mask = (series.times >= lo) & (series.times <= hi)
-        scaled = (
-            series.energies[mask]
-            * series.times[mask] ** gamma_theory
-            / series.initial_domain_norm
-        )
-        c_obs = max(c_obs, float(scaled.max()))
-    fit = fit_decay(series0, sim_cfg.fit_window)
-    return series0, fit, c_obs
-
-
 def _run_validate(cfg, out_dir, timings):
     t0 = time.perf_counter()
     speed = classify_speeds(cfg.params)
@@ -405,16 +359,8 @@ def _run_spectrum(cfg, out_dir, timings):
 def _run_resolvent(cfg, out_dir, timings):
     sys_ = _build(cfg)
     speed = classify_speeds(cfg.params)
-    grid = _lambda_grid(cfg, sys_)
     t0 = time.perf_counter()
-    prof = profile(
-        sys_,
-        grid,
-        tol=cfg.resolvent.tol,
-        seed=cfg.seed,
-        threads=_threads(),
-        c_resolve=cfg.resolvent.c_resolve,
-    )
+    prof = _profile(cfg, sys_)
     timings["profile"] = time.perf_counter() - t0
     fit = fit_growth_exponent(prof, cfg.resolvent.window)
     csv_path = _profile_csv(out_dir, "resolvent.csv", prof)
@@ -453,16 +399,15 @@ def _run_simulate(cfg, out_dir, timings):
 
 def _run_decay_fit(cfg, out_dir, timings):
     sys_ = _build(cfg)
-    speed = classify_speeds(cfg.params)
     t0 = time.perf_counter()
-    series, fit, c_obs = _decay_analysis(cfg, sys_, speed)
+    series, fit, c_obs = decay_analysis(sys_, _sim_config(cfg, sys_))
     timings["decay_analysis"] = time.perf_counter() - t0
-    csv_path = _energy_csv(out_dir, "energy.csv", series)
+    csv_path = _energy_csv(out_dir, "energy.csv", series[0])
     summary = {
         "gamma_hat": fit.gamma_hat,
         "window": list(fit.window),
         "r_squared": fit.r_squared,
-        "domain_norm0": series.initial_domain_norm,
+        "domain_norm0": series[0].initial_domain_norm,
         "C_obs": c_obs,
     }
     json_path = out_dir / "decay_summary.json"
@@ -486,24 +431,16 @@ def _run_dichotomy(cfg, out_dir, timings):
     for tag, params in (("equal", equal_p), ("unequal", unequal_p)):
         sys_ = _build(cfg, params)
         speed = classify_speeds(params)
-        grid = _lambda_grid(cfg, sys_)
         t0 = time.perf_counter()
-        prof = profile(
-            sys_,
-            grid,
-            tol=cfg.resolvent.tol,
-            seed=cfg.seed,
-            threads=_threads(),
-            c_resolve=cfg.resolvent.c_resolve,
-        )
+        prof = _profile(cfg, sys_)
         timings[f"profile_{tag}"] = time.perf_counter() - t0
         window = cfg.resolvent.window or (3.0, prof.lambda_max)
         growth = fit_growth_exponent(prof, window)
         t0 = time.perf_counter()
-        series, decay, c_obs = _decay_analysis(cfg, sys_, speed)
+        series, decay, c_obs = decay_analysis(sys_, _sim_config(cfg, sys_))
         timings[f"decay_{tag}"] = time.perf_counter() - t0
         outputs.append(_profile_csv(out_dir, f"resolvent_{tag}.csv", prof))
-        outputs.append(_energy_csv(out_dir, f"energy_{tag}.csv", series))
+        outputs.append(_energy_csv(out_dir, f"energy_{tag}.csv", series[0]))
         results[tag] = {
             "speed": speed,
             "growth": growth,
@@ -585,17 +522,7 @@ def run(command: str, cfg: ExperimentConfig) -> RunReport:
         outputs=tuple(str(p) for p in outputs),
         timings=timings,
     )
-    _write_json(
-        out_dir / "run_report.json",
-        {
-            "command": report.command,
-            "version": report.version,
-            "config_digest": report.config_digest,
-            "summary": report.summary,
-            "outputs": list(report.outputs),
-            "timings": report.timings,
-        },
-    )
+    _write_json(out_dir / "run_report.json", asdict(report))
     return report
 
 

@@ -65,15 +65,14 @@ class Mesh:
 
 
 class DofMap:
-    """Maps (field, interior node) pairs to flat indices, field-major.
+    """Field-major layout of the interior dofs.
 
-    Interior nodes are numbered 1..n-1 in mesh order; field blocks are laid
-    out phi, psi, w, each of size n_interior.
+    Field blocks are laid out phi, psi, w, each holding the n_interior
+    interior nodes in mesh order.
     """
 
     def __init__(self, n_nodes: int):
         self.n_interior = n_nodes - 2
-        self.interior_nodes = np.arange(1, n_nodes - 1)
 
     @property
     def size(self) -> int:
@@ -82,15 +81,6 @@ class DofMap:
     def field_slice(self, field: str) -> slice:
         k = FIELDS.index(field)
         return slice(k * self.n_interior, (k + 1) * self.n_interior)
-
-    def index(self, field: str, node: int) -> int:
-        if not 1 <= node <= self.n_interior:
-            raise DimensionMismatch(f"node {node} is not interior")
-        return FIELDS.index(field) * self.n_interior + (node - 1)
-
-    def node_dofs(self, node: int) -> list[int]:
-        """All three dof indices attached to one interior node."""
-        return [self.index(f, node) for f in FIELDS]
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,7 +203,7 @@ class AssembledSystem:
         self._m_lower = np.tril(self._m_chol[0])
         self._k_lower = np.tril(self._k_chol[0])
         self._cache_lock = threading.Lock()
-        self._step_cache: dict[float, tuple] = {}
+        self._step_cache: tuple | None = None  # (dt, midpoint-matrix factor)
 
     @property
     def n_dofs(self) -> int:

@@ -16,7 +16,6 @@ represent modes beyond O(1/h), and fitting past the cap would measure the
 discretization rather than the system.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +31,7 @@ from .errors import (
     WindowTooSmall,
 )
 from .model import params_digest
+from .timedomain import _loglog_fit
 
 __all__ = [
     "ResolventProfile",
@@ -232,7 +232,6 @@ def profile(
     tol: float = 1e-6,
     max_iters: int = 200,
     seed: int = 0,
-    threads: int = 1,
     c_resolve: float = 1.0,
 ) -> ResolventProfile:
     """Map resolvent_norm over a positive grid, sorted, capped at lambda_max."""
@@ -247,15 +246,9 @@ def profile(
     if beyond.size:
         raise GridBeyondResolution(float(beyond[0]), cap)
 
-    def one(lam):
-        return _norm_details(sys, lam, tol=tol, max_iters=max_iters, seed=seed)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            details = list(pool.map(one, grid))
-    else:
-        details = [one(lam) for lam in grid]
-
+    details = [
+        _norm_details(sys, lam, tol=tol, max_iters=max_iters, seed=seed) for lam in grid
+    ]
     norms = np.array([d[0] for d in details])
     iters = np.array([d[1] for d in details], dtype=int)
     residuals = np.array([d[2] for d in details])
@@ -292,14 +285,7 @@ def fit_growth_exponent(prof: ResolventProfile, window=None) -> GrowthFit:
         raise WindowTooSmall(
             f"only {int(mask.sum())} grid points in window [{lo}, {hi}]; need 5"
         )
-    x = np.log(prof.lambdas[mask])
-    y = np.log(prof.norms[mask])
-    slope, intercept = np.polyfit(x, y, 1)
-    fitted = slope * x + intercept
-    ss_res = float(np.sum((y - fitted) ** 2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else max(0.0, min(1.0, 1.0 - ss_res / ss_tot))
-    eff = (float(prof.lambdas[mask].min()), float(prof.lambdas[mask].max()))
+    slope, intercept, r2, eff = _loglog_fit(prof.lambdas[mask], prof.norms[mask])
     return GrowthFit(
         slope=float(slope), intercept=float(intercept), window=eff, r_squared=r2
     )

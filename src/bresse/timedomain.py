@@ -19,7 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, LinAlgError
 
-from .discretization import AssembledSystem, StateVector, domain_norm, energy
+from .discretization import (
+    AssembledSystem,
+    StateVector,
+    domain_norm,
+    energy,
+    project_initial_data,
+)
 from .errors import (
     BadInterval,
     DimensionMismatch,
@@ -28,6 +34,7 @@ from .errors import (
     NonpositiveEnergy,
     WindowTooSmall,
 )
+from .model import classify_speeds
 
 __all__ = [
     "SimConfig",
@@ -36,6 +43,7 @@ __all__ = [
     "step_midpoint",
     "simulate",
     "fit_decay",
+    "decay_analysis",
     "default_initial_data",
     "initial_data_family",
 ]
@@ -83,18 +91,17 @@ class DecayFit:
 
 
 def _midpoint_solver(sys: AssembledSystem, dt: float):
-    """Cached Cholesky factorization of M + dt/2 C + (dt/2)^2 K."""
+    """Cholesky factorization of M + dt/2 C + (dt/2)^2 K, cached for the last dt."""
     with sys._cache_lock:
-        hit = sys._step_cache.get(dt)
-        if hit is not None:
-            return hit
+        if sys._step_cache is not None and sys._step_cache[0] == dt:
+            return sys._step_cache[1]
         half = 0.5 * dt
         W = sys.M + half * sys.C + (half * half) * sys.K
         try:
             factor = cho_factor(W, lower=True)
         except LinAlgError as exc:  # not reachable for dt>0: W is SPD
             raise FactorizationFailed(f"midpoint matrix at dt={dt!r}: {exc}") from exc
-        sys._step_cache[dt] = factor
+        sys._step_cache = (dt, factor)
         return factor
 
 
@@ -214,20 +221,51 @@ def fit_decay(
         raise WindowTooSmall(
             f"only {count} usable samples in window [{lo}, {hi}]; need 10"
         )
-    x = np.log(t[mask])
-    y = np.log(E[mask])
-    slope, intercept = np.polyfit(x, y, 1)
-    fitted = slope * x + intercept
-    ss_res = float(np.sum((y - fitted) ** 2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else max(0.0, min(1.0, 1.0 - ss_res / ss_tot))
-    eff = (float(t[mask].min()), float(t[mask].max()))
+    slope, intercept, r2, eff = _loglog_fit(t[mask], E[mask])
     return DecayFit(
         gamma_hat=float(-slope),
         c_hat=float(math.exp(intercept)),
         window=eff,
         r_squared=r2,
     )
+
+
+def _loglog_fit(x_data: np.ndarray, y_data: np.ndarray):
+    """Least-squares line of log(y) against log(x) over the given samples.
+
+    Returns (slope, intercept, r_squared, window), where window is the
+    (smallest, largest) x actually used.  Shared by the decay and the
+    resolvent-growth fits.
+    """
+    x = np.log(x_data)
+    y = np.log(y_data)
+    slope, intercept = np.polyfit(x, y, 1)
+    fitted = slope * x + intercept
+    ss_res = float(np.sum((y - fitted) ** 2))
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    r2 = 1.0 if ss_tot == 0.0 else max(0.0, min(1.0, 1.0 - ss_res / ss_tot))
+    return slope, intercept, r2, (float(x_data.min()), float(x_data.max()))
+
+
+def decay_analysis(sys: AssembledSystem, cfg: SimConfig):
+    """Simulate every member of initial_data_family and fit the first.
+
+    Returns (series, fit, c_obs): the three EnergySeries in family order,
+    the DecayFit of the default datum on cfg.fit_window, and the scaling
+    constant C_obs = max E(t) t^gamma / ||U0||^2_D(A) over the family and
+    the fit window, with gamma the predicted decay exponent of the regime.
+    """
+    gamma_theory = classify_speeds(sys.params).predicted_decay_exponent
+    lo, hi = cfg.fit_window
+    series = []
+    c_obs = 0.0
+    for fields in initial_data_family(sys.params.L):
+        s = simulate(sys, project_initial_data(sys, sys.mesh, fields), cfg)
+        series.append(s)
+        mask = (s.times >= lo) & (s.times <= hi)
+        scaled = s.energies[mask] * s.times[mask] ** gamma_theory / s.initial_domain_norm
+        c_obs = max(c_obs, float(scaled.max()))
+    return series, fit_decay(series[0], cfg.fit_window), c_obs
 
 
 def default_initial_data(L: float):

@@ -28,6 +28,7 @@ from bresse.resolvent import fit_growth_exponent, lambda_cap, profile, resolvent
 from bresse.spectral import axis_scan, quadratic_eigs
 from bresse.timedomain import (
     SimConfig,
+    decay_analysis,
     default_initial_data,
     fit_decay,
     initial_data_family,
@@ -176,7 +177,8 @@ class TestAcceptance:
         equal the exact modal propagation of the midpoint map.  The
         predicted exponents, the fitted ones, their ordering and the
         dominant mode pair are reported, not asserted.  The scaling
-        constant over the family must be finite.
+        constant over the family must be finite.  Trajectories, fit and
+        scaling constant come from decay_analysis, as in the CLI.
         """
         # Both sides carry only roundoff: the oracle about cond(V) * eps
         # (cond(V) ~ 2.6e2 / 3.6e2, so ~1e-13), the stepper a few eps per
@@ -201,10 +203,11 @@ class TestAcceptance:
             sys = make_system(64, k2=k2)
             gamma_theory = classify_speeds(sys.params).predicted_decay_exponent
             oracle = MidpointModalOracle(sys, dt)
-            c = 0.0
-            for i, fields in enumerate(initial_data_family(1.0)):
+            # the CLI's decay-fit and dichotomy run this same function
+            family, fit, c = decay_analysis(sys, cfg)
+            data = zip(initial_data_family(1.0), family, strict=True)
+            for i, (fields, series) in enumerate(data):
                 U0 = project_initial_data(sys, sys.mesh, fields)
-                series = simulate(sys, U0, cfg)
                 assert np.array_equal(series.times, times)
                 expected = oracle.energies(U0, np.rint(times / dt).astype(int))
                 rel = np.abs(series.energies - expected) / expected
@@ -213,14 +216,10 @@ class TestAcceptance:
                 mismatches.append((float(rel[j]), tag, i, times[j],
                                    expected[j], series.energies[j]))
                 if i == 0:
-                    fit = fit_decay(series, cfg.fit_window)
                     fit_oracle = fit_decay(
                         dataclasses.replace(series, energies=expected),
                         cfg.fit_window)
                     pair, share = oracle.dominant_pair(U0)
-                scaled = (series.energies[mask] * times[mask] ** gamma_theory
-                          / series.initial_domain_norm)
-                c = max(c, float(scaled.max()))
             stats[tag] = dict(gamma=fit.gamma_hat, oracle=fit_oracle.gamma_hat,
                               theory=gamma_theory, c_obs=c, pair=pair,
                               share=share, cond=oracle.cond)

@@ -4,13 +4,16 @@ import csv
 import json
 import shutil
 import subprocess
+from dataclasses import MISSING, fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bresse import cli, errors
 from bresse.errors import (
     BadInterval,
+    ConfigError,
     NonPositiveParameter,
     ParseError,
     SchemaError,
@@ -123,6 +126,15 @@ class TestParseConfig:
     def test_malformed_json(self):
         with pytest.raises(ParseError):
             cli.parse_config("{ not json")
+        with pytest.raises(ParseError):
+            cli.parse_config('{"mesh_n": ' + "1" * 5000 + "}")
+
+    def test_null_means_default(self):
+        raw = {"params": base_config(".")["params"], "mesh_n": 16, "seed": None,
+               "output_dir": None, "sim": {"t_final": None, "fit_window": None}}
+        cfg = cli.parse_config(json.dumps(raw))
+        assert cfg.seed == 0 and cfg.output_dir == "out"
+        assert cfg.sim == cli.SimSettings()
 
     def test_parameter_validation_applies(self):
         raw = base_config(".")
@@ -181,6 +193,23 @@ class TestMainExitCodes:
     def test_negative_seed_override(self, tmp_path):
         path = write_config(tmp_path)
         assert cli.main(["validate", "--config", str(path), "--seed", "-3"]) == 11
+
+    @pytest.mark.parametrize(
+        "command, block, key, value",
+        [
+            ("resolvent", "resolvent", "count", -1),
+            ("resolvent", "resolvent", "lambda_min", 0),
+            ("resolvent", "resolvent", "lambda_min", -3),
+            ("spectrum", "spectrum", "per_shift", -1),
+            ("spectrum", "spectrum", "per_shift", 0),
+            ("validate", "resolvent", "c_resolve", -1),
+            ("resolvent", "resolvent", "tol", -1),
+        ],
+    )
+    def test_out_of_range_setting(self, tmp_path, capsys, command, block, key, value):
+        path = write_config(tmp_path, **{block: {key: value}})
+        assert cli.main([command, "--config", str(path)]) == 11
+        assert f"'{block}.{key}'" in capsys.readouterr().err
 
     def test_grid_beyond_resolution(self, tmp_path, capsys):
         path = write_config(tmp_path, resolvent={"count": 8, "lambda_max": 100.0})
@@ -312,15 +341,49 @@ class TestDeterminism:
         for name in names:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
-    def test_thread_count_does_not_change_outputs(self, tmp_path, monkeypatch):
-        path = write_config(tmp_path)
-        out_a = tmp_path / "t1"
-        out_b = tmp_path / "t4"
-        monkeypatch.setenv("BRESSE_THREADS", "1")
-        assert cli.main(["spectrum", "--config", str(path), "--out", str(out_a)]) == 0
-        monkeypatch.setenv("BRESSE_THREADS", "4")
-        assert cli.main(["spectrum", "--config", str(path), "--out", str(out_b)]) == 0
-        assert (out_a / "spectrum.csv").read_bytes() == (out_b / "spectrum.csv").read_bytes()
+
+# ---------------------------------------------------------------------------
+# schema properties
+# ---------------------------------------------------------------------------
+
+BLOCKS = {
+    "config": cli.ExperimentConfig,
+    "spectrum": cli.SpectrumSettings,
+    "resolvent": cli.ResolventSettings,
+    "sim": cli.SimSettings,
+    "dichotomy": cli.DichotomySettings,
+}
+SETTING_KEYS = [("config", "mesh_n"), ("config", "seed"), ("config", "output_dir")] + [
+    (block, f.name) for block, cls in BLOCKS.items() if block != "config" for f in fields(cls)
+]
+# JSON integers may lie beyond the float range
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-(10**400), 10**400),
+    st.floats(), st.text(max_size=4),
+)
+JSON_VALUES = st.one_of(JSON_SCALARS, st.lists(JSON_SCALARS, max_size=4))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.dictionaries(st.sampled_from(SETTING_KEYS), JSON_VALUES, max_size=3))
+def test_any_json_value_parses_or_raises_config_error(overrides):
+    """Any JSON value at any settings key: a config or a ConfigError, and
+    every key left out or null takes its dataclass default."""
+    raw = {"params": base_config(".")["params"], "mesh_n": 16}
+    for (block, key), value in overrides.items():
+        if block == "config":
+            raw[key] = value
+        else:
+            raw.setdefault(block, {})[key] = value
+    try:
+        cfg = cli.parse_config(json.dumps(raw))
+    except ConfigError:
+        return
+    for block, key in SETTING_KEYS:
+        default = {f.name: f.default for f in fields(BLOCKS[block])}[key]
+        if default is not MISSING and overrides.get((block, key)) is None:
+            target = cfg if block == "config" else getattr(cfg, block)
+            assert getattr(target, key) == default, (block, key)
 
 
 # ---------------------------------------------------------------------------

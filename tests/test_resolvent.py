@@ -166,12 +166,6 @@ class TestProfile:
         assert np.array_equal(p1.norms, p2.norms)
         assert np.array_equal(p1.iters, p2.iters)
 
-    def test_threads_do_not_change_results(self, sys16):
-        grid = [3.0, 6.0, 9.0, 12.0]
-        p1 = profile(sys16, grid, threads=1)
-        p2 = profile(sys16, grid, threads=2)
-        assert np.array_equal(p1.norms, p2.norms)
-
 
 # ---------------------------------------------------------------------------
 # growth-exponent fits

@@ -14,10 +14,12 @@ from bresse.errors import (
     NonpositiveEnergy,
     WindowTooSmall,
 )
+from bresse import timedomain
 from bresse.timedomain import (
     DecayFit,
     EnergySeries,
     SimConfig,
+    decay_analysis,
     default_initial_data,
     fit_decay,
     initial_data_family,
@@ -108,6 +110,24 @@ class TestStepMidpoint:
         U = random_state(sys16, rng)
         with pytest.raises(NonPositiveParameter):
             step_midpoint(sys16, U, -0.1)
+
+    def test_factor_cache_holds_the_last_dt(self, monkeypatch):
+        sys = make_system(8)
+        U = default_state(sys)
+        calls = []
+        original = timedomain.cho_factor
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(timedomain, "cho_factor", counting)
+        for dt in (0.05, 0.05, 0.02, 0.02, 0.05):
+            step_midpoint(sys, U, dt)
+        # a repeated dt reuses its factor; a new dt replaces it
+        assert len(calls) == 3
+        cached_dt, factor = sys._step_cache
+        assert cached_dt == 0.05 and factor[0].shape == (sys.n_dofs, sys.n_dofs)
 
     def test_undamped_step_preserves_energy(self, sys16_undamped):
         rng = np.random.default_rng(53)
@@ -234,6 +254,26 @@ class TestFitDecay:
                 series = simulate(sys, default_state(sys), cfg)
                 gammas.append(fit_decay(series, cfg.fit_window).gamma_hat)
             assert gammas[1] >= gammas[0] - 0.1
+
+
+class TestDecayAnalysis:
+    @pytest.mark.parametrize("k2, gamma", [(1.0, 1.0), (2.0, 0.5)])
+    def test_family_fit_and_scaling_constant(self, k2, gamma):
+        sys = make_system(16, k2=k2)
+        cfg = SimConfig(dt=1.0 / 32.0, t_final=25.0, sample_stride=8,
+                        fit_window=(5.0, 20.0))
+        series, fit, c_obs = decay_analysis(sys, cfg)
+        family = initial_data_family(1.0)
+        assert len(series) == len(family) == 3
+        for s, fields in zip(series, family):
+            U0 = project_initial_data(sys, sys.mesh, fields)
+            assert np.array_equal(s.energies, simulate(sys, U0, cfg).energies)
+        assert fit == fit_decay(series[0], cfg.fit_window)
+        scaled = []
+        for s in series:
+            m = (s.times >= 5.0) & (s.times <= 20.0)
+            scaled.append(np.max(s.energies[m] * s.times[m] ** gamma) / s.initial_domain_norm)
+        assert c_obs == pytest.approx(max(scaled), rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
