@@ -85,10 +85,12 @@ class ResolventSettings:
 
 @dataclass(frozen=True)
 class SimSettings:
+    """CLI time grid: sample_stride defaults to 16 here, to 1 in SimConfig."""
+
     dt: float | None = None  # None: half the largest element width
     t_final: float = 200.0
     sample_stride: int = 16
-    fit_window: tuple = (10.0, 100.0)
+    fit_window: tuple = SimConfig.fit_window  # the library's default
 
 
 @dataclass(frozen=True)
@@ -434,8 +436,7 @@ def _run_dichotomy(cfg, out_dir, timings):
         t0 = time.perf_counter()
         prof = _profile(cfg, sys_)
         timings[f"profile_{tag}"] = time.perf_counter() - t0
-        window = cfg.resolvent.window or (3.0, prof.lambda_max)
-        growth = fit_growth_exponent(prof, window)
+        growth = fit_growth_exponent(prof, cfg.resolvent.window)
         t0 = time.perf_counter()
         series, decay, c_obs = decay_analysis(sys_, _sim_config(cfg, sys_))
         timings[f"decay_{tag}"] = time.perf_counter() - t0

@@ -8,8 +8,9 @@ degree-of-freedom set; with interior dofs only, the stiffness matrix K and
 mass matrix M are positive definite and the energy metric G = diag(K, M)
 realizes the continuous energy norm.
 
-Matrices are dense; at desk scale (a few hundred dofs per field) this is
-both fastest and simplest.
+Matrices are dense, assembled onto the interior dofs from vectorized
+element sums; at desk scale (a few hundred dofs per field) this is both
+fastest and simplest.
 """
 
 import threading
@@ -150,38 +151,48 @@ def build_mesh(p: ModelParams, n_elements: int) -> Mesh:
 
 
 def _field_matrices(nodes: np.ndarray, weights: np.ndarray):
-    """Per-field (n+1)-square matrices of the elementary P1 products.
+    """Per-field tridiagonal matrices of the P1 products on the interior nodes.
 
     Returns (A, S, D) with A[i,j] = sum_e w_e int N_i N_j, S[i,j] =
-    sum_e w_e int N_i' N_j', D[i,j] = sum_e w_e int N_i' N_j, each integral
-    over element e.  Exact: all integrands are polynomials of degree <= 2.
+    sum_e w_e int N_i' N_j', D[i,j] = sum_e w_e int N_i' N_j over the
+    interior hat functions, each integral over element e.  Exact: all
+    integrands are polynomials of degree <= 2.
     """
-    n_nodes = nodes.size
-    A = np.zeros((n_nodes, n_nodes))
-    S = np.zeros((n_nodes, n_nodes))
-    D = np.zeros((n_nodes, n_nodes))
     h = np.diff(nodes)
     mass_ref = np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
     stiff_ref = np.array([[1.0, -1.0], [-1.0, 1.0]])
     mixed_ref = np.array([[-0.5, -0.5], [0.5, 0.5]])
-    for e in range(n_nodes - 1):
-        w = weights[e]
-        if w == 0.0:
-            continue
-        sl = slice(e, e + 2)
-        A[sl, sl] += w * h[e] * mass_ref
-        S[sl, sl] += (w / h[e]) * stiff_ref
-        D[sl, sl] += w * mixed_ref
-    return A, S, D
+    return (
+        _interior_sum(weights * h, mass_ref),
+        _interior_sum(weights / h, stiff_ref),
+        _interior_sum(weights, mixed_ref),
+    )
+
+
+def _interior_sum(scale: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """sum_e scale_e * ref over the elements, restricted to the interior nodes.
+
+    Interior node i takes ref[1, 1] from element i-1 and then ref[0, 0] from
+    element i.  Every sum starts from +0.0, so a zero weight adds +0.0 and
+    the entries equal an element-by-element accumulation bit for bit.
+    """
+    T = np.diag((0.0 + scale[:-1] * ref[1, 1]) + scale[1:] * ref[0, 0])
+    inner = scale[1:-1]
+    i = np.arange(inner.size)
+    T[i, i + 1] = 0.0 + inner * ref[0, 1]
+    T[i + 1, i] = 0.0 + inner * ref[1, 0]
+    return T
 
 
 class AssembledSystem:
     """Dense matrices of the discretized system, immutable after assembly.
 
-    M, C, K act on the displacement/velocity blocks; G = diag(K, M) is the
-    energy metric on states (q, v).  Cholesky factors of M and K are
-    computed eagerly (both are positive definite); further factorizations
-    are cached lazily behind a lock so the object stays shareable.
+    M, C, K act on the displacement/velocity blocks; the energy metric on
+    states (q, v) is G = diag(K, M), which is never formed.  chol_m and
+    chol_k are the lower Cholesky factors of M and K (read-only arrays with
+    a zero upper triangle), computed eagerly: both matrices are positive
+    definite.  The midpoint-step factorization is cached lazily behind a
+    lock so the object stays shareable.
     """
 
     def __init__(self, params: ModelParams, mesh: Mesh):
@@ -189,19 +200,15 @@ class AssembledSystem:
         self.mesh = mesh
         self.dof_map = DofMap(mesh.nodes.size)
         self.M, self.C, self.K = _assemble_matrices(params, mesh)
-        n = self.dof_map.size
-        self.G = np.zeros((2 * n, 2 * n))
-        self.G[:n, :n] = self.K
-        self.G[n:, n:] = self.M
         try:
-            self._m_chol = cho_factor(self.M, lower=True)
-            self._k_chol = cho_factor(self.K, lower=True)
+            self.chol_m = np.tril(cho_factor(self.M, lower=True)[0])
+            self.chol_k = np.tril(cho_factor(self.K, lower=True)[0])
         except LinAlgError as exc:
             raise FactorizationFailed(
                 f"mass/stiffness factorization failed: {exc}"
             ) from exc
-        self._m_lower = np.tril(self._m_chol[0])
-        self._k_lower = np.tril(self._k_chol[0])
+        self.chol_m.flags.writeable = False
+        self.chol_k.flags.writeable = False
         self._cache_lock = threading.Lock()
         self._step_cache: tuple | None = None  # (dt, midpoint-matrix factor)
 
@@ -210,31 +217,23 @@ class AssembledSystem:
         return self.dof_map.size
 
     def solve_m(self, rhs: np.ndarray) -> np.ndarray:
-        return cho_solve(self._m_chol, rhs)
-
-    def chol_k_lower(self) -> np.ndarray:
-        """Lower-triangular Cholesky factor of K (treat as read-only)."""
-        return self._k_lower
-
-    def chol_m_lower(self) -> np.ndarray:
-        return self._m_lower
+        return cho_solve((self.chol_m, True), rhs)
 
 
 def _assemble_matrices(p: ModelParams, mesh: Mesh):
     """Element-exact assembly of M, C, K on interior dofs."""
-    nodes = mesh.nodes
-    n_el = mesh.n_elements
-    ones = np.ones(n_el)
-    damped = np.zeros(n_el)
+    damped = np.zeros(mesh.n_elements)
     damped[mesh.alpha_index : mesh.beta_index] = p.d0
 
-    A, S, D = _field_matrices(nodes, ones)
-    Ad, Sd, Dd = _field_matrices(nodes, damped)
+    A, S, D = _field_matrices(mesh.nodes, np.ones(mesh.n_elements))
+    Ad, Sd, Dd = _field_matrices(mesh.nodes, damped)
     l = p.l
 
     zero = np.zeros_like(A)
+    # Each off-diagonal block is the exact transpose of its mirror, so the
+    # three matrices are symmetric bit for bit.
     # Stiffness: k1|phi' + psi + l w|^2 + k2|psi'|^2 + k3|w' - l phi|^2
-    K_full = np.block(
+    K = np.block(
         [
             [p.k1 * S + p.k3 * l * l * A, p.k1 * D, p.k1 * l * D - p.k3 * l * D.T],
             [p.k1 * D.T, p.k1 * A + p.k2 * S, p.k1 * l * A],
@@ -242,7 +241,7 @@ def _assemble_matrices(p: ModelParams, mesh: Mesh):
         ]
     )
     # Damping: d(x)|v_w' - l v_phi|^2, active dofs only under (alpha, beta)
-    C_full = np.block(
+    C = np.block(
         [
             [l * l * Ad, zero, -l * Dd.T],
             [zero, zero, zero],
@@ -250,30 +249,18 @@ def _assemble_matrices(p: ModelParams, mesh: Mesh):
         ]
     )
     # Mass: rho1|v_phi|^2 + rho2|v_psi|^2 + rho1|v_w|^2
-    M_full = np.block(
+    M = np.block(
         [
             [p.rho1 * A, zero, zero],
             [zero, p.rho2 * A, zero],
             [zero, zero, p.rho1 * A],
         ]
     )
-
-    n_nodes = nodes.size
-    interior = np.arange(1, n_nodes - 1)
-    idx = np.concatenate([interior + k * n_nodes for k in range(3)])
-    sel = np.ix_(idx, idx)
-    # Symmetrize to scrub roundoff from the block arithmetic
-    K_mat = K_full[sel]
-    C_mat = C_full[sel]
-    M_mat = M_full[sel]
-    K_mat = 0.5 * (K_mat + K_mat.T)
-    C_mat = 0.5 * (C_mat + C_mat.T)
-    M_mat = 0.5 * (M_mat + M_mat.T)
-    return M_mat, C_mat, K_mat
+    return M, C, K
 
 
 def assemble(p: ModelParams, mesh: Mesh) -> AssembledSystem:
-    """Assemble mass, damping, stiffness, and the energy metric for a mesh."""
+    """Assemble mass, damping and stiffness and factor M and K for a mesh."""
     return AssembledSystem(p, mesh)
 
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve, solve_triangular
+from scipy.linalg.lapack import zgecon
 
 from .discretization import AssembledSystem, StateVector, g_norm_sq
 from .errors import (
@@ -84,12 +85,17 @@ class _Resolvent:
         self.P = P
         self.lu = lu_factor(P.astype(complex))
         self.il = il
+        # i*lam on the discrete spectrum: a vanishing reciprocal condition number
+        rcond, _ = zgecon(self.lu[0], np.linalg.norm(P, 1), norm="1")
+        bound = P.shape[0] * np.finfo(float).eps
+        if not rcond > bound:
+            raise SingularAtLambda(
+                self.lam, f"reciprocal condition number {rcond:.3e} <= {bound:.3e}"
+            )
 
     def _solve_p(self, rhs: np.ndarray) -> np.ndarray:
         """LU solve with one iterative-refinement pass."""
         q = lu_solve(self.lu, rhs)
-        if not np.all(np.isfinite(q)):
-            raise SingularAtLambda(self.lam, "factor produced non-finite solution")
         r = rhs - self.P @ q
         q = q + lu_solve(self.lu, r)
         return q
@@ -140,25 +146,25 @@ class _Resolvent:
     def apply_b(self, w: np.ndarray) -> np.ndarray:
         sys = self.sys
         wq, wv = self._split(w)
-        xq = solve_triangular(sys.chol_k_lower(), wq, lower=True, trans="T")
-        xv = solve_triangular(sys.chol_m_lower(), wv, lower=True, trans="T")
+        xq = solve_triangular(sys.chol_k, wq, lower=True, trans="T")
+        xv = solve_triangular(sys.chol_m, wv, lower=True, trans="T")
         U = self.solve(StateVector(xq, xv))
-        yq = sys.chol_k_lower().T @ U.q
-        yv = sys.chol_m_lower().T @ U.v
+        yq = sys.chol_k.T @ U.q
+        yv = sys.chol_m.T @ U.v
         return np.concatenate([yq, yv])
 
     def apply_bh(self, y: np.ndarray) -> np.ndarray:
         sys = self.sys
         yq, yv = self._split(y)
-        a = sys.chol_k_lower() @ yq
-        b = sys.chol_m_lower() @ yv
+        a = sys.chol_k @ yq
+        b = sys.chol_m @ yv
         # R^H (a,b) = ((-i lam M + C) t - b, M t), t = P^{-H}(a - i lam b);
         # P is complex symmetric, so P^{-H} x = conj(P^{-1} conj(x))
         t = np.conj(lu_solve(self.lu, np.conj(a - self.il * b)))
         row1 = (-self.il) * (sys.M @ t) + sys.C @ t - b
         row2 = sys.M @ t
-        zq = solve_triangular(sys.chol_k_lower(), row1, lower=True)
-        zv = solve_triangular(sys.chol_m_lower(), row2, lower=True)
+        zq = solve_triangular(sys.chol_k, row1, lower=True)
+        zv = solve_triangular(sys.chol_m, row2, lower=True)
         return np.concatenate([zq, zv])
 
 
@@ -166,7 +172,8 @@ def resolvent_solve(sys: AssembledSystem, lam: float, F: StateVector) -> StateVe
     """Solve (i*lam - A_h) U = F; the result meets a 1e-10 G-norm residual.
 
     Raises SingularAtLambda when i*lam sits on the discrete spectrum
-    (possible only for the undamped system).
+    (possible only for the undamped system): the 1-norm reciprocal
+    condition number of P(lam) is at most dim * eps.
     """
     U, _ = _Resolvent(sys, lam).solve_checked(F)
     return U
@@ -197,8 +204,8 @@ def _norm_details(
             raise SingularAtLambda(lam, "power iterate collapsed")
         w = z / nz
         if abs(sigma - sigma_prev) <= tol * max(sigma, np.finfo(float).tiny):
-            xq = solve_triangular(sys.chol_k_lower(), w[: sys.n_dofs], lower=True, trans="T")
-            xv = solve_triangular(sys.chol_m_lower(), w[sys.n_dofs :], lower=True, trans="T")
+            xq = solve_triangular(sys.chol_k, w[: sys.n_dofs], lower=True, trans="T")
+            xv = solve_triangular(sys.chol_m, w[sys.n_dofs :], lower=True, trans="T")
             _, res = op.solve_checked(StateVector(xq, xv))
             return sigma, it, res
         sigma_prev = sigma

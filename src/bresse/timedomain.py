@@ -51,7 +51,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Time grid and decay-fit window for one trajectory."""
+    """Time grid and decay-fit window for one trajectory.
+
+    sample_stride defaults to 1 (every step), the CLI's SimSettings to 16;
+    SimSettings takes its fit_window default from here.
+    """
 
     dt: float
     t_final: float

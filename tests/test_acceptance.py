@@ -13,7 +13,7 @@ import types
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_factor, eig
+from scipy.linalg import block_diag, cho_factor, eig
 
 from bresse import cli
 from bresse.model import classify_speeds
@@ -65,15 +65,16 @@ class TestAcceptance:
         assert ok
 
     def test_c2_energy_metric_positive_definite(self):
-        """K admits a Cholesky factor across curvatures; G is PD."""
+        """K admits a Cholesky factor across curvatures; G = diag(K, M) is PD."""
         worst = np.inf
         for l in (0.1, 1.0, 10.0):
             sys = make_system(32, l=l)
-            lk = sys.chol_k_lower()
+            lk = sys.chol_k
             recon = np.max(np.abs(lk @ lk.T - sys.K)) / np.max(np.abs(sys.K))
             assert recon <= 1e-12
-            cho_factor(sys.G, lower=True)
-            worst = min(worst, np.linalg.eigvalsh(sys.G).min())
+            G = block_diag(sys.K, sys.M)
+            cho_factor(G, lower=True)
+            worst = min(worst, np.linalg.eigvalsh(G).min())
         ok = worst > 0.0
         report(2, "energy metric coercive", ok,
                f"Cholesky of K succeeded for l in {{0.1, 1, 10}}; "

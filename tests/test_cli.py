@@ -2,9 +2,12 @@
 
 import csv
 import json
+import os
 import shutil
 import subprocess
+import sys
 from dataclasses import MISSING, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -316,6 +319,21 @@ class TestCommands:
         )
         assert summary["ordering_ok"] == expected
 
+    def test_dichotomy_fits_the_resolvent_window(self, tmp_path):
+        """With resolvent.window null both commands fit default_fit_window.
+
+        At n = 32 the 8 frequencies span [3, 32]; the default window
+        [3.2, 32] leaves out the first, so a fit over the whole grid differs.
+        """
+        path = write_config(tmp_path, mesh_n=32)
+        assert cli.main(["resolvent", "--config", str(path)]) == 0
+        assert cli.main(["dichotomy", "--config", str(path)]) == 0
+        out = tmp_path / "out"
+        resolvent = json.loads((out / "resolvent_summary.json").read_text())
+        dichotomy = json.loads((out / "dichotomy_summary.json").read_text())
+        assert resolvent["window"][0] > 3.0
+        assert dichotomy["slope_equal"] == resolvent["slope"]
+
 
 # ---------------------------------------------------------------------------
 # determinism
@@ -389,6 +407,32 @@ def test_any_json_value_parses_or_raises_config_error(overrides):
 # ---------------------------------------------------------------------------
 # installed entry point
 # ---------------------------------------------------------------------------
+
+
+class TestModuleEntryPoint:
+    """`python -m bresse.cli` from the source tree, in a separate process."""
+
+    @staticmethod
+    def run_cli(*args):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        return subprocess.run(
+            [sys.executable, "-m", "bresse.cli", *args],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+
+    def test_validate_exits_zero(self, tmp_path):
+        proc = self.run_cli("validate", "--config", str(write_config(tmp_path)))
+        assert proc.returncode == 0, proc.stderr
+        assert "validate: ok" in proc.stdout
+
+    def test_missing_config_exits_with_output_error(self, tmp_path):
+        proc = self.run_cli("validate", "--config", str(tmp_path / "nope.json"))
+        assert proc.returncode == errors.OutputError.exit_code == 30
+        assert "cannot read config" in proc.stderr
 
 
 @pytest.mark.skipif(shutil.which("bresse") is None, reason="console script not on PATH")

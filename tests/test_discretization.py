@@ -1,5 +1,6 @@
 """Mesh construction, assembled matrices, energy metric, and projection."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -88,9 +89,12 @@ class TestAssembledMatrices:
             assert np.max(np.abs(mat - mat.T)) <= 1e-14
 
     def test_mass_and_stiffness_definite(self, sys16):
-        """Cholesky factors exist and reproduce M and K."""
-        lm = sys16.chol_m_lower()
-        lk = sys16.chol_k_lower()
+        """Cholesky factors exist, are lower and read-only, and reproduce M and K."""
+        lm = sys16.chol_m
+        lk = sys16.chol_k
+        for factor in (lm, lk):
+            assert np.array_equal(factor, np.tril(factor))
+            assert not factor.flags.writeable
         assert_allclose(lm @ lm.T, sys16.M, rtol=0, atol=1e-13)
         assert_allclose(lk @ lk.T, sys16.K, rtol=0, atol=1e-13)
 
@@ -136,6 +140,86 @@ class TestAssembledMatrices:
         assert np.max(np.abs(sys.K[psi, w])) <= 1e-11
         assert np.max(np.abs(sys.C[phi, :])) <= 1e-11
         assert np.max(np.abs(sys.K[phi, psi])) > 0.1
+
+    def test_matrices_equal_exact_integrals(self):
+        """M, C and K equal sympy integrals of their bilinear forms to 1e-12.
+
+        Every coefficient is non-unit, and snapping alpha = 0.3, beta = 0.7
+        onto the n = 8 mesh leaves element widths 0.125, 0.175 and 0.075.
+        The integrals are exact, over the binary values of coefficients and
+        nodes; the bound is relative to each matrix's largest entry.
+        """
+        import sympy as sp
+
+        p = make_params(rho1=1.3, rho2=0.7, k1=2.1, k2=0.6, k3=1.7, l=0.45,
+                        L=1.0, d0=2.5, alpha=0.3, beta=0.7)
+        mesh = build_mesh(p, 8)
+        sys = assemble(p, mesh)
+        assert np.ptp(mesh.widths) > 0.09
+        c = {k: sp.Rational(v) for k, v in dataclasses.asdict(p).items()}
+        nodes = [sp.Rational(v) for v in mesh.nodes]
+        x = sp.Symbol("x")
+        m = mesh.n_elements - 1
+        exact = {name: np.zeros((3 * m, 3 * m), dtype=object) for name in "MCK"}
+        for e in range(mesh.n_elements):
+            a, b = nodes[e], nodes[e + 1]
+            d = c["d0"] if mesh.alpha_index <= e < mesh.beta_index else 0
+            # (dof, (phi, psi, w)) of every interior hat living on element e
+            shapes = []
+            for node, hat in ((e, (b - x) / (b - a)), (e + 1, (x - a) / (b - a))):
+                for f in range(3 if 0 < node < mesh.n_elements else 0):
+                    u = [sp.Integer(0)] * 3
+                    u[f] = hat
+                    shapes.append((f * m + node - 1, u))
+            for i, (phi1, psi1, w1) in shapes:
+                shear1 = sp.diff(phi1, x) + psi1 + c["l"] * w1
+                axial1 = sp.diff(w1, x) - c["l"] * phi1
+                for j, (phi2, psi2, w2) in shapes:
+                    shear2 = sp.diff(phi2, x) + psi2 + c["l"] * w2
+                    axial2 = sp.diff(w2, x) - c["l"] * phi2
+                    forms = {
+                        "M": c["rho1"] * (phi1 * phi2 + w1 * w2) + c["rho2"] * psi1 * psi2,
+                        "C": d * axial1 * axial2,
+                        "K": c["k1"] * shear1 * shear2
+                        + c["k2"] * sp.diff(psi1, x) * sp.diff(psi2, x)
+                        + c["k3"] * axial1 * axial2,
+                    }
+                    for name, integrand in forms.items():
+                        if integrand == 0:
+                            continue
+                        primitive = sp.Poly(integrand, x).integrate()
+                        exact[name][i, j] += primitive.eval(b) - primitive.eval(a)
+        for name in "MCK":
+            ref = exact[name].astype(float)
+            err = np.max(np.abs(getattr(sys, name) - ref)) / np.max(np.abs(ref))
+            assert err <= 1e-12, (name, err)
+
+    def test_field_matrices_equal_the_element_loop(self):
+        """The vectorized sums equal an element-by-element loop bit for bit.
+
+        The loop adds each element's 2x2 block to zeroed full-node matrices,
+        skipping zero weights, and keeps the interior rows and columns.
+        Signed zeros count: the bytes must agree.
+        """
+        mass_ref = np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
+        stiff_ref = np.array([[1.0, -1.0], [-1.0, 1.0]])
+        mixed_ref = np.array([[-0.5, -0.5], [0.5, 0.5]])
+        rng = np.random.default_rng(61)
+        for n in (4, 9, 16, 37):
+            nodes = np.concatenate([[0.0], np.cumsum(rng.uniform(0.5, 2.0, n))])
+            damped = np.where(rng.random(n) < 0.5, 0.0, rng.uniform(0.1, 10.0, n))
+            for weights in (np.ones(n), damped, np.zeros(n)):
+                full = np.zeros((3, n + 1, n + 1))
+                h = np.diff(nodes)
+                for e in range(n):
+                    if weights[e] == 0.0:
+                        continue
+                    sl = slice(e, e + 2)
+                    full[0, sl, sl] += weights[e] * h[e] * mass_ref
+                    full[1, sl, sl] += (weights[e] / h[e]) * stiff_ref
+                    full[2, sl, sl] += weights[e] * mixed_ref
+                for got, ref in zip(_field_matrices(nodes, weights), full):
+                    assert got.tobytes() == ref[1:-1, 1:-1].tobytes()
 
     def test_mass_solve_roundtrip(self, sys16):
         rng = np.random.default_rng(3)
@@ -252,9 +336,8 @@ class TestEnergyMetric:
         lo, hi = [], []
         for n in (16, 32, 64):
             sys = make_system(n)
-            A, S, _ = _field_matrices(sys.mesh.nodes, np.ones(n))
-            Si = S[1:-1, 1:-1]
-            flat = block_diag(Si, Si, Si)
+            _, S, _ = _field_matrices(sys.mesh.nodes, np.ones(n))
+            flat = block_diag(S, S, S)
             vals = eigh(sys.K, flat, eigvals_only=True)
             lo.append(min(vals.min(), 1.0))
             hi.append(max(vals.max(), 1.0))

@@ -1,0 +1,97 @@
+"""Structural identities over random valid parameter sets (hypothesis).
+
+Every coefficient is drawn log-uniformly from [0.1, 10] (L from [0.3, 3]),
+the damping interval anywhere inside (0, L), and the mesh size from
+[8, 24].  Draws whose interval the mesh cannot resolve (TooCoarse) are
+skipped.  Runs are derandomized, so the examples are the same every time.
+"""
+
+import numpy as np
+from hypothesis import assume, given, settings, strategies as st
+
+from bresse.discretization import (
+    apply_generator,
+    assemble,
+    build_mesh,
+    energy,
+    inner_product_H,
+)
+from bresse.errors import TooCoarse
+from bresse.model import ModelParams, validate_params
+from bresse.resolvent import _Resolvent, lambda_cap
+from bresse.timedomain import step_midpoint
+
+from conftest import random_state
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=100)
+
+
+def log_uniform(lo, hi):
+    return st.floats(np.log10(lo), np.log10(hi)).map(lambda t: float(10.0**t))
+
+
+@st.composite
+def systems(draw):
+    coef = {k: draw(log_uniform(0.1, 10.0))
+            for k in ("rho1", "rho2", "k1", "k2", "k3", "l", "d0")}
+    L = draw(log_uniform(0.3, 3.0))
+    a = draw(st.floats(0.01, 0.98))
+    b = draw(st.floats(a + 0.01, 0.99))
+    p = validate_params(ModelParams(**coef, L=L, alpha=a * L, beta=b * L))
+    try:
+        mesh = build_mesh(p, draw(st.integers(8, 24)))
+    except TooCoarse:
+        assume(False)
+    return assemble(p, mesh)
+
+
+@PROPERTY
+@given(systems())
+def test_mass_and_stiffness_factor_and_damping_is_semidefinite(sys):
+    """assemble factored M and K; C has no eigenvalue below -1e-12 ||C||."""
+    for factor, mat in ((sys.chol_m, sys.M), (sys.chol_k, sys.K)):
+        err = np.max(np.abs(factor @ factor.T - mat)) / np.max(np.abs(mat))
+        assert err <= 1e-12
+    c_norm = np.linalg.norm(sys.C, 2)
+    assert c_norm > 0.0
+    assert np.linalg.eigvalsh(sys.C).min() >= -1e-12 * c_norm
+
+
+@PROPERTY
+@given(systems(), st.integers(0, 2**32 - 1))
+def test_generator_is_dissipative(sys, seed):
+    """Re(A U, U)_G = -v^H C v to 1e-12, measured as in criterion 1."""
+    U = random_state(sys, np.random.default_rng(seed), complex_valued=True)
+    ip = inner_product_H(sys, apply_generator(sys, U), U)
+    diss = np.vdot(U.v, sys.C @ U.v).real
+    assert abs(ip.real + diss) / max(1.0, abs(ip), diss) <= 1e-12
+
+
+@PROPERTY
+@given(systems(), log_uniform(1e-3, 1.0), st.integers(0, 2**32 - 1))
+def test_one_step_energy_balance(sys, dt, seed):
+    """E1 - E0 = -dt v_mid^T C v_mid to 1e-10 of E0."""
+    U0 = random_state(sys, np.random.default_rng(seed))
+    U1 = step_midpoint(sys, U0, dt)
+    v_mid = 0.5 * (U0.v + U1.v)
+    e0 = energy(sys, U0).total
+    balance = energy(sys, U1).total - e0 + dt * (v_mid @ sys.C @ v_mid)
+    assert abs(balance) <= 1e-10 * e0
+
+
+@PROPERTY
+@given(systems(), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+def test_resolvent_adjoint_is_consistent(sys, frac, seed):
+    """<B w, y> = <w, B^H y> to 1e-10 of ||B w|| ||y||.
+
+    B is the resolvent at lam = frac * lambda_max in the coordinates of the
+    energy metric, whose largest singular value resolvent_norm estimates.
+    """
+    op = _Resolvent(sys, frac * lambda_cap(sys))
+    rng = np.random.default_rng(seed)
+    w, y = (rng.standard_normal(2 * sys.n_dofs) + 1j * rng.standard_normal(2 * sys.n_dofs)
+            for _ in range(2))
+    bw = op.apply_b(w)
+    lhs = np.vdot(y, bw)
+    rhs = np.vdot(op.apply_bh(y), w)
+    assert abs(lhs - rhs) <= 1e-10 * np.linalg.norm(bw) * np.linalg.norm(y)

@@ -6,7 +6,13 @@ from numpy.testing import assert_allclose
 from scipy.linalg import eig
 
 from bresse.discretization import StateVector, apply_generator, g_norm_sq
-from bresse.errors import EmptyGrid, GridBeyondResolution, OutOfDomain, WindowTooSmall
+from bresse.errors import (
+    EmptyGrid,
+    GridBeyondResolution,
+    OutOfDomain,
+    SingularAtLambda,
+    WindowTooSmall,
+)
 from bresse.resolvent import (
     ResolventProfile,
     default_fit_window,
@@ -84,6 +90,16 @@ class TestResolventNorm:
         dist = np.min(np.abs(1j * lam - spectrum))
         norm = resolvent_norm(sys, lam, tol=1e-9, max_iters=2000)
         assert abs(norm - 1.0 / dist) <= 1e-4 / dist
+
+    def test_undamped_eigenfrequency_raises(self, sys16_undamped):
+        """i*lam on the undamped spectrum fails the conditioning test.
+
+        3.1081249323692366 is the first eigenfrequency at n = 16, where
+        rcond(P) is about 3e-16; the power iteration alone would run into
+        its 200-iteration cap there.
+        """
+        with pytest.raises(SingularAtLambda, match="reciprocal condition number"):
+            resolvent_norm(sys16_undamped, 3.1081249323692366)
 
     def test_norm_bounds_random_solves(self, sys16):
         """No right-hand side is amplified beyond the estimated norm."""
