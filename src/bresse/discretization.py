@@ -104,7 +104,6 @@ class EnergyComponents:
     kinetic: float
     potential: float
     total: float
-    dissipation_rate: float
 
 
 def build_mesh(p: ModelParams, n_elements: int) -> Mesh:
@@ -188,11 +187,11 @@ class AssembledSystem:
     """Dense matrices of the discretized system, immutable after assembly.
 
     M, C, K act on the displacement/velocity blocks; the energy metric on
-    states (q, v) is G = diag(K, M), which is never formed.  chol_m and
-    chol_k are the lower Cholesky factors of M and K (read-only arrays with
-    a zero upper triangle), computed eagerly: both matrices are positive
-    definite.  The midpoint-step factorization is cached lazily behind a
-    lock so the object stays shareable.
+    states (q, v) is G = diag(K, M), which is never formed.  chol_m is the
+    lower Cholesky factor of M (a read-only array with a zero upper
+    triangle), computed eagerly: it applies M^{-1} for the generator and
+    the eigensolver.  The midpoint-step factorization is cached lazily
+    behind a lock so the object stays shareable.
     """
 
     def __init__(self, params: ModelParams, mesh: Mesh):
@@ -202,13 +201,11 @@ class AssembledSystem:
         self.M, self.C, self.K = _assemble_matrices(params, mesh)
         try:
             self.chol_m = np.tril(cho_factor(self.M, lower=True)[0])
-            self.chol_k = np.tril(cho_factor(self.K, lower=True)[0])
         except LinAlgError as exc:
             raise FactorizationFailed(
-                f"mass/stiffness factorization failed: {exc}"
+                f"mass matrix is not positive definite: {exc}"
             ) from exc
         self.chol_m.flags.writeable = False
-        self.chol_k.flags.writeable = False
         self._cache_lock = threading.Lock()
         self._step_cache: tuple | None = None  # (dt, midpoint-matrix factor)
 
@@ -260,7 +257,7 @@ def _assemble_matrices(p: ModelParams, mesh: Mesh):
 
 
 def assemble(p: ModelParams, mesh: Mesh) -> AssembledSystem:
-    """Assemble mass, damping and stiffness and factor M and K for a mesh."""
+    """Assemble mass, damping and stiffness and factor M for a mesh."""
     return AssembledSystem(p, mesh)
 
 
@@ -280,7 +277,7 @@ def apply_generator(sys: AssembledSystem, U: StateVector) -> StateVector:
 
 
 def energy(sys: AssembledSystem, U: StateVector) -> EnergyComponents:
-    """Kinetic/potential split of the energy plus the dissipation rate.
+    """Kinetic/potential split of the energy.
 
     For complex states the real parts are taken; all quadratic forms here
     are real-valued on Hermitian arguments anyway.
@@ -288,12 +285,10 @@ def energy(sys: AssembledSystem, U: StateVector) -> EnergyComponents:
     _check_dims(sys, U)
     kinetic = 0.5 * np.vdot(U.v, sys.M @ U.v).real
     potential = 0.5 * np.vdot(U.q, sys.K @ U.q).real
-    dissipation = np.vdot(U.v, sys.C @ U.v).real
     return EnergyComponents(
         kinetic=kinetic,
         potential=potential,
         total=kinetic + potential,
-        dissipation_rate=dissipation,
     )
 
 

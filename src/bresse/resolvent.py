@@ -5,11 +5,11 @@ F = (f, g), the displacement block satisfies
 
     (-lambda^2 M + i lambda C + K) q = M g + (i lambda M + C) f,
 
-and v = i*lambda*q - f.  The operator norm in the energy metric G = L L^T
-is sigma_max(L^T R L^{-T}), estimated by power iteration on that
-composition and its adjoint; every application costs triangular solves
-plus one complex LU solve, and the adjoint reuses the same LU because
-P(lambda) is complex symmetric (P^H x = conj(P^{-1} conj(x)) solve-wise).
+and v = i*lambda*q - f.  The operator norm is taken in the energy metric
+G = diag(K, M) itself, by power iteration x <- R* R x on states.  Because
+M, C and K are real and symmetric, the G-adjoint of the generator is
+A_h* = J A_h J with J = diag(I, -I), so R(i lambda)* y = J conj(R(i lambda)
+conj(J y)): the adjoint is one more solve with the same LU of P(lambda).
 
 Profiles are capped at lambda_max = c_resolve / h: P1 elements cannot
 represent modes beyond O(1/h), and fitting past the cap would measure the
@@ -19,7 +19,7 @@ discretization rather than the system.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve, solve_triangular
+from scipy.linalg import lu_factor, lu_solve
 from scipy.linalg.lapack import zgecon
 
 from .discretization import AssembledSystem, StateVector, g_norm_sq
@@ -75,49 +75,61 @@ class GrowthFit:
 
 
 class _Resolvent:
-    """Factored resolvent at one real lambda, with forward/adjoint applies."""
+    """Factored resolvent at one real lambda, with forward/adjoint solves."""
 
     def __init__(self, sys: AssembledSystem, lam: float):
         self.sys = sys
         self.lam = float(lam)
-        il = 1j * self.lam
-        P = (-self.lam * self.lam) * sys.M + il * sys.C + sys.K
-        self.P = P
-        self.lu = lu_factor(P.astype(complex))
-        self.il = il
+        self.il = 1j * self.lam
+        self.P = (-self.lam * self.lam) * sys.M + self.il * sys.C + sys.K
+        self.lu = lu_factor(self.P)
+        self.p_norm = np.linalg.norm(self.P, 1)
         # i*lam on the discrete spectrum: a vanishing reciprocal condition number
-        rcond, _ = zgecon(self.lu[0], np.linalg.norm(P, 1), norm="1")
-        bound = P.shape[0] * np.finfo(float).eps
+        rcond, _ = zgecon(self.lu[0], self.p_norm, norm="1")
+        bound = self.P.shape[0] * np.finfo(float).eps
         if not rcond > bound:
             raise SingularAtLambda(
                 self.lam, f"reciprocal condition number {rcond:.3e} <= {bound:.3e}"
             )
 
-    def _solve_p(self, rhs: np.ndarray) -> np.ndarray:
-        """LU solve with one iterative-refinement pass."""
-        q = lu_solve(self.lu, rhs)
-        r = rhs - self.P @ q
-        q = q + lu_solve(self.lu, r)
-        return q
+    def _solve(self, F: StateVector) -> tuple[StateVector, np.ndarray]:
+        """(U, rhs): the solution and the right-hand side of its P solve.
 
-    def solve(self, F: StateVector) -> StateVector:
+        The LU solve gets one iterative-refinement pass.
+        """
         sys = self.sys
         f = F.q.astype(complex)
         g = F.v.astype(complex)
         rhs = sys.M @ g + self.il * (sys.M @ f) + sys.C @ f
-        q = self._solve_p(rhs)
-        v = self.il * q - f
-        return StateVector(q, v)
+        q = lu_solve(self.lu, rhs)
+        q = q + lu_solve(self.lu, rhs - self.P @ q)
+        return StateVector(q, self.il * q - f), rhs
+
+    def solve(self, F: StateVector) -> StateVector:
+        return self._solve(F)[0]
+
+    def solve_adjoint(self, Y: StateVector) -> StateVector:
+        """R(i lam)* Y in the G inner product: J conj(R(i lam) conj(J Y))."""
+        U = self.solve(StateVector(np.conj(Y.q), -np.conj(Y.v)))
+        return StateVector(np.conj(U.q), -np.conj(U.v))
 
     def solve_checked(self, F: StateVector) -> tuple[StateVector, float]:
-        """Solve and verify the state-space residual in the G norm."""
-        U = self.solve(F)
-        res = self.residual(U, F)
-        if not np.isfinite(res) or res > 1e-10:
+        """Solve, test the backward error of the P solve, return the G residual.
+
+        The P solve passes when ||rhs - P q||_1 <= dim * eps * (||P||_1
+        ||q||_1 + ||rhs||_1).  dim * eps is the worst-case rounding bound of
+        a dim-term inner product, the error of evaluating that residual
+        itself, so a larger residual is a failed solve, not roundoff.
+        """
+        U, rhs = self._solve(F)
+        err = np.linalg.norm(rhs - self.P @ U.q, 1)
+        scale = self.p_norm * np.linalg.norm(U.q, 1) + np.linalg.norm(rhs, 1)
+        bound = self.P.shape[0] * np.finfo(float).eps * scale
+        if not err <= bound:
             raise SingularAtLambda(
-                self.lam, f"relative residual {res:.3e} exceeds 1e-10"
+                self.lam, f"backward error {err:.3e} of the P solve exceeds {bound:.3e}"
             )
-        return U, res
+        return U, self.residual(U, F)
 
     def residual(self, U: StateVector, F: StateVector) -> float:
         """||(i lam - A_h) U - F||_G / ||F||_G, computed directly.
@@ -137,46 +149,22 @@ class _Resolvent:
             return 0.0
         return float(num / den)
 
-    # sigma_max machinery: B = L^T R L^{-T} with L = diag(chol K, chol M)
-
-    def _split(self, w):
-        n = self.sys.n_dofs
-        return w[:n], w[n:]
-
-    def apply_b(self, w: np.ndarray) -> np.ndarray:
-        sys = self.sys
-        wq, wv = self._split(w)
-        xq = solve_triangular(sys.chol_k, wq, lower=True, trans="T")
-        xv = solve_triangular(sys.chol_m, wv, lower=True, trans="T")
-        U = self.solve(StateVector(xq, xv))
-        yq = sys.chol_k.T @ U.q
-        yv = sys.chol_m.T @ U.v
-        return np.concatenate([yq, yv])
-
-    def apply_bh(self, y: np.ndarray) -> np.ndarray:
-        sys = self.sys
-        yq, yv = self._split(y)
-        a = sys.chol_k @ yq
-        b = sys.chol_m @ yv
-        # R^H (a,b) = ((-i lam M + C) t - b, M t), t = P^{-H}(a - i lam b);
-        # P is complex symmetric, so P^{-H} x = conj(P^{-1} conj(x))
-        t = np.conj(lu_solve(self.lu, np.conj(a - self.il * b)))
-        row1 = (-self.il) * (sys.M @ t) + sys.C @ t - b
-        row2 = sys.M @ t
-        zq = solve_triangular(sys.chol_k, row1, lower=True)
-        zv = solve_triangular(sys.chol_m, row2, lower=True)
-        return np.concatenate([zq, zv])
-
 
 def resolvent_solve(sys: AssembledSystem, lam: float, F: StateVector) -> StateVector:
-    """Solve (i*lam - A_h) U = F; the result meets a 1e-10 G-norm residual.
+    """Solve (i*lam - A_h) U = F with a backward-stable P(lam) solve.
 
     Raises SingularAtLambda when i*lam sits on the discrete spectrum
     (possible only for the undamped system): the 1-norm reciprocal
-    condition number of P(lam) is at most dim * eps.
+    condition number of P(lam) is at most dim * eps.  It raises too when
+    the refined P solve leaves a residual above dim * eps * (||P||_1
+    ||q||_1 + ||rhs||_1), the rounding level of the residual itself.
     """
     U, _ = _Resolvent(sys, lam).solve_checked(F)
     return U
+
+
+def _scaled(U: StateVector, c: float) -> StateVector:
+    return StateVector(U.q * c, U.v * c)
 
 
 def _norm_details(
@@ -186,27 +174,28 @@ def _norm_details(
     max_iters: int = 200,
     seed: int = 0,
 ):
-    """Power iteration for ||R(lam)||_G; returns (norm, iters, residual)."""
+    """Power iteration x <- R* R x for ||R(lam)||_G; returns (norm, iters, residual)."""
     op = _Resolvent(sys, lam)
-    dim = 2 * sys.n_dofs
+    n = sys.n_dofs
     rng = np.random.default_rng(_POWER_SEED + seed)
-    w = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    w /= np.linalg.norm(w)
+    x = StateVector(
+        rng.standard_normal(n) + 1j * rng.standard_normal(n),
+        rng.standard_normal(n) + 1j * rng.standard_normal(n),
+    )
+    x = _scaled(x, 1.0 / np.sqrt(g_norm_sq(sys, x)))
     sigma_prev = 0.0
     for it in range(1, max_iters + 1):
-        y = op.apply_b(w)
-        sigma = float(np.linalg.norm(y))
+        y = op.solve(x)
+        sigma = float(np.sqrt(g_norm_sq(sys, y)))
         if not np.isfinite(sigma):
             raise SingularAtLambda(lam, "power iterate diverged")
-        z = op.apply_bh(y)
-        nz = np.linalg.norm(z)
+        z = op.solve_adjoint(y)
+        nz = np.sqrt(g_norm_sq(sys, z))
         if nz == 0.0:
             raise SingularAtLambda(lam, "power iterate collapsed")
-        w = z / nz
+        x = _scaled(z, 1.0 / nz)
         if abs(sigma - sigma_prev) <= tol * max(sigma, np.finfo(float).tiny):
-            xq = solve_triangular(sys.chol_k, w[: sys.n_dofs], lower=True, trans="T")
-            xv = solve_triangular(sys.chol_m, w[sys.n_dofs :], lower=True, trans="T")
-            _, res = op.solve_checked(StateVector(xq, xv))
+            _, res = op.solve_checked(x)
             return sigma, it, res
         sigma_prev = sigma
     raise NoConvergence(max_iters, what=f"resolvent norm at lambda={lam!r}")

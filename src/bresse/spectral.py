@@ -5,9 +5,9 @@ variables as the standard companion eigenproblem
 
     Z y = s y,    Z = [[0, I], [-M^{-1} K, -M^{-1} C]],    y = (x, s x),
 
-with M^{-1} applied through one Cholesky factor of the mass matrix.  One
-dense eigensolve of Z gives the whole discrete spectrum; each shift then
-selects the eigenvalues nearest to it.
+with M^{-1} applied through the system's lower Cholesky factor chol_m of
+the mass matrix.  One dense eigensolve of Z gives the whole discrete
+spectrum; each shift then selects the eigenvalues nearest to it.
 
 Eigenpair accuracy is certified directly on the quadratic residual
 ||(s^2 M + s C + K)x|| / ||x||, never on the companion problem alone.
@@ -16,10 +16,10 @@ Eigenpair accuracy is certified directly on the quadratic residual
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, eig
+from scipy.linalg import cho_solve, eig
 
 from .discretization import AssembledSystem
-from .errors import EmptyGrid, FactorizationFailed, NoConvergence
+from .errors import EmptyGrid, NoConvergence
 
 __all__ = ["SpectrumReport", "quadratic_eigs", "axis_scan"]
 
@@ -54,10 +54,7 @@ def _quad_residual(sys: AssembledSystem, s: complex, x: np.ndarray) -> float:
 def _companion_eig(sys: AssembledSystem):
     """All eigenvalues of the pencil and the x-part of their eigenvectors."""
     n = sys.n_dofs
-    try:
-        m_chol = cho_factor(sys.M)
-    except LinAlgError as exc:
-        raise FactorizationFailed(f"mass matrix is not positive definite: {exc}") from exc
+    m_chol = (sys.chol_m, True)
     Z = np.zeros((2 * n, 2 * n))
     Z[:n, n:] = np.eye(n)
     Z[n:, :n] = -cho_solve(m_chol, sys.K)
@@ -94,8 +91,7 @@ def quadratic_eigs(
     on distance); a pair counts only when its quadratic residual is
     <= tol * ||K||_2.  Results from all shifts are merged (relative
     tolerance 1e-8), conjugate completed, and sorted by (Re, Im).  Raises
-    FactorizationFailed when M is not positive definite and NoConvergence
-    when a shift has no certified pair among its selection.
+    NoConvergence when a shift has no certified pair among its selection.
     """
     shifts = [complex(s) for s in shifts]
     if not shifts:

@@ -8,6 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import block_diag, eig, eigh
 
+from bresse import discretization
 from bresse.discretization import (
     StateVector,
     _field_matrices,
@@ -22,6 +23,7 @@ from bresse.discretization import (
 )
 from bresse.errors import (
     DimensionMismatch,
+    FactorizationFailed,
     IncompatibleBoundary,
     TooCoarse,
 )
@@ -89,14 +91,26 @@ class TestAssembledMatrices:
             assert np.max(np.abs(mat - mat.T)) <= 1e-14
 
     def test_mass_and_stiffness_definite(self, sys16):
-        """Cholesky factors exist, are lower and read-only, and reproduce M and K."""
+        """chol_m is lower and read-only and reproduces M; K has a Cholesky factor."""
         lm = sys16.chol_m
-        lk = sys16.chol_k
-        for factor in (lm, lk):
-            assert np.array_equal(factor, np.tril(factor))
-            assert not factor.flags.writeable
+        assert np.array_equal(lm, np.tril(lm))
+        assert not lm.flags.writeable
+        lk = np.linalg.cholesky(sys16.K)
         assert_allclose(lm @ lm.T, sys16.M, rtol=0, atol=1e-13)
         assert_allclose(lk @ lk.T, sys16.K, rtol=0, atol=1e-13)
+
+    def test_indefinite_mass_raises(self, monkeypatch):
+        """assemble refuses a mass matrix without a Cholesky factor."""
+        original = discretization._assemble_matrices
+
+        def negated_mass(p, mesh):
+            M, C, K = original(p, mesh)
+            return -M, C, K
+
+        monkeypatch.setattr(discretization, "_assemble_matrices", negated_mass)
+        p = make_params()
+        with pytest.raises(FactorizationFailed, match="mass matrix"):
+            assemble(p, build_mesh(p, 8))
 
     def test_damping_semidefinite(self, sys16):
         w = np.linalg.eigvalsh(sys16.C)
@@ -301,7 +315,6 @@ class TestEnergyMetric:
         assert_allclose(comps.kinetic, kin, rtol=1e-13)
         assert_allclose(comps.potential, pot, rtol=1e-13)
         assert_allclose(comps.total, kin + pot, rtol=1e-13)
-        assert_allclose(comps.dissipation_rate, U.v @ sys16.C @ U.v, rtol=1e-12)
 
     def test_g_norm_is_twice_the_energy(self, sys16):
         rng = np.random.default_rng(32)

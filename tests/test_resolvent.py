@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.linalg import eig
+from scipy.linalg import block_diag, eig
 
 from bresse.discretization import StateVector, apply_generator, g_norm_sq
 from bresse.errors import (
@@ -24,6 +24,21 @@ from bresse.resolvent import (
 )
 
 from conftest import make_system, random_state
+
+
+def dense_generator(sys):
+    n = sys.n_dofs
+    return np.block([
+        [np.zeros((n, n)), np.eye(n)],
+        [-np.linalg.solve(sys.M, sys.K), -np.linalg.solve(sys.M, sys.C)],
+    ])
+
+
+def dense_resolvent_norm(sys, A, lam):
+    """sigma_max(L^T (i lam - A)^-1 L^-T) with G = diag(K, M) = L L^T, all dense."""
+    L = block_diag(np.linalg.cholesky(sys.K), np.linalg.cholesky(sys.M))
+    X = np.linalg.solve(1j * lam * np.eye(A.shape[0]) - A, np.linalg.inv(L).T)
+    return float(np.linalg.norm(L.T @ X, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -81,11 +96,7 @@ class TestResolventNorm:
     def test_undamped_norm_is_reciprocal_spectral_distance(self):
         """Skew generator: ||R(lam)|| = 1 / dist(i lam, spectrum)."""
         sys = make_system(16, d0=0.0)
-        n = sys.n_dofs
-        Z = np.zeros((2 * n, 2 * n))
-        Z[:n, n:] = np.eye(n)
-        Z[n:, :n] = -np.linalg.solve(sys.M, sys.K)
-        spectrum = eig(Z, right=False)
+        spectrum = eig(dense_generator(sys), right=False)
         lam = 2.0
         dist = np.min(np.abs(1j * lam - spectrum))
         norm = resolvent_norm(sys, lam, tol=1e-9, max_iters=2000)
@@ -131,6 +142,46 @@ class TestResolventNorm:
         a = resolvent_norm(sys16, 7.0)
         b = resolvent_norm(sys16, 7.0)
         assert a == b
+
+
+class TestNormAtPeaks:
+    """At an eigenfrequency lam = Im s the norm peaks near 1/|Re s|.
+
+    The power iteration stops when successive estimates differ by 1e-6
+    relative; 1e-5 leaves room for a contraction ratio up to 0.9 per
+    step in the remaining error.  Every point is checked and all failures
+    are reported together.
+    """
+
+    @staticmethod
+    def mismatches(sys, A, lams):
+        failures = []
+        for lam in map(float, lams):
+            try:
+                norm = resolvent_norm(sys, lam)
+            except SingularAtLambda as exc:
+                failures.append(f"lambda {lam!r}: {exc}")
+                continue
+            exact = dense_resolvent_norm(sys, A, lam)
+            rel = abs(norm - exact) / exact
+            if not rel <= 1e-5:
+                failures.append(f"lambda {lam!r}: norm {norm} vs dense {exact}, rel {rel:.3e}")
+        return failures
+
+    @pytest.mark.parametrize("k2", [1.0, 2.0])
+    def test_every_resolved_eigenfrequency_matches_dense(self, k2):
+        """n = 32: every eigenfrequency 0 < Im s <= lambda_max."""
+        sys = make_system(32, k2=k2)
+        A = dense_generator(sys)
+        im = eig(A, right=False).imag
+        lams = np.sort(im[(im > 0.0) & (im <= lambda_cap(sys))])
+        assert lams.size >= 20
+        assert self.mismatches(sys, A, lams) == []
+
+    def test_equal_speed_peak_at_n64(self):
+        """A peak whose G-norm solve residual (about 7e-10) exceeds 1e-10."""
+        sys = make_system(64)
+        assert self.mismatches(sys, dense_generator(sys), [34.98946235961022]) == []
 
 
 # ---------------------------------------------------------------------------
