@@ -29,10 +29,19 @@ Unknown keys anywhere are rejected, and so are out-of-range settings:
 seed must be >= 0; per_shift, count and sample_stride >= 1; lambda_min,
 lambda_max, tol, c_resolve, dt, t_final and unequal_factor > 0.  Exit
 codes: 0 success; 10-19 config errors; 20-29 numerical errors; 30 I/O
-errors; each error class in bresse.errors has its own code.  All CSV
-output is deterministic for a fixed (config, seed, version): floats are
-serialized with 17 significant digits and every sweep is merged in sorted
-order, so repeated runs produce byte-identical files.
+errors; each error class in bresse.errors has its own code.
+
+Each command computes first and then writes into output_dir its CSV
+tables, its JSON summary and run_report.json, in that order; the report's
+"outputs" lists all but itself.  validate writes validate_summary.json
+alone; spectrum spectrum.csv; resolvent resolvent.csv; simulate and
+decay-fit energy.csv; dichotomy resolvent_<regime>.csv and
+energy_<regime>.csv for the equal and then the unequal regime, and then
+dichotomy.csv.  Summaries are named <command>_summary.json, except
+decay-fit's decay_summary.json.  All CSV output is deterministic for a
+fixed (config, seed, version): floats are serialized with 17 significant
+digits and every sweep is merged in sorted order, so repeated runs
+produce byte-identical files.
 """
 
 import argparse
@@ -109,7 +118,6 @@ class ExperimentConfig:
     sim: SimSettings = field(default_factory=SimSettings)
     dichotomy: DichotomySettings = field(default_factory=DichotomySettings)
     digest: str = ""
-    echo: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -243,7 +251,7 @@ def parse_config(text: str) -> ExperimentConfig:
     blocks = {name: cls(**_fill(raw.get(name, {}), name, cls)) for name, cls in _BLOCKS.items()}
     canonical = json.dumps(raw, sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(canonical.encode()).hexdigest()[:16]
-    return ExperimentConfig(params=params, **top, **blocks, digest=digest, echo=raw)
+    return ExperimentConfig(params=params, **top, **blocks, digest=digest)
 
 
 def _fmt(value) -> str:
@@ -266,10 +274,16 @@ def _write_json(path: Path, payload):
         fh.write("\n")
 
 
-def _build(cfg: ExperimentConfig, params=None):
-    p = params if params is not None else cfg.params
-    mesh = build_mesh(p, cfg.mesh_n)
-    return assemble(p, mesh)
+def _timed(timings: dict, key: str, fn, *args):
+    """fn(*args), with its wall time recorded as timings[key]."""
+    t0 = time.perf_counter()
+    result = fn(*args)
+    timings[key] = time.perf_counter() - t0
+    return result
+
+
+def _build(cfg: ExperimentConfig, p: ModelParams):
+    return assemble(p, build_mesh(p, cfg.mesh_n))
 
 
 def _profile(cfg: ExperimentConfig, sys_):
@@ -283,51 +297,22 @@ def _profile(cfg: ExperimentConfig, sys_):
 def _sim_config(cfg: ExperimentConfig, sys_) -> SimConfig:
     ss = cfg.sim
     dt = ss.dt if ss.dt is not None else 0.5 * float(sys_.mesh.widths.max())
-    return SimConfig(
-        dt=dt,
-        t_final=ss.t_final,
-        sample_stride=ss.sample_stride,
-        fit_window=tuple(ss.fit_window),
-    )
+    return SimConfig(dt, ss.t_final, ss.sample_stride, tuple(ss.fit_window))
 
 
-def _spectrum_csv(out_dir, name, report):
-    rows = [
-        (s.real, s.imag, r, report.mesh_size)
-        for s, r in zip(report.eigenvalues, report.residuals)
-    ]
-    path = out_dir / name
-    _write_csv(path, ("re", "im", "residual", "mesh_n"), rows)
-    return path
-
-
-def _profile_csv(out_dir, name, prof):
+def _profile_table(prof):
     rows = list(zip(prof.lambdas, prof.norms, prof.iters, prof.residuals))
-    path = out_dir / name
-    _write_csv(path, ("lambda", "norm", "iters", "residual"), rows)
-    return path
+    return ("lambda", "norm", "iters", "residual"), rows
 
 
-def _energy_csv(out_dir, name, series):
-    rows = list(
-        zip(
-            series.times,
-            series.energies,
-            series.kinetics,
-            series.potentials,
-            series.sample_residuals,
-        )
-    )
-    path = out_dir / name
-    _write_csv(path, ("t", "E", "kinetic", "potential", "balance_residual"), rows)
-    return path
+def _energy_table(s):
+    rows = zip(s.times, s.energies, s.kinetics, s.potentials, s.sample_residuals)
+    return ("t", "E", "kinetic", "potential", "balance_residual"), list(rows)
 
 
-def _run_validate(cfg, out_dir, timings):
-    t0 = time.perf_counter()
+def _run_validate(cfg, timings):
     speed = classify_speeds(cfg.params)
-    sys_ = _build(cfg)
-    timings["build"] = time.perf_counter() - t0
+    sys_ = _timed(timings, "build", _build, cfg, cfg.params)
     summary = {
         "params": asdict(cfg.params),
         "mesh_n": cfg.mesh_n,
@@ -338,34 +323,27 @@ def _run_validate(cfg, out_dir, timings):
         "lambda_max": lambda_cap(sys_, cfg.resolvent.c_resolve),
         "damped_elements": int(sys_.mesh.beta_index - sys_.mesh.alpha_index),
     }
-    path = out_dir / "validate_summary.json"
-    _write_json(path, summary)
-    return summary, [path]
+    return summary, {}
 
 
-def _run_spectrum(cfg, out_dir, timings):
-    sys_ = _build(cfg)
-    t0 = time.perf_counter()
-    report = axis_scan(sys_, cfg.spectrum.mu_grid, per_shift=cfg.spectrum.per_shift)
-    timings["axis_scan"] = time.perf_counter() - t0
-    csv_path = _spectrum_csv(out_dir, "spectrum.csv", report)
+def _run_spectrum(cfg, timings):
+    sys_ = _build(cfg, cfg.params)
+    sc = cfg.spectrum
+    report = _timed(timings, "axis_scan", axis_scan, sys_, sc.mu_grid, sc.per_shift)
+    pairs = zip(report.eigenvalues, report.residuals)
+    rows = [(s.real, s.imag, r, report.mesh_size) for s, r in pairs]
     summary = {
         "spectral_abscissa": report.spectral_abscissa,
         "min_abs_real": report.min_abs_real,
     }
-    json_path = out_dir / "spectrum_summary.json"
-    _write_json(json_path, summary)
-    return summary, [csv_path, json_path]
+    return summary, {"spectrum.csv": (("re", "im", "residual", "mesh_n"), rows)}
 
 
-def _run_resolvent(cfg, out_dir, timings):
-    sys_ = _build(cfg)
+def _run_resolvent(cfg, timings):
+    sys_ = _build(cfg, cfg.params)
     speed = classify_speeds(cfg.params)
-    t0 = time.perf_counter()
-    prof = _profile(cfg, sys_)
-    timings["profile"] = time.perf_counter() - t0
+    prof = _timed(timings, "profile", _profile, cfg, sys_)
     fit = fit_growth_exponent(prof, cfg.resolvent.window)
-    csv_path = _profile_csv(out_dir, "resolvent.csv", prof)
     summary = {
         "slope": fit.slope,
         "window": list(fit.window),
@@ -373,19 +351,14 @@ def _run_resolvent(cfg, out_dir, timings):
         "predicted_exponent": speed.predicted_resolvent_exponent,
         "consistent": bool(fit.slope <= speed.predicted_resolvent_exponent + 0.5),
     }
-    json_path = out_dir / "resolvent_summary.json"
-    _write_json(json_path, summary)
-    return summary, [csv_path, json_path]
+    return summary, {"resolvent.csv": _profile_table(prof)}
 
 
-def _run_simulate(cfg, out_dir, timings):
-    sys_ = _build(cfg)
+def _run_simulate(cfg, timings):
+    sys_ = _build(cfg, cfg.params)
     sim_cfg = _sim_config(cfg, sys_)
-    U0 = project_initial_data(sys_, sys_.mesh, default_initial_data(cfg.params.L))
-    t0 = time.perf_counter()
-    series = simulate(sys_, U0, sim_cfg)
-    timings["simulate"] = time.perf_counter() - t0
-    csv_path = _energy_csv(out_dir, "energy.csv", series)
+    U0 = project_initial_data(sys_, default_initial_data(cfg.params.L))
+    series = _timed(timings, "simulate", simulate, sys_, U0, sim_cfg)
     summary = {
         "dt": sim_cfg.dt,
         "t_final": sim_cfg.t_final,
@@ -394,17 +367,14 @@ def _run_simulate(cfg, out_dir, timings):
         "max_balance_residual": float(series.dissipation_residuals.max()),
         "domain_norm0": series.initial_domain_norm,
     }
-    json_path = out_dir / "simulate_summary.json"
-    _write_json(json_path, summary)
-    return summary, [csv_path, json_path]
+    return summary, {"energy.csv": _energy_table(series)}
 
 
-def _run_decay_fit(cfg, out_dir, timings):
-    sys_ = _build(cfg)
-    t0 = time.perf_counter()
-    series, fit, c_obs = decay_analysis(sys_, _sim_config(cfg, sys_))
-    timings["decay_analysis"] = time.perf_counter() - t0
-    csv_path = _energy_csv(out_dir, "energy.csv", series[0])
+def _run_decay_fit(cfg, timings):
+    sys_ = _build(cfg, cfg.params)
+    series, fit, c_obs = _timed(
+        timings, "decay_analysis", decay_analysis, sys_, _sim_config(cfg, sys_)
+    )
     summary = {
         "gamma_hat": fit.gamma_hat,
         "window": list(fit.window),
@@ -412,117 +382,80 @@ def _run_decay_fit(cfg, out_dir, timings):
         "domain_norm0": series[0].initial_domain_norm,
         "C_obs": c_obs,
     }
-    json_path = out_dir / "decay_summary.json"
-    _write_json(json_path, summary)
-    return summary, [csv_path, json_path]
+    return summary, {"energy.csv": _energy_table(series[0])}
 
 
-def _dichotomy_params(cfg: ExperimentConfig):
-    """Equal-speed projection of the config params, and its unequal twin."""
-    p = cfg.params
-    k2_equal = p.rho2 * p.k1 / p.rho1
-    equal = validate_params(replace(p, k2=k2_equal))
-    unequal = validate_params(replace(p, k2=k2_equal * cfg.dichotomy.unequal_factor))
-    return equal, unequal
-
-
-def _run_dichotomy(cfg, out_dir, timings):
-    equal_p, unequal_p = _dichotomy_params(cfg)
-    outputs = []
-    results = {}
-    for tag, params in (("equal", equal_p), ("unequal", unequal_p)):
+def _run_dichotomy(cfg, timings):
+    """The equal-speed projection of the config params, then its unequal twin."""
+    k2_equal = cfg.params.rho2 * cfg.params.k1 / cfg.params.rho1
+    tables, rows = {}, []
+    for tag, k2 in (("equal", k2_equal), ("unequal", k2_equal * cfg.dichotomy.unequal_factor)):
+        params = validate_params(replace(cfg.params, k2=k2))
         sys_ = _build(cfg, params)
         speed = classify_speeds(params)
-        t0 = time.perf_counter()
-        prof = _profile(cfg, sys_)
-        timings[f"profile_{tag}"] = time.perf_counter() - t0
+        prof = _timed(timings, f"profile_{tag}", _profile, cfg, sys_)
         growth = fit_growth_exponent(prof, cfg.resolvent.window)
-        t0 = time.perf_counter()
-        series, decay, c_obs = decay_analysis(sys_, _sim_config(cfg, sys_))
-        timings[f"decay_{tag}"] = time.perf_counter() - t0
-        outputs.append(_profile_csv(out_dir, f"resolvent_{tag}.csv", prof))
-        outputs.append(_energy_csv(out_dir, f"energy_{tag}.csv", series[0]))
-        results[tag] = {
-            "speed": speed,
-            "growth": growth,
-            "decay": decay,
-            "c_obs": c_obs,
-        }
-
-    table_rows = [
-        (
-            tag,
-            res["growth"].slope,
-            res["growth"].r_squared,
-            res["decay"].gamma_hat,
-            res["decay"].r_squared,
-            res["speed"].predicted_resolvent_exponent,
-            res["speed"].predicted_decay_exponent,
-            res["c_obs"],
+        series, decay, c_obs = _timed(
+            timings, f"decay_{tag}", decay_analysis, sys_, _sim_config(cfg, sys_)
         )
-        for tag, res in results.items()
-    ]
-    table_path = out_dir / "dichotomy.csv"
-    _write_csv(
-        table_path,
-        (
-            "regime",
-            "slope",
-            "r_squared_resolvent",
-            "gamma_hat",
-            "r_squared_decay",
-            "predicted_resolvent_exponent",
-            "predicted_decay_exponent",
-            "C_obs",
-        ),
-        table_rows,
-    )
-    outputs.append(table_path)
+        tables[f"resolvent_{tag}.csv"] = _profile_table(prof)
+        tables[f"energy_{tag}.csv"] = _energy_table(series[0])
+        rows.append(
+            {
+                "regime": tag,
+                "slope": growth.slope,
+                "r_squared_resolvent": growth.r_squared,
+                "gamma_hat": decay.gamma_hat,
+                "r_squared_decay": decay.r_squared,
+                "predicted_resolvent_exponent": speed.predicted_resolvent_exponent,
+                "predicted_decay_exponent": speed.predicted_decay_exponent,
+                "C_obs": c_obs,
+            }
+        )
+    tables["dichotomy.csv"] = (list(rows[0]), [list(row.values()) for row in rows])
+    equal, unequal = rows
     summary = {
-        "slope_equal": results["equal"]["growth"].slope,
-        "slope_unequal": results["unequal"]["growth"].slope,
-        "gamma_equal": results["equal"]["decay"].gamma_hat,
-        "gamma_unequal": results["unequal"]["decay"].gamma_hat,
+        "slope_equal": equal["slope"],
+        "slope_unequal": unequal["slope"],
+        "gamma_equal": equal["gamma_hat"],
+        "gamma_unequal": unequal["gamma_hat"],
         "ordering_ok": bool(
-            results["unequal"]["growth"].slope > results["equal"]["growth"].slope
-            and results["equal"]["decay"].gamma_hat
-            > results["unequal"]["decay"].gamma_hat
+            unequal["slope"] > equal["slope"] and equal["gamma_hat"] > unequal["gamma_hat"]
         ),
     }
-    json_path = out_dir / "dichotomy_summary.json"
-    _write_json(json_path, summary)
-    outputs.append(json_path)
-    return summary, outputs
+    return summary, tables
 
 
+# command -> (runner, summary file name).  runner(cfg, timings) returns
+# (summary, tables), tables mapping a CSV name to (header, rows) in the
+# order run writes them.
 _RUNNERS = {
-    "validate": _run_validate,
-    "spectrum": _run_spectrum,
-    "resolvent": _run_resolvent,
-    "simulate": _run_simulate,
-    "decay-fit": _run_decay_fit,
-    "dichotomy": _run_dichotomy,
+    "validate": (_run_validate, "validate_summary.json"),
+    "spectrum": (_run_spectrum, "spectrum_summary.json"),
+    "resolvent": (_run_resolvent, "resolvent_summary.json"),
+    "simulate": (_run_simulate, "simulate_summary.json"),
+    "decay-fit": (_run_decay_fit, "decay_summary.json"),
+    "dichotomy": (_run_dichotomy, "dichotomy_summary.json"),
 }
 
 
 def run(command: str, cfg: ExperimentConfig) -> RunReport:
-    """Execute one command, writing CSVs, a JSON summary, and a run report."""
+    """Execute one command: write its CSVs, its JSON summary, then the run report."""
     if command not in _RUNNERS:
         raise SchemaError("command", f"one of {', '.join(COMMANDS)}")
+    runner, summary_name = _RUNNERS[command]
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     timings: dict = {}
     t0 = time.perf_counter()
-    summary, outputs = _RUNNERS[command](cfg, out_dir, timings)
+    summary, tables = runner(cfg, timings)
+    outputs = [out_dir / name for name in (*tables, summary_name)]
+    for path, (header, rows) in zip(outputs, tables.values()):
+        _write_csv(path, header, rows)
+    _write_json(outputs[-1], summary)
     timings["total"] = time.perf_counter() - t0
-    report = RunReport(
-        command=command,
-        version=__version__,
-        config_digest=cfg.digest,
-        summary=summary,
-        outputs=tuple(str(p) for p in outputs),
-        timings=timings,
-    )
+    outputs = tuple(str(path) for path in outputs)
+    report = RunReport(command, __version__, cfg.digest, summary, outputs, timings)
     _write_json(out_dir / "run_report.json", asdict(report))
     return report
 

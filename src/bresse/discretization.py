@@ -310,8 +310,8 @@ def domain_norm(sys: AssembledSystem, U: StateVector) -> float:
     return g_norm_sq(sys, U) + g_norm_sq(sys, AU)
 
 
-def project_initial_data(sys: AssembledSystem, mesh: Mesh, fields) -> StateVector:
-    """Nodal interpolation of closed-form initial data.
+def project_initial_data(sys: AssembledSystem, fields) -> StateVector:
+    """Nodal interpolation of closed-form initial data on sys.mesh.
 
     fields = (phi0, psi0, w0, phi1, psi1, w1): the first three fill the
     displacement block, the last three the velocity block.  Every function
@@ -320,15 +320,14 @@ def project_initial_data(sys: AssembledSystem, mesh: Mesh, fields) -> StateVecto
     """
     if len(fields) != 6:
         raise DimensionMismatch(f"expected 6 field functions, got {len(fields)}")
-    L = mesh.nodes[-1]
+    nodes = sys.mesh.nodes
+    L = nodes[-1]
     for i, f in enumerate(fields):
         if abs(f(0.0)) > 1e-12 or abs(f(L)) > 1e-12:
             raise IncompatibleBoundary(
                 f"initial field #{i} does not vanish at the clamped ends"
             )
-    xi = mesh.nodes[1:-1]
+    xi = nodes[1:-1]
     q = np.concatenate([np.asarray([f(x) for x in xi], dtype=float) for f in fields[:3]])
     v = np.concatenate([np.asarray([f(x) for x in xi], dtype=float) for f in fields[3:]])
-    U = StateVector(q, v)
-    _check_dims(sys, U)
-    return U
+    return StateVector(q, v)

@@ -28,6 +28,8 @@ UNEQUAL_SPEEDS = "UnequalSpeeds"
 
 _POSITIVE_FIELDS = ("rho1", "rho2", "k1", "k2", "k3", "l", "L", "d0")
 
+_SPEED_REL_TOL = 1e-12  # relative tolerance of classify_speeds
+
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -103,18 +105,16 @@ def damping_at(p: ModelParams, x: float) -> float:
     return 0.0
 
 
-def classify_speeds(p: ModelParams, rel_tol: float = 1e-12) -> SpeedClass:
+def classify_speeds(p: ModelParams) -> SpeedClass:
     """Classify into the equal-speed or unequal-speed regime.
 
-    Speeds are compared with a relative tolerance (default 1e-12) because
+    Speeds are compared with a relative tolerance of 1e-12 because
     floating-point parameter entry makes exact equality fragile.
     """
     validate_params(p)
-    if rel_tol < 0:
-        raise OutOfDomain(f"rel_tol={rel_tol!r} must be nonnegative")
     s1 = p.k1 / p.rho1
     s2 = p.k2 / p.rho2
-    if abs(s1 - s2) <= rel_tol * max(s1, s2):
+    if abs(s1 - s2) <= _SPEED_REL_TOL * max(s1, s2):
         return SpeedClass(EQUAL_SPEEDS, 2, 1.0)
     return SpeedClass(UNEQUAL_SPEEDS, 4, 0.5)
 

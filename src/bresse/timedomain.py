@@ -48,6 +48,8 @@ __all__ = [
     "initial_data_family",
 ]
 
+_MIN_ENERGY_RATIO = 1e-8  # fit_decay drops samples below this fraction of E_0
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -194,14 +196,10 @@ def simulate(sys: AssembledSystem, U0: StateVector, cfg: SimConfig) -> EnergySer
     )
 
 
-def fit_decay(
-    series: EnergySeries,
-    window,
-    min_energy_ratio: float = 1e-8,
-) -> DecayFit:
+def fit_decay(series: EnergySeries, window) -> DecayFit:
     """Fit E(t) ~ c t^(-gamma) by least squares on (log t, log E).
 
-    Samples below min_energy_ratio * E_0 are dropped (exponential-tail
+    Samples below 1e-8 * E_0 are dropped (exponential-tail
     contamination); at least 10 samples must remain.  Raises
     NonpositiveEnergy when the window touches the roundoff floor and
     WindowTooSmall when too few samples survive.
@@ -219,7 +217,7 @@ def fit_decay(
     e0 = E[0]
     if e0 <= 0.0:
         raise NonpositiveEnergy("initial energy is zero; nothing to fit")
-    mask &= E >= min_energy_ratio * e0
+    mask &= E >= _MIN_ENERGY_RATIO * e0
     count = int(mask.sum())
     if count < 10:
         raise WindowTooSmall(
@@ -264,7 +262,7 @@ def decay_analysis(sys: AssembledSystem, cfg: SimConfig):
     series = []
     c_obs = 0.0
     for fields in initial_data_family(sys.params.L):
-        s = simulate(sys, project_initial_data(sys, sys.mesh, fields), cfg)
+        s = simulate(sys, project_initial_data(sys, fields), cfg)
         series.append(s)
         mask = (s.times >= lo) & (s.times <= hi)
         scaled = s.energies[mask] * s.times[mask] ** gamma_theory / s.initial_domain_norm

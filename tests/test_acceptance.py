@@ -127,14 +127,14 @@ class TestAcceptance:
         """Per-step balance at 1e-10; undamped conservation on [0, 10]."""
         sys = make_system(64)
         dt = 1.0 / 128.0
-        U0 = project_initial_data(sys, sys.mesh, default_initial_data(1.0))
+        U0 = project_initial_data(sys, default_initial_data(1.0))
         cfg = SimConfig(dt=dt, t_final=20.0, sample_stride=16,
                         fit_window=(10.0, 20.0))
         series = simulate(sys, U0, cfg)
         max_balance = series.dissipation_residuals.max()
 
         free = make_system(64, d0=0.0)
-        U0f = project_initial_data(free, free.mesh, default_initial_data(1.0))
+        U0f = project_initial_data(free, default_initial_data(1.0))
         cfgf = SimConfig(dt=dt, t_final=10.0, sample_stride=16,
                          fit_window=(1.0, 10.0))
         cons = simulate(free, U0f, cfgf)
@@ -208,7 +208,7 @@ class TestAcceptance:
             family, fit, c = decay_analysis(sys, cfg)
             data = zip(initial_data_family(1.0), family, strict=True)
             for i, (fields, series) in enumerate(data):
-                U0 = project_initial_data(sys, sys.mesh, fields)
+                U0 = project_initial_data(sys, fields)
                 assert np.array_equal(series.times, times)
                 expected = oracle.energies(U0, np.rint(times / dt).astype(int))
                 rel = np.abs(series.energies - expected) / expected

@@ -336,6 +336,45 @@ class TestCommands:
 
 
 # ---------------------------------------------------------------------------
+# output contract
+# ---------------------------------------------------------------------------
+
+# command -> (RunReport.outputs names in write order, timing keys in order)
+OUTPUT_CONTRACT = {
+    "validate": (["validate_summary.json"], ["build", "total"]),
+    "spectrum": (["spectrum.csv", "spectrum_summary.json"], ["axis_scan", "total"]),
+    "resolvent": (["resolvent.csv", "resolvent_summary.json"], ["profile", "total"]),
+    "simulate": (["energy.csv", "simulate_summary.json"], ["simulate", "total"]),
+    "decay-fit": (["energy.csv", "decay_summary.json"], ["decay_analysis", "total"]),
+    "dichotomy": (
+        [
+            "resolvent_equal.csv",
+            "energy_equal.csv",
+            "resolvent_unequal.csv",
+            "energy_unequal.csv",
+            "dichotomy.csv",
+            "dichotomy_summary.json",
+        ],
+        ["profile_equal", "decay_equal", "profile_unequal", "decay_unequal", "total"],
+    ),
+}
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_output_dir_holds_exactly_the_reported_outputs(tmp_path, command):
+    """output_dir holds RunReport.outputs, in the fixed order, and run_report.json."""
+    out = tmp_path / "out"
+    report = cli.run(command, cli.parse_config(json.dumps(base_config(out))))
+    names, timing_keys = OUTPUT_CONTRACT[command]
+    assert list(report.outputs) == [str(out / name) for name in names]
+    assert sorted(p.name for p in out.iterdir()) == sorted([*names, "run_report.json"])
+    written = json.loads((out / "run_report.json").read_text())
+    assert written["outputs"] == list(report.outputs)
+    assert list(report.timings) == timing_keys
+    assert sorted(written["timings"]) == sorted(timing_keys)  # the file sorts its keys
+
+
+# ---------------------------------------------------------------------------
 # determinism
 # ---------------------------------------------------------------------------
 

@@ -399,7 +399,7 @@ class TestProjectInitialData:
             lambda x: math.sin(2.0 * math.pi * x),
             lambda x: 0.0,
         )
-        U = project_initial_data(sys16, mesh, fields)
+        U = project_initial_data(sys16, fields)
         xi = mesh.nodes[1:-1]
         dm = sys16.dof_map
         assert_allclose(U.q[dm.field_slice("phi")], np.sin(np.pi * xi), rtol=1e-14)
@@ -411,18 +411,18 @@ class TestProjectInitialData:
 
     def test_zero_data(self, sys16):
         zero = lambda x: 0.0
-        U = project_initial_data(sys16, sys16.mesh, (zero,) * 6)
+        U = project_initial_data(sys16, (zero,) * 6)
         assert np.all(U.q == 0.0) and np.all(U.v == 0.0)
 
     def test_boundary_violation(self, sys16):
         fields = [lambda x: 0.0] * 6
         fields[2] = lambda x: math.cos(math.pi * x)
         with pytest.raises(IncompatibleBoundary):
-            project_initial_data(sys16, sys16.mesh, tuple(fields))
+            project_initial_data(sys16, tuple(fields))
 
     def test_wrong_field_count(self, sys16):
         with pytest.raises(DimensionMismatch):
-            project_initial_data(sys16, sys16.mesh, (lambda x: 0.0,) * 3)
+            project_initial_data(sys16, (lambda x: 0.0,) * 3)
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +444,7 @@ class TestEnergyConvergence:
         errs = []
         for n in (8, 16, 32, 64):
             sys = make_system(n)
-            U = project_initial_data(sys, sys.mesh, fields)
+            U = project_initial_data(sys, fields)
             errs.append(abs(energy(sys, U).total - exact))
         orders = [math.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
         assert min(orders) >= 1.9

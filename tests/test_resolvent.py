@@ -226,6 +226,13 @@ class TestProfile:
         prof = profile(sys16, [3.0, 20.0], c_resolve=2.0)
         assert prof.lambda_max == 32.0
 
+    def test_residual_is_backward_error_of_the_checked_solve(self):
+        """At the n = 64 equal-speed peak the G-norm state residual is about
+        7e-10, while the P solve it certifies is backward stable to dim * eps."""
+        sys = make_system(64)
+        prof = profile(sys, [34.98946235961022])
+        assert prof.residuals[0] <= sys.n_dofs * np.finfo(float).eps
+
     def test_deterministic(self, sys16):
         grid = [3.0, 6.0, 12.0]
         p1 = profile(sys16, grid)

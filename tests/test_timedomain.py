@@ -31,7 +31,7 @@ from conftest import make_system, random_state
 
 
 def default_state(sys):
-    return project_initial_data(sys, sys.mesh, default_initial_data(1.0))
+    return project_initial_data(sys, default_initial_data(1.0))
 
 
 def series_from(times, energies, e0=None):
@@ -266,7 +266,7 @@ class TestDecayAnalysis:
         family = initial_data_family(1.0)
         assert len(series) == len(family) == 3
         for s, fields in zip(series, family):
-            U0 = project_initial_data(sys, sys.mesh, fields)
+            U0 = project_initial_data(sys, fields)
             assert np.array_equal(s.energies, simulate(sys, U0, cfg).energies)
         assert fit == fit_decay(series[0], cfg.fit_window)
         scaled = []
