@@ -270,7 +270,7 @@ def _write_csv(path: Path, header, rows):
 
 def _write_json(path: Path, payload):
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2)
         fh.write("\n")
 
 

@@ -6,9 +6,7 @@ damping of Kelvin-Voigt type acts on the axial strain rate only, and only
 on the subinterval (alpha, beta).
 """
 
-import hashlib
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .errors import BadInterval, NonPositiveParameter, OutOfDomain
 
@@ -20,7 +18,6 @@ __all__ = [
     "validate_params",
     "damping_at",
     "classify_speeds",
-    "params_digest",
 ]
 
 EQUAL_SPEEDS = "EqualSpeeds"
@@ -118,11 +115,3 @@ def classify_speeds(p: ModelParams) -> SpeedClass:
         return SpeedClass(EQUAL_SPEEDS, 2, 1.0)
     return SpeedClass(UNEQUAL_SPEEDS, 4, 0.5)
 
-
-def params_digest(p: ModelParams, mesh_n: int | None = None) -> str:
-    """Short stable hash of the parameter set (and optionally mesh size)."""
-    payload = asdict(p)
-    if mesh_n is not None:
-        payload["mesh_n"] = mesh_n
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode()).hexdigest()[:16]

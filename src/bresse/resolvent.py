@@ -3,13 +3,14 @@
 (i*lambda - A_h) U = F is solved through the second-order reduction: with
 F = (f, g), the displacement block satisfies
 
-    (-lambda^2 M + i lambda C + K) q = M g + (i lambda M + C) f,
+    (-lambda^2 M + i lambda C + K) q = M (g + i lambda f) + C f,
 
 and v = i*lambda*q - f.  The operator norm is taken in the energy metric
 G = diag(K, M) itself, by power iteration x <- R* R x on states.  Because
 M, C and K are real and symmetric, the G-adjoint of the generator is
 A_h* = J A_h J with J = diag(I, -I), so R(i lambda)* y = J conj(R(i lambda)
 conj(J y)): the adjoint is one more solve with the same LU of P(lambda).
+Every solve is one LU solve whose backward error is tested on the spot.
 
 Profiles are capped at lambda_max = c_resolve / h: P1 elements cannot
 represent modes beyond O(1/h), and fitting past the cap would measure the
@@ -31,7 +32,6 @@ from .errors import (
     SingularAtLambda,
     WindowTooSmall,
 )
-from .model import params_digest
 from .timedomain import _loglog_fit
 
 __all__ = [
@@ -52,9 +52,9 @@ class ResolventProfile:
     """Resolvent norms over a frequency grid, with solver diagnostics.
 
     iters and residuals record, per lambda, the power-iteration count and
-    the relative backward error ||rhs - P q||_1 / (||P||_1 ||q||_1 +
-    ||rhs||_1) of the checked P(lambda) solve at the final maximizing
-    input, the certificate that passed it (at most dim * eps).
+    the worst relative backward error ||rhs - P q||_1 / (||P||_1 ||q||_1 +
+    ||rhs||_1) over every forward and adjoint P(lambda) solve behind that
+    norm; each solve tests its own and passes only at most dim * eps.
     """
 
     lambdas: np.ndarray
@@ -63,7 +63,6 @@ class ResolventProfile:
     residuals: np.ndarray
     mesh_size: int
     lambda_max: float
-    params_digest: str
 
 
 @dataclass(frozen=True)
@@ -88,52 +87,40 @@ class _Resolvent:
         self.p_norm = np.linalg.norm(self.P, 1)
         # i*lam on the discrete spectrum: a vanishing reciprocal condition number
         rcond, _ = zgecon(self.lu[0], self.p_norm, norm="1")
-        bound = self.P.shape[0] * np.finfo(float).eps
-        if not rcond > bound:
+        self.bound = self.P.shape[0] * np.finfo(float).eps
+        if not rcond > self.bound:
             raise SingularAtLambda(
-                self.lam, f"reciprocal condition number {rcond:.3e} <= {bound:.3e}"
+                self.lam, f"reciprocal condition number {rcond:.3e} <= {self.bound:.3e}"
             )
 
-    def _solve(self, F: StateVector) -> tuple[StateVector, np.ndarray]:
-        """(U, rhs): the solution and the right-hand side of its P solve.
-
-        The LU solve gets one iterative-refinement pass.
-        """
-        sys = self.sys
-        f = F.q.astype(complex)
-        g = F.v.astype(complex)
-        rhs = sys.M @ g + self.il * (sys.M @ f) + sys.C @ f
-        q = lu_solve(self.lu, rhs)
-        q = q + lu_solve(self.lu, rhs - self.P @ q)
-        return StateVector(q, self.il * q - f), rhs
-
-    def solve(self, F: StateVector) -> StateVector:
-        return self._solve(F)[0]
-
-    def solve_adjoint(self, Y: StateVector) -> StateVector:
-        """R(i lam)* Y in the G inner product: J conj(R(i lam) conj(J Y))."""
-        U = self.solve(StateVector(np.conj(Y.q), -np.conj(Y.v)))
-        return StateVector(np.conj(U.q), -np.conj(U.v))
-
-    def solve_checked(self, F: StateVector) -> tuple[StateVector, float]:
-        """Solve and return (U, backward error of the P solve).
+    def solve(self, F: StateVector) -> tuple[StateVector, float]:
+        """(U, backward error of its P solve), U = R(i lam) F.
 
         The backward error is ||rhs - P q||_1 / (||P||_1 ||q||_1 +
         ||rhs||_1), and the solve passes when it is at most dim * eps: the
         worst-case rounding bound of a dim-term inner product, the error of
-        evaluating that residual itself, so a larger one is a failed
-        solve, not roundoff.
+        evaluating that residual itself, so a larger one (or a non-finite
+        one) is a failed solve, not roundoff, and raises SingularAtLambda.
         """
-        U, rhs = self._solve(F)
-        err = np.linalg.norm(rhs - self.P @ U.q, 1)
-        scale = self.p_norm * np.linalg.norm(U.q, 1) + np.linalg.norm(rhs, 1)
+        sys = self.sys
+        f = F.q.astype(complex)
+        g = F.v.astype(complex)
+        rhs = sys.M @ (g + self.il * f) + sys.C @ f
+        q = lu_solve(self.lu, rhs)
+        err = np.linalg.norm(rhs - self.P @ q, 1)
+        scale = self.p_norm * np.linalg.norm(q, 1) + np.linalg.norm(rhs, 1)
         backward = err / scale if scale else 0.0  # F = 0 gives U = 0 exactly
-        bound = self.P.shape[0] * np.finfo(float).eps
-        if not backward <= bound:
+        if not backward <= self.bound:
             raise SingularAtLambda(
-                self.lam, f"backward error {backward:.3e} of the P solve exceeds {bound:.3e}"
+                self.lam, f"backward error {backward:.3e} of the P solve exceeds {self.bound:.3e}"
             )
-        return U, float(backward)
+        return StateVector(q, self.il * q - f), float(backward)
+
+    def solve_adjoint(self, Y: StateVector) -> tuple[StateVector, float]:
+        """R(i lam)* Y in the G inner product, J conj(R(i lam) conj(J Y)),
+        with the backward error of its P solve."""
+        U, backward = self.solve(StateVector(np.conj(Y.q), -np.conj(Y.v)))
+        return StateVector(np.conj(U.q), -np.conj(U.v)), backward
 
 
 def resolvent_solve(sys: AssembledSystem, lam: float, F: StateVector) -> StateVector:
@@ -142,10 +129,10 @@ def resolvent_solve(sys: AssembledSystem, lam: float, F: StateVector) -> StateVe
     Raises SingularAtLambda when i*lam sits on the discrete spectrum
     (possible only for the undamped system): the 1-norm reciprocal
     condition number of P(lam) is at most dim * eps.  It raises too when
-    the refined P solve leaves a residual above dim * eps * (||P||_1
-    ||q||_1 + ||rhs||_1), the rounding level of the residual itself.
+    the P solve leaves a residual above dim * eps * (||P||_1 ||q||_1 +
+    ||rhs||_1), the rounding level of the residual itself.
     """
-    U, _ = _Resolvent(sys, lam).solve_checked(F)
+    U, _ = _Resolvent(sys, lam).solve(F)
     return U
 
 
@@ -162,7 +149,7 @@ def _norm_details(
 ):
     """Power iteration x <- R* R x for ||R(lam)||_G.
 
-    Returns (norm, iters, backward error of the final checked solve).
+    Returns (norm, iters, worst backward error over all its solves).
     """
     op = _Resolvent(sys, lam)
     n = sys.n_dofs
@@ -173,19 +160,18 @@ def _norm_details(
     )
     x = _scaled(x, 1.0 / np.sqrt(g_norm_sq(sys, x)))
     sigma_prev = 0.0
+    worst = 0.0
     for it in range(1, max_iters + 1):
-        y = op.solve(x)
+        y, err_y = op.solve(x)
         sigma = float(np.sqrt(g_norm_sq(sys, y)))
-        if not np.isfinite(sigma):
-            raise SingularAtLambda(lam, "power iterate diverged")
-        z = op.solve_adjoint(y)
+        z, err_z = op.solve_adjoint(y)
+        worst = max(worst, err_y, err_z)
         nz = np.sqrt(g_norm_sq(sys, z))
         if nz == 0.0:
             raise SingularAtLambda(lam, "power iterate collapsed")
         x = _scaled(z, 1.0 / nz)
         if abs(sigma - sigma_prev) <= tol * max(sigma, np.finfo(float).tiny):
-            _, res = op.solve_checked(x)
-            return sigma, it, res
+            return sigma, it, worst
         sigma_prev = sigma
     raise NoConvergence(max_iters, what=f"resolvent norm at lambda={lam!r}")
 
@@ -215,7 +201,6 @@ def profile(
     sys: AssembledSystem,
     lambda_grid,
     tol: float = 1e-6,
-    max_iters: int = 200,
     seed: int = 0,
     c_resolve: float = 1.0,
 ) -> ResolventProfile:
@@ -231,9 +216,7 @@ def profile(
     if beyond.size:
         raise GridBeyondResolution(float(beyond[0]), cap)
 
-    details = [
-        _norm_details(sys, lam, tol=tol, max_iters=max_iters, seed=seed) for lam in grid
-    ]
+    details = [_norm_details(sys, lam, tol=tol, seed=seed) for lam in grid]
     norms = np.array([d[0] for d in details])
     iters = np.array([d[1] for d in details], dtype=int)
     residuals = np.array([d[2] for d in details])
@@ -244,7 +227,6 @@ def profile(
         residuals=residuals,
         mesh_size=sys.mesh.n_elements,
         lambda_max=cap,
-        params_digest=params_digest(sys.params, sys.mesh.n_elements),
     )
 
 

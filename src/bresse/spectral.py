@@ -7,7 +7,8 @@ variables as the standard companion eigenproblem
 
 with M^{-1} applied through the system's lower Cholesky factor chol_m of
 the mass matrix.  One dense eigensolve of Z gives the whole discrete
-spectrum; each shift then selects the eigenvalues nearest to it.
+spectrum; each shift then selects, by index, the eigenvalues nearest to
+it, so eigenvalues closer together than any tolerance stay distinct.
 
 Eigenpair accuracy is certified directly on the quadratic residual
 ||(s^2 M + s C + K)x|| / ||x||, never on the companion problem alone.
@@ -26,12 +27,12 @@ __all__ = ["SpectrumReport", "quadratic_eigs", "axis_scan"]
 
 @dataclass(frozen=True, eq=False)
 class SpectrumReport:
-    """Merged eigenvalues with certified residuals.
+    """Certified eigenvalues with their residuals, sorted by (Re, Im).
 
     residuals[i] = ||(s^2 M + s C + K) x|| / ||x|| for the pair behind
     eigenvalues[i]; k_norm is the spectral norm of K used for relative
     residual checks.  Eigenvalues come conjugate-completed: for real
-    matrices the conjugate of a verified pair is itself exactly verified.
+    matrices the conjugate of a certified pair has the same residual.
     """
 
     eigenvalues: np.ndarray
@@ -63,21 +64,6 @@ def _companion_eig(sys: AssembledSystem):
     return w, y[:n]
 
 
-def _merge(pairs):
-    """Deterministic duplicate merge by (Re, Im) with relative tolerance."""
-    pairs = sorted(pairs, key=lambda p: (p[0].real, p[0].imag))
-    merged = []
-    for s, r in pairs:
-        if merged:
-            s0, r0 = merged[-1]
-            if abs(s - s0) <= 1e-8 * (1.0 + abs(s)):
-                if r < r0:
-                    merged[-1] = (s, r)
-                continue
-        merged.append((s, r))
-    return merged
-
-
 def quadratic_eigs(
     sys: AssembledSystem,
     shifts,
@@ -86,12 +72,13 @@ def quadratic_eigs(
 ) -> SpectrumReport:
     """Eigenvalues of the quadratic pencil nearest each shift.
 
-    The full spectrum comes from one dense companion eigensolve.  For each
-    shift the per_shift eigenvalues nearest to it are selected (stable sort
-    on distance); a pair counts only when its quadratic residual is
-    <= tol * ||K||_2.  Results from all shifts are merged (relative
-    tolerance 1e-8), conjugate completed, and sorted by (Re, Im).  Raises
-    NoConvergence when a shift has no certified pair among its selection.
+    The full spectrum comes from one dense companion eigensolve.  Each
+    shift selects the indices of its per_shift nearest eigenvalues (stable
+    sort on distance), and each selected pair is certified once: it counts
+    when its quadratic residual is <= tol * ||K||_2.  Raises NoConvergence
+    when a shift has no certified pair among its selection.  The conjugate
+    partner of a certified pair is added by index, since a real pencil's
+    eig returns exact conjugate pairs, and the result is sorted by (Re, Im).
     """
     shifts = [complex(s) for s in shifts]
     if not shifts:
@@ -101,29 +88,28 @@ def quadratic_eigs(
     w, x = _companion_eig(sys)
 
     residual = {}
-    pairs = []
     for sigma in shifts:
         nearest = np.argsort(np.abs(w - sigma), kind="stable")[:per_shift]
         for i in nearest:
             if i not in residual:
                 residual[i] = _quad_residual(sys, w[i], x[:, i])
-        certified = [(complex(w[i]), residual[i]) for i in nearest if residual[i] <= tol_abs]
-        if not certified:
+        if not any(residual[i] <= tol_abs for i in nearest):
             best = min((residual[i] for i in nearest), default=np.inf)
             raise NoConvergence(
                 what=f"eigensolve at shift {sigma!r}",
                 reason=f"certified no pair (best residual {best:.3e} exceeds the bound {tol_abs:.3e})",
             )
-        pairs += certified
 
-    merged = _merge(pairs)
-    conjugated = merged + [
-        (s.conjugate(), r) for s, r in merged if s.imag != 0.0
-    ]
-    merged = _merge(conjugated)
+    certified = {}
+    for i, r in residual.items():
+        if r <= tol_abs:
+            certified[i] = r
+            if w[i].imag != 0.0:  # eig stores a pair as (Im > 0, Im < 0)
+                certified.setdefault(i + 1 if w[i].imag > 0 else i - 1, r)
+    order = sorted(certified, key=lambda i: (w[i].real, w[i].imag))
 
-    eigenvalues = np.array([s for s, _ in merged])
-    residuals = np.array([r for _, r in merged])
+    eigenvalues = w[order]
+    residuals = np.array([certified[i] for i in order])
     re = eigenvalues.real
     i_min = int(np.argmin(np.abs(re)))
     return SpectrumReport(

@@ -12,7 +12,6 @@ from bresse.model import (
     UNEQUAL_SPEEDS,
     classify_speeds,
     damping_at,
-    params_digest,
     validate_params,
 )
 
@@ -139,23 +138,3 @@ class TestClassifySpeeds:
             )
             assert scaled.variant == base.variant
 
-
-# ---------------------------------------------------------------------------
-# digest
-# ---------------------------------------------------------------------------
-
-
-class TestParamsDigest:
-    def test_deterministic(self):
-        p = make_params()
-        assert params_digest(p, 64) == params_digest(make_params(), 64)
-
-    def test_sensitive_to_parameters_and_mesh(self):
-        p = make_params()
-        assert params_digest(p, 64) != params_digest(make_params(k2=2.0), 64)
-        assert params_digest(p, 64) != params_digest(p, 128)
-
-    def test_shape(self):
-        d = params_digest(make_params())
-        assert isinstance(d, str) and len(d) == 16
-        int(d, 16)

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.linalg import block_diag, eig
+from scipy.linalg import block_diag, eig, lu_solve
 
+from bresse import resolvent
 from bresse.discretization import StateVector, apply_generator, g_norm_sq
 from bresse.errors import (
     EmptyGrid,
@@ -233,6 +234,23 @@ class TestProfile:
         prof = profile(sys, [34.98946235961022])
         assert prof.residuals[0] <= sys.n_dofs * np.finfo(float).eps
 
+    @pytest.mark.parametrize("first_bad", [1, 2, 5])
+    def test_failed_solve_raises_at_that_solve(self, sys16, monkeypatch, first_bad):
+        """An LU solve that stops being backward stable raises at once."""
+        calls = []
+
+        def perturbed(lu, rhs):
+            q = lu_solve(lu, rhs)
+            calls.append(None)
+            if len(calls) >= first_bad:
+                q[0] += 1e-6 * np.abs(q).max()
+            return q
+
+        monkeypatch.setattr(resolvent, "lu_solve", perturbed)
+        with pytest.raises(SingularAtLambda, match="backward error"):
+            profile(sys16, [3.0, 5.0])
+        assert len(calls) == first_bad
+
     def test_deterministic(self, sys16):
         grid = [3.0, 6.0, 12.0]
         p1 = profile(sys16, grid)
@@ -255,7 +273,6 @@ def synthetic_profile(exponent, count=12):
         residuals=np.zeros(count),
         mesh_size=64,
         lambda_max=30.0,
-        params_digest="0" * 16,
     )
 
 

@@ -4,7 +4,7 @@ import types
 
 import numpy as np
 import pytest
-from scipy.linalg import eig
+from scipy.linalg import block_diag, eig
 
 from bresse.errors import EmptyGrid, NoConvergence
 from bresse.spectral import axis_scan, quadratic_eigs
@@ -115,6 +115,22 @@ class TestQuadraticEigs:
             for s in dense[np.argsort(np.abs(dense - sigma), kind="stable")[:4]]:
                 dist = np.min(np.abs(report.eigenvalues - s))
                 assert dist <= 1e-8 * abs(s), (sigma, s, dist)
+
+    def test_near_double_eigenvalues_are_all_reported(self):
+        """Two decoupled chains whose stiffnesses differ by a factor 1 + 1e-9
+        have eigenvalues about 1.6e-9 apart; both members of each are kept."""
+        a, roots_a = wave_chain(16)
+        b, roots_b = wave_chain(16, k3=1.0 + 1e-9)
+        M = block_diag(a.M, b.M)
+        twin = types.SimpleNamespace(
+            M=M, C=block_diag(a.C, b.C), K=block_diag(a.K, b.K),
+            chol_m=np.linalg.cholesky(M), n_dofs=2 * a.n_dofs, mesh=a.mesh,
+        )
+        report = quadratic_eigs(twin, [3.2j, 6.5j], per_shift=4)
+        expected = np.concatenate([roots_a[:4], roots_b[:4]])  # two lowest modes each
+        nearest = [int(np.argmin(np.abs(expected - s))) for s in report.eigenvalues]
+        assert sorted(nearest) == list(range(8))
+        assert np.max(np.abs(expected[nearest] - report.eigenvalues)) <= 1e-8
 
     def test_uncertified_shift_raises(self):
         """A shift with no pair under the residual bound is an error."""
