@@ -8,16 +8,22 @@ degree-of-freedom set; with interior dofs only, the stiffness matrix K and
 mass matrix M are positive definite and the energy metric G = diag(K, M)
 realizes the continuous energy norm.
 
-Matrices are dense, assembled onto the interior dofs from vectorized
-element sums; at desk scale (a few hundred dofs per field) this is both
-fastest and simplest.
+M, C and K are stored once, as lower symmetric bands in node-major order
+(dof 3*node + field, bandwidth 5), built from the per-field tridiagonals of
+vectorized element sums.  The system's products with M, C and K and its
+Cholesky factors work on these bands, so each costs O(N).  States keep the
+field-major layout of DofMap; the band products map them into node-major
+order and back.  The dense field-major matrices are expanded on demand for
+the dense consumers (the companion eigensolve, the resolvent's complex LU,
+the tests).
 """
 
 import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, LinAlgError
+from scipy.linalg import cho_solve_banded, cholesky_banded, LinAlgError
+from scipy.linalg.blas import dsbmv
 
 from .errors import (
     DimensionMismatch,
@@ -155,7 +161,8 @@ def _field_matrices(nodes: np.ndarray, weights: np.ndarray):
     Returns (A, S, D) with A[i,j] = sum_e w_e int N_i N_j, S[i,j] =
     sum_e w_e int N_i' N_j', D[i,j] = sum_e w_e int N_i' N_j over the
     interior hat functions, each integral over element e.  Exact: all
-    integrands are polynomials of degree <= 2.
+    integrands are polynomials of degree <= 2.  Each comes as its three
+    diagonals, see _interior_sum.
     """
     h = np.diff(nodes)
     mass_ref = np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
@@ -171,54 +178,145 @@ def _field_matrices(nodes: np.ndarray, weights: np.ndarray):
 def _interior_sum(scale: np.ndarray, ref: np.ndarray) -> np.ndarray:
     """sum_e scale_e * ref over the elements, restricted to the interior nodes.
 
-    Interior node i takes ref[1, 1] from element i-1 and then ref[0, 0] from
-    element i.  Every sum starts from +0.0, so a zero weight adds +0.0 and
-    the entries equal an element-by-element accumulation bit for bit.
+    Returns the tridiagonal T as rows (diagonal, superdiagonal, subdiagonal)
+    of one (3, n_interior) array: row 1 holds T[i, i+1] and row 2 holds
+    T[i+1, i] at column i, each padded with a final 0.0 that lies outside
+    T.  Interior node i takes ref[1, 1] from element i-1 and then ref[0, 0]
+    from element i.  Every sum starts from +0.0, so a zero weight adds +0.0
+    and the entries equal an element-by-element accumulation bit for bit.
     """
-    T = np.diag((0.0 + scale[:-1] * ref[1, 1]) + scale[1:] * ref[0, 0])
-    inner = scale[1:-1]
-    i = np.arange(inner.size)
-    T[i, i + 1] = 0.0 + inner * ref[0, 1]
-    T[i + 1, i] = 0.0 + inner * ref[1, 0]
-    return T
+    inner = np.append(scale[1:-1], 0.0)
+    return np.stack(
+        [
+            (0.0 + scale[:-1] * ref[1, 1]) + scale[1:] * ref[0, 0],
+            0.0 + inner * ref[0, 1],
+            0.0 + inner * ref[1, 0],
+        ]
+    )
+
+
+def _transpose(T: np.ndarray) -> np.ndarray:
+    """Transpose of a tridiagonal stored as in _interior_sum."""
+    return T[[0, 2, 1]]
+
+
+_BANDWIDTH = 5  # node-major: neighbouring nodes' three fields are <= 5 dofs apart
+
+
+def _node_major_band(lower: dict) -> np.ndarray:
+    """Lower band (6, 3 n) of the symmetric matrix with field blocks lower[a, b].
+
+    lower maps field pairs a >= b to tridiagonal blocks (as in _interior_sum);
+    missing pairs are zero and block (b, a) is the transpose of block (a, b).
+    Row k of the band holds the entries A[j + k, j] in node-major order,
+    dof 3 * node + field, the layout of LAPACK's lower band storage.
+    Fortran order lets BLAS read it without a copy.
+    """
+    n = next(iter(lower.values())).shape[1]
+    band = np.zeros((6, n, 3))
+    for (a, b), T in lower.items():
+        band[a - b, :, b] = T[0]  # same node
+        band[3 + a - b, :, b] = T[2]  # (node j + 1, a) against (node j, b)
+        if a != b:
+            band[3 + b - a, :, a] = T[1]  # (node j + 1, b) against (node j, a)
+    band = np.asfortranarray(band.reshape(6, 3 * n))
+    band.flags.writeable = False
+    return band
+
+
+def _node_major(x: np.ndarray) -> np.ndarray:
+    """Field-major vector -> node-major copy."""
+    return x.reshape(3, -1).T.ravel()
+
+
+def _field_major(y: np.ndarray) -> np.ndarray:
+    """Node-major vector -> field-major copy."""
+    return y.reshape(-1, 3).T.ravel()
+
+
+def _band_matvec(band: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """band @ x for a field-major vector x, real or complex.
+
+    A complex x is multiplied part by part, so the real band is never cast
+    to complex.
+    """
+    if np.iscomplexobj(x):
+        return _band_matvec(band, x.real) + 1j * _band_matvec(band, x.imag)
+    return _field_major(dsbmv(_BANDWIDTH, 1.0, band, _node_major(x), lower=1))
+
+
+def _band_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve with a node-major lower band Cholesky factor for a field-major
+    vector rhs, real or complex (part by part, as in _band_matvec)."""
+    if np.iscomplexobj(rhs):
+        return _band_solve(factor, rhs.real) + 1j * _band_solve(factor, rhs.imag)
+    return _field_major(cho_solve_banded((factor, True), _node_major(rhs)))
+
+
+def _dense(band: np.ndarray) -> np.ndarray:
+    """Dense field-major symmetric matrix of a node-major lower band."""
+    n = band.shape[1]
+    field_index = _node_major(np.arange(n))  # node-major dof -> field-major dof
+    out = np.zeros((n, n))
+    for k in range(band.shape[0]):
+        j = np.arange(n - k)
+        rows, cols = field_index[j + k], field_index[j]
+        out[rows, cols] = band[k, : n - k]
+        out[cols, rows] = band[k, : n - k]
+    return out
 
 
 class AssembledSystem:
-    """Dense matrices of the discretized system, immutable after assembly.
+    """Banded matrices of the discretized system, immutable after assembly.
 
-    M, C, K act on the displacement/velocity blocks; the energy metric on
-    states (q, v) is G = diag(K, M), which is never formed.  chol_m is the
-    lower Cholesky factor of M (a read-only array with a zero upper
-    triangle), computed eagerly: it applies M^{-1} for the generator and
-    the eigensolver.  The midpoint-step factorization is cached lazily
-    behind a lock so the object stays shareable.
+    M_band, C_band and K_band are read-only lower bands, shape (6, N), of
+    M, C, K in node-major order (see _node_major_band); they are the only
+    stored form.  M, C and K are the dense field-major matrices expanded
+    from them on each access, for dense algorithms and checks.  The energy
+    metric on states (q, v) is G = diag(K, M), which is never formed.  The
+    banded Cholesky factor of M, computed eagerly, applies M^{-1} through
+    solve_m.  The midpoint-step factor is cached lazily behind a lock so
+    the object stays shareable.
     """
 
     def __init__(self, params: ModelParams, mesh: Mesh):
         self.params = params
         self.mesh = mesh
         self.dof_map = DofMap(mesh.nodes.size)
-        self.M, self.C, self.K = _assemble_matrices(params, mesh)
+        self.M_band, self.C_band, self.K_band = _assemble_bands(params, mesh)
         try:
-            self.chol_m = np.tril(cho_factor(self.M, lower=True)[0])
+            self._m_factor = cholesky_banded(self.M_band, lower=True)
         except LinAlgError as exc:
             raise FactorizationFailed(
                 f"mass matrix is not positive definite: {exc}"
             ) from exc
-        self.chol_m.flags.writeable = False
+        self._m_factor.flags.writeable = False
         self._cache_lock = threading.Lock()
-        self._step_cache: tuple | None = None  # (dt, midpoint-matrix factor)
+        self._step_cache: tuple | None = None  # (dt, midpoint-band factor)
 
     @property
     def n_dofs(self) -> int:
         return self.dof_map.size
 
+    @property
+    def M(self) -> np.ndarray:
+        return _dense(self.M_band)
+
+    @property
+    def C(self) -> np.ndarray:
+        return _dense(self.C_band)
+
+    @property
+    def K(self) -> np.ndarray:
+        return _dense(self.K_band)
+
     def solve_m(self, rhs: np.ndarray) -> np.ndarray:
-        return cho_solve((self.chol_m, True), rhs)
+        """M^{-1} rhs for a field-major vector rhs, real or complex."""
+        return _band_solve(self._m_factor, rhs)
 
 
-def _assemble_matrices(p: ModelParams, mesh: Mesh):
-    """Element-exact assembly of M, C, K on interior dofs."""
+def _assemble_bands(p: ModelParams, mesh: Mesh):
+    """Element-exact assembly of the bands of M, C, K on interior dofs."""
     damped = np.zeros(mesh.n_elements)
     damped[mesh.alpha_index : mesh.beta_index] = p.d0
 
@@ -226,38 +324,25 @@ def _assemble_matrices(p: ModelParams, mesh: Mesh):
     Ad, Sd, Dd = _field_matrices(mesh.nodes, damped)
     l = p.l
 
-    zero = np.zeros_like(A)
-    # Each off-diagonal block is the exact transpose of its mirror, so the
-    # three matrices are symmetric bit for bit.
+    # Field blocks on and below the diagonal, fields (phi, psi, w) = (0, 1, 2).
     # Stiffness: k1|phi' + psi + l w|^2 + k2|psi'|^2 + k3|w' - l phi|^2
-    K = np.block(
-        [
-            [p.k1 * S + p.k3 * l * l * A, p.k1 * D, p.k1 * l * D - p.k3 * l * D.T],
-            [p.k1 * D.T, p.k1 * A + p.k2 * S, p.k1 * l * A],
-            [p.k1 * l * D.T - p.k3 * l * D, p.k1 * l * A, p.k1 * l * l * A + p.k3 * S],
-        ]
-    )
+    K = {
+        (0, 0): p.k1 * S + p.k3 * l * l * A,
+        (1, 0): p.k1 * _transpose(D),
+        (1, 1): p.k1 * A + p.k2 * S,
+        (2, 0): p.k1 * l * _transpose(D) - p.k3 * l * D,
+        (2, 1): p.k1 * l * A,
+        (2, 2): p.k1 * l * l * A + p.k3 * S,
+    }
     # Damping: d(x)|v_w' - l v_phi|^2, active dofs only under (alpha, beta)
-    C = np.block(
-        [
-            [l * l * Ad, zero, -l * Dd.T],
-            [zero, zero, zero],
-            [-l * Dd, zero, Sd],
-        ]
-    )
+    C = {(0, 0): l * l * Ad, (2, 0): -l * Dd, (2, 2): Sd}
     # Mass: rho1|v_phi|^2 + rho2|v_psi|^2 + rho1|v_w|^2
-    M = np.block(
-        [
-            [p.rho1 * A, zero, zero],
-            [zero, p.rho2 * A, zero],
-            [zero, zero, p.rho1 * A],
-        ]
-    )
-    return M, C, K
+    M = {(0, 0): p.rho1 * A, (1, 1): p.rho2 * A, (2, 2): p.rho1 * A}
+    return _node_major_band(M), _node_major_band(C), _node_major_band(K)
 
 
 def assemble(p: ModelParams, mesh: Mesh) -> AssembledSystem:
-    """Assemble mass, damping and stiffness and factor M for a mesh."""
+    """Assemble the bands of mass, damping and stiffness and factor M."""
     return AssembledSystem(p, mesh)
 
 
@@ -272,7 +357,7 @@ def _check_dims(sys: AssembledSystem, U: StateVector):
 def apply_generator(sys: AssembledSystem, U: StateVector) -> StateVector:
     """Discrete generator: (q, v) -> (v, -M^{-1}(K q + C v))."""
     _check_dims(sys, U)
-    accel = -sys.solve_m(sys.K @ U.q + sys.C @ U.v)
+    accel = -sys.solve_m(_band_matvec(sys.K_band, U.q) + _band_matvec(sys.C_band, U.v))
     return StateVector(U.v.copy(), accel)
 
 
@@ -283,8 +368,8 @@ def energy(sys: AssembledSystem, U: StateVector) -> EnergyComponents:
     are real-valued on Hermitian arguments anyway.
     """
     _check_dims(sys, U)
-    kinetic = 0.5 * np.vdot(U.v, sys.M @ U.v).real
-    potential = 0.5 * np.vdot(U.q, sys.K @ U.q).real
+    kinetic = 0.5 * np.vdot(U.v, _band_matvec(sys.M_band, U.v)).real
+    potential = 0.5 * np.vdot(U.q, _band_matvec(sys.K_band, U.q)).real
     return EnergyComponents(
         kinetic=kinetic,
         potential=potential,
@@ -296,7 +381,10 @@ def inner_product_H(sys: AssembledSystem, U: StateVector, V: StateVector) -> com
     """Energy inner product (U, V) = V* G U with G = diag(K, M)."""
     _check_dims(sys, U)
     _check_dims(sys, V)
-    return complex(np.vdot(V.q, sys.K @ U.q) + np.vdot(V.v, sys.M @ U.v))
+    return complex(
+        np.vdot(V.q, _band_matvec(sys.K_band, U.q))
+        + np.vdot(V.v, _band_matvec(sys.M_band, U.v))
+    )
 
 
 def g_norm_sq(sys: AssembledSystem, U: StateVector) -> float:

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 from scipy.linalg.lapack import zgecon
 
-from .discretization import AssembledSystem, StateVector, g_norm_sq
+from .discretization import AssembledSystem, StateVector, _band_matvec, g_norm_sq
 from .errors import (
     EmptyGrid,
     GridBeyondResolution,
@@ -105,7 +105,7 @@ class _Resolvent:
         sys = self.sys
         f = F.q.astype(complex)
         g = F.v.astype(complex)
-        rhs = sys.M @ (g + self.il * f) + sys.C @ f
+        rhs = _band_matvec(sys.M_band, g + self.il * f) + _band_matvec(sys.C_band, f)
         q = lu_solve(self.lu, rhs)
         err = np.linalg.norm(rhs - self.P @ q, 1)
         scale = self.p_norm * np.linalg.norm(q, 1) + np.linalg.norm(rhs, 1)

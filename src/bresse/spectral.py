@@ -5,10 +5,11 @@ variables as the standard companion eigenproblem
 
     Z y = s y,    Z = [[0, I], [-M^{-1} K, -M^{-1} C]],    y = (x, s x),
 
-with M^{-1} applied through the system's lower Cholesky factor chol_m of
-the mass matrix.  One dense eigensolve of Z gives the whole discrete
-spectrum; each shift then selects, by index, the eigenvalues nearest to
-it, so eigenvalues closer together than any tolerance stay distinct.
+with M^{-1} applied through one dense Cholesky factor of the mass matrix;
+only the dense M, C and K of the system are read.  One dense eigensolve
+of Z gives the whole discrete spectrum; each shift then selects, by index,
+the eigenvalues nearest to it, so eigenvalues closer together than any
+tolerance stay distinct.
 
 Eigenpair accuracy is certified directly on the quadratic residual
 ||(s^2 M + s C + K)x|| / ||x||, never on the companion problem alone.
@@ -17,10 +18,10 @@ Eigenpair accuracy is certified directly on the quadratic residual
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, eig
+from scipy.linalg import LinAlgError, cho_factor, cho_solve, eig
 
 from .discretization import AssembledSystem
-from .errors import EmptyGrid, NoConvergence
+from .errors import EmptyGrid, FactorizationFailed, NoConvergence
 
 __all__ = ["SpectrumReport", "quadratic_eigs", "axis_scan"]
 
@@ -44,22 +45,31 @@ class SpectrumReport:
     k_norm: float
 
 
-def _quad_residual(sys: AssembledSystem, s: complex, x: np.ndarray) -> float:
-    r = (s * s) * (sys.M @ x) + s * (sys.C @ x) + sys.K @ x
-    nx = np.linalg.norm(x)
-    if nx == 0.0:
-        return np.inf
-    return float(np.linalg.norm(r) / nx)
+def _quad_residuals(M, C, K, s: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """||(s_j^2 M + s_j C + K) x_j|| / ||x_j|| for the columns x_j of x.
+
+    The real matrices multiply the real and imaginary parts separately,
+    so none of them is cast to complex.
+    """
+    def times(A):
+        return A @ x.real + 1j * (A @ x.imag)
+
+    r = np.linalg.norm((s * s) * times(M) + s * times(C) + times(K), axis=0)
+    nx = np.linalg.norm(x, axis=0)
+    return np.divide(r, nx, out=np.full_like(r, np.inf), where=nx > 0.0)
 
 
-def _companion_eig(sys: AssembledSystem):
+def _companion_eig(M, C, K):
     """All eigenvalues of the pencil and the x-part of their eigenvectors."""
-    n = sys.n_dofs
-    m_chol = (sys.chol_m, True)
+    n = M.shape[0]
+    try:
+        m_chol = cho_factor(M, lower=True)
+    except LinAlgError as exc:
+        raise FactorizationFailed(f"mass matrix is not positive definite: {exc}") from exc
     Z = np.zeros((2 * n, 2 * n))
     Z[:n, n:] = np.eye(n)
-    Z[n:, :n] = -cho_solve(m_chol, sys.K)
-    Z[n:, n:] = -cho_solve(m_chol, sys.C)
+    Z[n:, :n] = -cho_solve(m_chol, K)
+    Z[n:, n:] = -cho_solve(m_chol, C)
     w, y = eig(Z)
     return w, y[:n]
 
@@ -75,7 +85,8 @@ def quadratic_eigs(
     The full spectrum comes from one dense companion eigensolve.  Each
     shift selects the indices of its per_shift nearest eigenvalues (stable
     sort on distance), and each selected pair is certified once: it counts
-    when its quadratic residual is <= tol * ||K||_2.  Raises NoConvergence
+    when its quadratic residual is <= tol * ||K||_2.  Raises
+    FactorizationFailed when M is not positive definite and NoConvergence
     when a shift has no certified pair among its selection.  The conjugate
     partner of a certified pair is added by index, since a real pencil's
     eig returns exact conjugate pairs, and the result is sorted by (Re, Im).
@@ -83,16 +94,18 @@ def quadratic_eigs(
     shifts = [complex(s) for s in shifts]
     if not shifts:
         raise EmptyGrid("no shifts supplied")
-    k_norm = float(np.linalg.norm(sys.K, 2))
+    M, C, K = sys.M, sys.C, sys.K
+    k_norm = float(np.linalg.norm(K, 2))
     tol_abs = tol * k_norm
-    w, x = _companion_eig(sys)
+    w, x = _companion_eig(M, C, K)
 
-    residual = {}
-    for sigma in shifts:
-        nearest = np.argsort(np.abs(w - sigma), kind="stable")[:per_shift]
-        for i in nearest:
-            if i not in residual:
-                residual[i] = _quad_residual(sys, w[i], x[:, i])
+    selections = [
+        np.argsort(np.abs(w - sigma), kind="stable")[:per_shift] for sigma in shifts
+    ]
+    picked = np.unique(np.concatenate(selections))
+    r_picked = _quad_residuals(M, C, K, w[picked], x[:, picked])
+    residual = dict(zip(picked.tolist(), r_picked.tolist()))
+    for sigma, nearest in zip(shifts, selections):
         if not any(residual[i] <= tol_abs for i in nearest):
             best = min((residual[i] for i in nearest), default=np.inf)
             raise NoConvergence(

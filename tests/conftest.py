@@ -9,7 +9,7 @@ import pytest
 from scipy.linalg import eig
 
 from bresse.model import ModelParams
-from bresse.discretization import assemble, build_mesh
+from bresse.discretization import _field_matrices, assemble, build_mesh
 
 
 def make_params(**overrides):
@@ -50,6 +50,56 @@ def sys64():
 @pytest.fixture(scope="session")
 def sys16_undamped():
     return make_system(16, d0=0.0)
+
+
+def tridiagonal_dense(T):
+    """Dense matrix of a tridiagonal from _field_matrices (diagonal, super, sub)."""
+    return np.diag(T[0]) + np.diag(T[1][:-1], 1) + np.diag(T[2][:-1], -1)
+
+
+def reference_matrices(sys):
+    """Dense field-major (M, C, K) of a system by np.block, independently of
+    its node-major bands: the per-field tridiagonals of _field_matrices are
+    expanded to dense matrices and combined block by block.
+    """
+    p, mesh = sys.params, sys.mesh
+    damped = np.zeros(mesh.n_elements)
+    damped[mesh.alpha_index : mesh.beta_index] = p.d0
+    A, S, D = map(tridiagonal_dense, _field_matrices(mesh.nodes, np.ones(mesh.n_elements)))
+    Ad, Sd, Dd = map(tridiagonal_dense, _field_matrices(mesh.nodes, damped))
+    l = p.l
+    zero = np.zeros_like(A)
+    K = np.block([
+        [p.k1 * S + p.k3 * l * l * A, p.k1 * D, p.k1 * l * D - p.k3 * l * D.T],
+        [p.k1 * D.T, p.k1 * A + p.k2 * S, p.k1 * l * A],
+        [p.k1 * l * D.T - p.k3 * l * D, p.k1 * l * A, p.k1 * l * l * A + p.k3 * S],
+    ])
+    C = np.block([
+        [l * l * Ad, zero, -l * Dd.T],
+        [zero, zero, zero],
+        [-l * Dd, zero, Sd],
+    ])
+    M = np.block([
+        [p.rho1 * A, zero, zero],
+        [zero, p.rho2 * A, zero],
+        [zero, zero, p.rho1 * A],
+    ])
+    return M, C, K
+
+
+def node_major(A):
+    """A field-major dense matrix reordered to node-major dofs 3*node + field."""
+    order = np.arange(A.shape[0]).reshape(3, -1).T.ravel()
+    return A[np.ix_(order, order)]
+
+
+def lower_band_dense(band):
+    """Dense lower-triangular matrix of a LAPACK lower band, band[k, j] = A[j+k, j]."""
+    n = band.shape[1]
+    out = np.zeros((n, n))
+    for k in range(band.shape[0]):
+        out[np.arange(k, n), np.arange(n - k)] = band[k, : n - k]
+    return out
 
 
 def random_state(sys, rng, complex_valued=False):

@@ -329,7 +329,6 @@ class TestAcceptance:
             n_dofs=m,
             mesh=types.SimpleNamespace(n_elements=n),
         )
-        wave.chol_m = np.linalg.cholesky(wave.M)
         mu = np.sort(np.linalg.eigvals(np.linalg.solve(wave.M, wave.K)).real)
         roots = []
         for m_k in mu:

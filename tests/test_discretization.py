@@ -11,6 +11,7 @@ from scipy.linalg import block_diag, eig, eigh
 from bresse import discretization
 from bresse.discretization import (
     StateVector,
+    _band_matvec,
     _field_matrices,
     apply_generator,
     assemble,
@@ -28,7 +29,15 @@ from bresse.errors import (
     TooCoarse,
 )
 
-from conftest import make_params, make_system, random_state
+from conftest import (
+    lower_band_dense,
+    make_params,
+    make_system,
+    node_major,
+    random_state,
+    reference_matrices,
+    tridiagonal_dense,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -91,23 +100,61 @@ class TestAssembledMatrices:
             assert np.max(np.abs(mat - mat.T)) <= 1e-14
 
     def test_mass_and_stiffness_definite(self, sys16):
-        """chol_m is lower and read-only and reproduces M; K has a Cholesky factor."""
-        lm = sys16.chol_m
-        assert np.array_equal(lm, np.tril(lm))
-        assert not lm.flags.writeable
+        """The banded factor of M is read-only and reproduces M in node-major
+        order; K has a Cholesky factor."""
+        factor = sys16._m_factor
+        assert factor.shape == (6, sys16.n_dofs)
+        assert not factor.flags.writeable
+        lm = lower_band_dense(factor)
         lk = np.linalg.cholesky(sys16.K)
-        assert_allclose(lm @ lm.T, sys16.M, rtol=0, atol=1e-13)
+        assert_allclose(lm @ lm.T, node_major(sys16.M), rtol=0, atol=1e-13)
         assert_allclose(lk @ lk.T, sys16.K, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("n, overrides", [
+        (16, {}),
+        (16, {"d0": 0.0}),
+        (37, {"rho1": 1.3, "rho2": 0.7, "k1": 2.1, "k3": 1.7, "l": 0.45,
+              "alpha": 0.3, "beta": 0.61}),
+    ])
+    def test_dense_matrices_equal_the_block_reference(self, n, overrides):
+        """M, C and K expanded from the bands equal a field-major np.block
+        assembly entry for entry."""
+        sys = make_system(n, **overrides)
+        for got, ref in zip((sys.M, sys.C, sys.K), reference_matrices(sys)):
+            assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("n", [16, 256])
+    def test_node_major_bandwidth(self, n):
+        """In node-major order the reference M has bandwidth 3 and C, K at
+        most 5, so the (6, N) bands hold every entry."""
+        M, C, K = reference_matrices(make_system(n))
+
+        def bandwidth(A):
+            rows, cols = np.nonzero(node_major(A))
+            return int(np.max(np.abs(rows - cols)))
+
+        assert bandwidth(M) == 3
+        assert bandwidth(C) <= 5 and bandwidth(K) <= 5
+
+    def test_band_products_of_complex_vectors(self, sys16):
+        """Band products of a complex vector equal the dense products."""
+        rng = np.random.default_rng(5)
+        z = rng.standard_normal(sys16.n_dofs) + 1j * rng.standard_normal(sys16.n_dofs)
+        for band, dense in ((sys16.M_band, sys16.M), (sys16.C_band, sys16.C),
+                            (sys16.K_band, sys16.K)):
+            ref = dense @ z
+            err = np.linalg.norm(_band_matvec(band, z) - ref) / np.linalg.norm(ref)
+            assert err <= 1e-14
 
     def test_indefinite_mass_raises(self, monkeypatch):
         """assemble refuses a mass matrix without a Cholesky factor."""
-        original = discretization._assemble_matrices
+        original = discretization._assemble_bands
 
         def negated_mass(p, mesh):
             M, C, K = original(p, mesh)
             return -M, C, K
 
-        monkeypatch.setattr(discretization, "_assemble_matrices", negated_mass)
+        monkeypatch.setattr(discretization, "_assemble_bands", negated_mass)
         p = make_params()
         with pytest.raises(FactorizationFailed, match="mass matrix"):
             assemble(p, build_mesh(p, 8))
@@ -233,12 +280,17 @@ class TestAssembledMatrices:
                     full[1, sl, sl] += (weights[e] / h[e]) * stiff_ref
                     full[2, sl, sl] += weights[e] * mixed_ref
                 for got, ref in zip(_field_matrices(nodes, weights), full):
-                    assert got.tobytes() == ref[1:-1, 1:-1].tobytes()
+                    interior = ref[1:-1, 1:-1]
+                    for row, offset in zip(got, (0, 1, -1)):
+                        diagonal = np.diag(interior, offset)
+                        assert row[: diagonal.size].tobytes() == diagonal.tobytes()
 
     def test_mass_solve_roundtrip(self, sys16):
         rng = np.random.default_rng(3)
         x = rng.standard_normal(sys16.n_dofs)
         assert_allclose(sys16.solve_m(sys16.M @ x), x, rtol=1e-12)
+        z = x + 1j * rng.standard_normal(sys16.n_dofs)
+        assert_allclose(sys16.solve_m(sys16.M @ z), z, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +401,7 @@ class TestEnergyMetric:
         lo, hi = [], []
         for n in (16, 32, 64):
             sys = make_system(n)
-            _, S, _ = _field_matrices(sys.mesh.nodes, np.ones(n))
+            S = tridiagonal_dense(_field_matrices(sys.mesh.nodes, np.ones(n))[1])
             flat = block_diag(S, S, S)
             vals = eigh(sys.K, flat, eigvals_only=True)
             lo.append(min(vals.min(), 1.0))

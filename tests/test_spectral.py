@@ -37,7 +37,7 @@ def wave_chain(n, rho1=1.0, k3=1.0, d0=0.1, L=1.0):
     K = (k3 / h) * tri
     C = (d0 / h) * tri
     sys = types.SimpleNamespace(
-        M=M, C=C, K=K, chol_m=np.linalg.cholesky(M), n_dofs=m,
+        M=M, C=C, K=K, n_dofs=m,
         mesh=types.SimpleNamespace(n_elements=n),
     )
     mu = np.sort(np.linalg.eigvals(np.linalg.solve(M, K)).real)
@@ -121,10 +121,9 @@ class TestQuadraticEigs:
         have eigenvalues about 1.6e-9 apart; both members of each are kept."""
         a, roots_a = wave_chain(16)
         b, roots_b = wave_chain(16, k3=1.0 + 1e-9)
-        M = block_diag(a.M, b.M)
         twin = types.SimpleNamespace(
-            M=M, C=block_diag(a.C, b.C), K=block_diag(a.K, b.K),
-            chol_m=np.linalg.cholesky(M), n_dofs=2 * a.n_dofs, mesh=a.mesh,
+            M=block_diag(a.M, b.M), C=block_diag(a.C, b.C), K=block_diag(a.K, b.K),
+            n_dofs=2 * a.n_dofs, mesh=a.mesh,
         )
         report = quadratic_eigs(twin, [3.2j, 6.5j], per_shift=4)
         expected = np.concatenate([roots_a[:4], roots_b[:4]])  # two lowest modes each

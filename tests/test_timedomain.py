@@ -115,19 +115,19 @@ class TestStepMidpoint:
         sys = make_system(8)
         U = default_state(sys)
         calls = []
-        original = timedomain.cho_factor
+        original = timedomain.cholesky_banded
 
         def counting(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(timedomain, "cho_factor", counting)
+        monkeypatch.setattr(timedomain, "cholesky_banded", counting)
         for dt in (0.05, 0.05, 0.02, 0.02, 0.05):
             step_midpoint(sys, U, dt)
         # a repeated dt reuses its factor; a new dt replaces it
         assert len(calls) == 3
         cached_dt, factor = sys._step_cache
-        assert cached_dt == 0.05 and factor[0].shape == (sys.n_dofs, sys.n_dofs)
+        assert cached_dt == 0.05 and factor.shape == (6, sys.n_dofs)
 
     def test_undamped_step_preserves_energy(self, sys16_undamped):
         rng = np.random.default_rng(53)
