@@ -31,6 +31,10 @@ lambda_max, tol, c_resolve, dt, t_final and unequal_factor > 0.  Exit
 codes: 0 success; 10-19 config errors; 20-29 numerical errors; 30 I/O
 errors; each error class in bresse.errors has its own code.
 
+--out and --seed replace the file's output_dir and seed before the config
+is checked and digested, so a run reports the digest of the config it ran
+with; run_report.json records that digest and the seed.
+
 Each command computes first and then writes into output_dir its CSV
 tables, its JSON summary and run_report.json, in that order; the report's
 "outputs" lists all but itself.  validate writes validate_summary.json
@@ -125,6 +129,7 @@ class RunReport:
     command: str
     version: str
     config_digest: str
+    seed: int
     summary: dict
     outputs: tuple
     timings: dict
@@ -230,9 +235,11 @@ def _fill(obj, block, cls):
     return kwargs
 
 
-def parse_config(text: str) -> ExperimentConfig:
+def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
     """Parse and schema-check a JSON config, applying documented defaults.
 
+    overrides maps top-level keys (the CLI's seed and output_dir) to values
+    that replace the file's before any check, so the digest covers them.
     Raises ParseError for malformed JSON, SchemaError for unknown,
     ill-typed or out-of-range keys, and the model validation errors for
     bad parameters.
@@ -244,6 +251,7 @@ def parse_config(text: str) -> ExperimentConfig:
     except ValueError as exc:  # an integer literal too long to convert
         raise ParseError(f"config is not valid JSON: {exc}") from exc
     _schema_keys(raw, "config", {"params", *_BLOCKS, *_keys("config")})
+    raw = {**raw, **(overrides or {})}
     if "params" not in raw:
         raise SchemaError("config.params", "a required object")
     params = validate_params(ModelParams(**_fill(raw["params"], "params", ModelParams)))
@@ -455,7 +463,7 @@ def run(command: str, cfg: ExperimentConfig) -> RunReport:
     _write_json(outputs[-1], summary)
     timings["total"] = time.perf_counter() - t0
     outputs = tuple(str(path) for path in outputs)
-    report = RunReport(command, __version__, cfg.digest, summary, outputs, timings)
+    report = RunReport(command, __version__, cfg.digest, cfg.seed, summary, outputs, timings)
     _write_json(out_dir / "run_report.json", asdict(report))
     return report
 
@@ -482,13 +490,8 @@ def main(argv=None) -> int:
         print(f"error: cannot read config: {exc}", file=_sys.stderr)
         return OutputError.exit_code
     try:
-        cfg = parse_config(text)
-        if args.out is not None:
-            cfg = replace(cfg, output_dir=args.out)
-        if args.seed is not None:
-            if args.seed < 0:
-                raise SchemaError("seed", "a nonnegative integer")
-            cfg = replace(cfg, seed=args.seed)
+        overrides = {"output_dir": args.out, "seed": args.seed}
+        cfg = parse_config(text, {k: v for k, v in overrides.items() if v is not None})
         report = run(args.command, cfg)
     except BresseError as exc:
         print(f"error: {exc}", file=_sys.stderr)

@@ -13,9 +13,10 @@ M, C and K are stored once, as lower symmetric bands in node-major order
 vectorized element sums.  The system's products with M, C and K and its
 Cholesky factors work on these bands, so each costs O(N).  States keep the
 field-major layout of DofMap; the band products map them into node-major
-order and back.  The dense field-major matrices are expanded on demand for
-the dense consumers (the companion eigensolve, the resolvent's complex LU,
-the tests).
+order and back; the resolvent expands the same bands into LAPACK's
+general band storage for its complex banded LU.  The dense field-major
+matrices are expanded on demand for the dense consumers (the companion
+eigensolve, the tests).
 """
 
 import threading
@@ -251,6 +252,21 @@ def _band_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     if np.iscomplexobj(rhs):
         return _band_solve(factor, rhs.real) + 1j * _band_solve(factor, rhs.imag)
     return _field_major(cho_solve_banded((factor, True), _node_major(rhs)))
+
+
+def _general_band(lower: np.ndarray) -> np.ndarray:
+    """LAPACK general band storage of the symmetric matrix with lower band
+    `lower` (as in _node_major_band, real or complex), kl = ku = _BANDWIDTH.
+
+    Returns a Fortran-ordered (2 kl + 1, N) array holding A[i, j] at row
+    kl + i - j, column j; the corners outside A are zero.
+    """
+    kl, n = _BANDWIDTH, lower.shape[1]
+    out = np.zeros((2 * kl + 1, n), dtype=lower.dtype, order="F")
+    for k in range(kl + 1):
+        out[kl + k, : n - k] = lower[k, : n - k]  # A[j + k, j]
+        out[kl - k, k:] = lower[k, : n - k]  # A[j, j + k], by symmetry
+    return out
 
 
 def _dense(band: np.ndarray) -> np.ndarray:

@@ -10,7 +10,13 @@ G = diag(K, M) itself, by power iteration x <- R* R x on states.  Because
 M, C and K are real and symmetric, the G-adjoint of the generator is
 A_h* = J A_h J with J = diag(I, -I), so R(i lambda)* y = J conj(R(i lambda)
 conj(J y)): the adjoint is one more solve with the same LU of P(lambda).
-Every solve is one LU solve whose backward error is tested on the spot.
+
+P(lambda) is complex symmetric and, in the node-major dof order of the
+system's bands, banded with bandwidth 5.  It is stored only as that band,
+in LAPACK's general band storage, and factored by a banded LU with partial
+pivoting (zgbtrf), so the factor, each solve (zgbtrs) and each residual
+(zgbmv) cost O(N).  States stay field-major and are mapped to node-major
+order at the solve.  Every solve's backward error is tested on the spot.
 
 Profiles are capped at lambda_max = c_resolve / h: P1 elements cannot
 represent modes beyond O(1/h), and fitting past the cap would measure the
@@ -20,10 +26,19 @@ discretization rather than the system.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
-from scipy.linalg.lapack import zgecon
+from scipy.linalg.blas import zgbmv
+from scipy.linalg.lapack import zgbcon, zgbtrf, zgbtrs
 
-from .discretization import AssembledSystem, StateVector, _band_matvec, g_norm_sq
+from .discretization import (
+    _BANDWIDTH,
+    AssembledSystem,
+    StateVector,
+    _band_matvec,
+    _field_major,
+    _general_band,
+    _node_major,
+    g_norm_sq,
+)
 from .errors import (
     EmptyGrid,
     GridBeyondResolution,
@@ -76,18 +91,31 @@ class GrowthFit:
 
 
 class _Resolvent:
-    """Factored resolvent at one real lambda, with forward/adjoint solves."""
+    """Factored resolvent at one real lambda, with forward/adjoint solves.
+
+    band holds P(lambda) in general band storage (see _general_band), node
+    major; lu and piv are its banded LU with partial pivoting.
+    """
 
     def __init__(self, sys: AssembledSystem, lam: float):
         self.sys = sys
         self.lam = float(lam)
         self.il = 1j * self.lam
-        self.P = (-self.lam * self.lam) * sys.M + self.il * sys.C + sys.K
-        self.lu = lu_factor(self.P)
-        self.p_norm = np.linalg.norm(self.P, 1)
+        kl = _BANDWIDTH
+        self.band = _general_band(
+            (-self.lam * self.lam) * sys.M_band + self.il * sys.C_band + sys.K_band
+        )
+        n = self.band.shape[1]
+        self.bound = n * np.finfo(float).eps
+        # zgbtrf needs kl more rows above the band for the fill-in of pivoting
+        ab = np.zeros((3 * kl + 1, n), dtype=complex, order="F")
+        ab[kl:] = self.band
+        self.lu, self.piv, info = zgbtrf(ab, kl, kl, overwrite_ab=1)
+        if info != 0:
+            raise SingularAtLambda(self.lam, f"the LU of P has an exact zero pivot (info {info})")
+        self.p_norm = float(np.abs(self.band).sum(axis=0).max())
         # i*lam on the discrete spectrum: a vanishing reciprocal condition number
-        rcond, _ = zgecon(self.lu[0], self.p_norm, norm="1")
-        self.bound = self.P.shape[0] * np.finfo(float).eps
+        rcond, _ = zgbcon(kl, kl, self.lu, self.piv, self.p_norm, norm="1")
         if not rcond > self.bound:
             raise SingularAtLambda(
                 self.lam, f"reciprocal condition number {rcond:.3e} <= {self.bound:.3e}"
@@ -105,15 +133,19 @@ class _Resolvent:
         sys = self.sys
         f = F.q.astype(complex)
         g = F.v.astype(complex)
-        rhs = _band_matvec(sys.M_band, g + self.il * f) + _band_matvec(sys.C_band, f)
-        q = lu_solve(self.lu, rhs)
-        err = np.linalg.norm(rhs - self.P @ q, 1)
+        rhs = _node_major(
+            _band_matvec(sys.M_band, g + self.il * f) + _band_matvec(sys.C_band, f)
+        )
+        kl, n = _BANDWIDTH, rhs.size
+        q, _ = zgbtrs(self.lu, kl, kl, rhs, self.piv)
+        err = np.linalg.norm(zgbmv(n, n, kl, kl, -1.0, self.band, q, beta=1.0, y=rhs), 1)
         scale = self.p_norm * np.linalg.norm(q, 1) + np.linalg.norm(rhs, 1)
         backward = err / scale if scale else 0.0  # F = 0 gives U = 0 exactly
         if not backward <= self.bound:
             raise SingularAtLambda(
                 self.lam, f"backward error {backward:.3e} of the P solve exceeds {self.bound:.3e}"
             )
+        q = _field_major(q)
         return StateVector(q, self.il * q - f), float(backward)
 
     def solve_adjoint(self, Y: StateVector) -> tuple[StateVector, float]:

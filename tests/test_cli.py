@@ -246,12 +246,35 @@ class TestCommands:
         assert cli.main(["validate", "--config", str(path), "--out", str(override)]) == 0
         assert (override / "validate_summary.json").exists()
 
+    def test_overrides_enter_digest_and_report(self, tmp_path):
+        """--seed and --out digest like a file that sets them, and the report
+        records the seed the run used."""
+        out = tmp_path / "elsewhere"
+        plain = write_config(tmp_path)
+        spelled = tmp_path / "spelled.json"
+        spelled.write_text(json.dumps(base_config(out, seed=7)))
+
+        def report(*argv):
+            assert cli.main(["validate", "--config", *argv]) == 0
+            return json.loads((out / "run_report.json").read_text())
+
+        overridden = report(str(plain), "--seed", "7", "--out", str(out))
+        from_file = report(str(spelled))
+        assert overridden["seed"] == from_file["seed"] == 7
+        assert overridden["config_digest"] == from_file["config_digest"]
+        seed0 = report(str(plain), "--seed", "0", "--out", str(out))
+        assert seed0["seed"] == 0
+        assert seed0["config_digest"] != overridden["config_digest"]
+
     def test_run_report_structure(self, tmp_path):
         path = write_config(tmp_path)
         cli.main(["validate", "--config", str(path)])
         report = json.loads((tmp_path / "out" / "run_report.json").read_text())
         assert report["command"] == "validate"
-        assert set(report) >= {"version", "config_digest", "summary", "outputs", "timings"}
+        assert set(report) >= {
+            "version", "config_digest", "seed", "summary", "outputs", "timings"
+        }
+        assert report["seed"] == 0
         assert report["timings"]["total"] > 0.0
 
     def test_spectrum(self, tmp_path):

@@ -3,10 +3,17 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.linalg import block_diag, eig, lu_solve
+from scipy.linalg import block_diag, eig
+from scipy.linalg.lapack import zgbtrf, zgbtrs
 
 from bresse import resolvent
-from bresse.discretization import StateVector, apply_generator, g_norm_sq
+from bresse.discretization import (
+    AssembledSystem,
+    StateVector,
+    _node_major,
+    apply_generator,
+    g_norm_sq,
+)
 from bresse.errors import (
     EmptyGrid,
     GridBeyondResolution,
@@ -86,6 +93,54 @@ class TestResolventSolve:
         U = resolvent_solve(sys16, 4.0, both)
         assert_allclose(U.q, 2.0 * U1.q + U2.q, rtol=1e-10, atol=1e-12)
         assert_allclose(U.v, 2.0 * U1.v + U2.v, rtol=1e-10, atol=1e-12)
+
+
+class TestBandedPencil:
+    """The banded P(lambda) and its LU against dense node-major algebra."""
+
+    @staticmethod
+    def node_major_dense(sys, lam):
+        perm = _node_major(np.arange(sys.n_dofs))  # node-major dof -> field-major dof
+        P = -lam * lam * sys.M + 1j * lam * sys.C + sys.K
+        return P[np.ix_(perm, perm)]
+
+    @staticmethod
+    def band_to_dense(band):
+        kl = (band.shape[0] - 1) // 2
+        n = band.shape[1]
+        out = np.zeros((n, n), dtype=band.dtype)
+        for i in range(n):
+            for j in range(max(0, i - kl), min(n, i + kl + 1)):
+                out[i, j] = band[kl + i - j, j]
+        return out
+
+    @pytest.mark.parametrize("lam", [3.0, 7.5, 20.0])
+    def test_band_is_the_pencil(self, sys16, lam):
+        op = resolvent._Resolvent(sys16, lam)
+        P = self.node_major_dense(sys16, lam)
+        assert np.array_equal(self.band_to_dense(op.band), P)
+        assert abs(op.p_norm - np.linalg.norm(P, 1)) <= 1e-14 * np.linalg.norm(P, 1)
+
+    @pytest.mark.parametrize("k2", [1.0, 2.0])
+    @pytest.mark.parametrize("lam", [3.0, 7.5, 20.0])
+    def test_solve_matches_dense_solve(self, k2, lam):
+        """Equal (k2 = 1) and unequal (k2 = 2) speeds."""
+        sys = make_system(16, k2=k2)
+        F = random_state(sys, np.random.default_rng(45), complex_valued=True)
+        U = resolvent._Resolvent(sys, lam).solve(F)[0]
+        P = -lam * lam * sys.M + 1j * lam * sys.C + sys.K
+        q = np.linalg.solve(P, sys.M @ (F.v + 1j * lam * F.q) + sys.C @ F.q)
+        assert np.linalg.norm(U.q - q) <= 1e-12 * np.linalg.norm(q)
+        assert np.linalg.norm(U.v - (1j * lam * q - F.q)) <= 1e-12 * np.linalg.norm(U.v)
+
+    def test_zero_pivot_raises(self, sys16, monkeypatch):
+        def zero_pivot(ab, kl, ku, **kwargs):
+            lu, piv, _ = zgbtrf(ab, kl, ku, **kwargs)
+            return lu, piv, 1
+
+        monkeypatch.setattr(resolvent, "zgbtrf", zero_pivot)
+        with pytest.raises(SingularAtLambda, match="zero pivot"):
+            resolvent_solve(sys16, 3.0, random_state(sys16, np.random.default_rng(46)))
 
 
 # ---------------------------------------------------------------------------
@@ -236,20 +291,31 @@ class TestProfile:
 
     @pytest.mark.parametrize("first_bad", [1, 2, 5])
     def test_failed_solve_raises_at_that_solve(self, sys16, monkeypatch, first_bad):
-        """An LU solve that stops being backward stable raises at once."""
+        """A banded LU solve that stops being backward stable raises at once."""
         calls = []
 
-        def perturbed(lu, rhs):
-            q = lu_solve(lu, rhs)
+        def perturbed(*args, **kwargs):
+            q, info = zgbtrs(*args, **kwargs)
             calls.append(None)
             if len(calls) >= first_bad:
                 q[0] += 1e-6 * np.abs(q).max()
-            return q
+            return q, info
 
-        monkeypatch.setattr(resolvent, "lu_solve", perturbed)
+        monkeypatch.setattr(resolvent, "zgbtrs", perturbed)
         with pytest.raises(SingularAtLambda, match="backward error"):
             profile(sys16, [3.0, 5.0])
         assert len(calls) == first_bad
+
+    def test_needs_no_dense_matrix(self, sys16, monkeypatch):
+        """The resolvent works on the bands alone: no dense M, C or K."""
+
+        def dense(self):
+            raise AssertionError("dense matrix expanded")
+
+        for name in ("M", "C", "K"):
+            monkeypatch.setattr(AssembledSystem, name, property(dense))
+        prof = profile(sys16, [3.0, 5.0, 12.0])
+        assert np.all(prof.norms > 0.0)
 
     def test_deterministic(self, sys16):
         grid = [3.0, 6.0, 12.0]
