@@ -8,15 +8,14 @@ degree-of-freedom set; with interior dofs only, the stiffness matrix K and
 mass matrix M are positive definite and the energy metric G = diag(K, M)
 realizes the continuous energy norm.
 
-M, C and K are stored once, as lower symmetric bands in node-major order
-(dof 3*node + field, bandwidth 5), built from the per-field tridiagonals of
-vectorized element sums.  The system's products with M, C and K and its
-Cholesky factors work on these bands, so each costs O(N).  States keep the
-field-major layout of DofMap; the band products map them into node-major
-order and back; the resolvent expands the same bands into LAPACK's
-general band storage for its complex banded LU.  The dense field-major
-matrices are expanded on demand for the dense consumers (the companion
-eigensolve, the tests).
+Every dof is numbered node-major, 3*node + field (see DofMap): states,
+bands and dense matrices share that one order.  M, C and K are stored once,
+as lower symmetric bands (bandwidth 5), built from the per-field
+tridiagonals of vectorized element sums.  The system's products with M, C
+and K and its Cholesky factors work on these bands, so each costs O(N).
+The resolvent expands the same bands into LAPACK's general band storage
+for its complex banded LU.  The dense matrices are expanded on demand for
+the dense consumers (the companion eigensolve, the tests).
 """
 
 import threading
@@ -73,10 +72,10 @@ class Mesh:
 
 
 class DofMap:
-    """Field-major layout of the interior dofs.
+    """Node-major layout of the interior dofs.
 
-    Field blocks are laid out phi, psi, w, each holding the n_interior
-    interior nodes in mesh order.
+    Interior node i (in mesh order) holds dofs 3*i + k for the fields
+    phi, psi, w (k = 0, 1, 2).
     """
 
     def __init__(self, n_nodes: int):
@@ -87,16 +86,15 @@ class DofMap:
         return 3 * self.n_interior
 
     def field_slice(self, field: str) -> slice:
-        k = FIELDS.index(field)
-        return slice(k * self.n_interior, (k + 1) * self.n_interior)
+        return slice(FIELDS.index(field), None, 3)
 
 
 @dataclass(frozen=True, eq=False)
 class StateVector:
     """Discrete state U = (q, v): displacement and velocity blocks.
 
-    Each block stacks the interior nodal values of (phi, psi, w) in dof_map
-    order; entries may be real or complex.
+    Each block holds the interior nodal values of (phi, psi, w) in dof_map
+    order, node by node; entries may be real or complex.
     """
 
     q: np.ndarray
@@ -209,8 +207,8 @@ def _node_major_band(lower: dict) -> np.ndarray:
 
     lower maps field pairs a >= b to tridiagonal blocks (as in _interior_sum);
     missing pairs are zero and block (b, a) is the transpose of block (a, b).
-    Row k of the band holds the entries A[j + k, j] in node-major order,
-    dof 3 * node + field, the layout of LAPACK's lower band storage.
+    Row k of the band holds the entries A[j + k, j] over the node-major
+    dofs 3 * node + field, the layout of LAPACK's lower band storage.
     Fortran order lets BLAS read it without a copy.
     """
     n = next(iter(lower.values())).shape[1]
@@ -225,33 +223,23 @@ def _node_major_band(lower: dict) -> np.ndarray:
     return band
 
 
-def _node_major(x: np.ndarray) -> np.ndarray:
-    """Field-major vector -> node-major copy."""
-    return x.reshape(3, -1).T.ravel()
-
-
-def _field_major(y: np.ndarray) -> np.ndarray:
-    """Node-major vector -> field-major copy."""
-    return y.reshape(-1, 3).T.ravel()
-
-
 def _band_matvec(band: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """band @ x for a field-major vector x, real or complex.
+    """band @ x for a vector x, real or complex.
 
     A complex x is multiplied part by part, so the real band is never cast
     to complex.
     """
     if np.iscomplexobj(x):
         return _band_matvec(band, x.real) + 1j * _band_matvec(band, x.imag)
-    return _field_major(dsbmv(_BANDWIDTH, 1.0, band, _node_major(x), lower=1))
+    return dsbmv(_BANDWIDTH, 1.0, band, x, lower=1)
 
 
 def _band_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve with a node-major lower band Cholesky factor for a field-major
-    vector rhs, real or complex (part by part, as in _band_matvec)."""
+    """Solve with a lower band Cholesky factor for a vector rhs, real or
+    complex (part by part, as in _band_matvec)."""
     if np.iscomplexobj(rhs):
         return _band_solve(factor, rhs.real) + 1j * _band_solve(factor, rhs.imag)
-    return _field_major(cho_solve_banded((factor, True), _node_major(rhs)))
+    return cho_solve_banded((factor, True), rhs)
 
 
 def _general_band(lower: np.ndarray) -> np.ndarray:
@@ -270,15 +258,13 @@ def _general_band(lower: np.ndarray) -> np.ndarray:
 
 
 def _dense(band: np.ndarray) -> np.ndarray:
-    """Dense field-major symmetric matrix of a node-major lower band."""
+    """Dense symmetric matrix of a lower band."""
     n = band.shape[1]
-    field_index = _node_major(np.arange(n))  # node-major dof -> field-major dof
     out = np.zeros((n, n))
     for k in range(band.shape[0]):
         j = np.arange(n - k)
-        rows, cols = field_index[j + k], field_index[j]
-        out[rows, cols] = band[k, : n - k]
-        out[cols, rows] = band[k, : n - k]
+        out[j + k, j] = band[k, : n - k]
+        out[j, j + k] = band[k, : n - k]
     return out
 
 
@@ -286,13 +272,13 @@ class AssembledSystem:
     """Banded matrices of the discretized system, immutable after assembly.
 
     M_band, C_band and K_band are read-only lower bands, shape (6, N), of
-    M, C, K in node-major order (see _node_major_band); they are the only
-    stored form.  M, C and K are the dense field-major matrices expanded
-    from them on each access, for dense algorithms and checks.  The energy
-    metric on states (q, v) is G = diag(K, M), which is never formed.  The
-    banded Cholesky factor of M, computed eagerly, applies M^{-1} through
-    solve_m.  The midpoint-step factor is cached lazily behind a lock so
-    the object stays shareable.
+    M, C, K (see _node_major_band); they are the only stored form.  M, C
+    and K are the dense matrices expanded from them on each access, for
+    dense algorithms and checks; all share the dof order of dof_map.  The
+    energy metric on states (q, v) is G = diag(K, M), which is never
+    formed.  The banded Cholesky factor of M, computed eagerly, applies
+    M^{-1} through solve_m.  The midpoint-step factor is cached lazily
+    behind a lock so the object stays shareable.
     """
 
     def __init__(self, params: ModelParams, mesh: Mesh):
@@ -327,7 +313,7 @@ class AssembledSystem:
         return _dense(self.K_band)
 
     def solve_m(self, rhs: np.ndarray) -> np.ndarray:
-        """M^{-1} rhs for a field-major vector rhs, real or complex."""
+        """M^{-1} rhs for a vector rhs, real or complex."""
         return _band_solve(self._m_factor, rhs)
 
 
@@ -432,6 +418,8 @@ def project_initial_data(sys: AssembledSystem, fields) -> StateVector:
                 f"initial field #{i} does not vanish at the clamped ends"
             )
     xi = nodes[1:-1]
-    q = np.concatenate([np.asarray([f(x) for x in xi], dtype=float) for f in fields[:3]])
-    v = np.concatenate([np.asarray([f(x) for x in xi], dtype=float) for f in fields[3:]])
-    return StateVector(q, v)
+
+    def nodal(fs):  # node by node: dof 3*i + k holds fs[k] at node i
+        return np.array([[f(x) for f in fs] for x in xi], dtype=float).ravel()
+
+    return StateVector(nodal(fields[:3]), nodal(fields[3:]))

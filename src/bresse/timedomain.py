@@ -24,13 +24,13 @@ from .discretization import (
     StateVector,
     _band_matvec,
     _band_solve,
+    _check_dims,
     domain_norm,
     energy,
     project_initial_data,
 )
 from .errors import (
     BadInterval,
-    DimensionMismatch,
     FactorizationFailed,
     NonPositiveParameter,
     NonpositiveEnergy,
@@ -117,9 +117,7 @@ def step_midpoint(sys: AssembledSystem, U: StateVector, dt: float) -> StateVecto
     """One implicit-midpoint step of U_t = A_h U."""
     if not dt > 0:
         raise NonPositiveParameter("dt", dt)
-    n = sys.n_dofs
-    if U.q.shape != (n,) or U.v.shape != (n,):
-        raise DimensionMismatch(f"state does not match {n} dofs")
+    _check_dims(sys, U)
     factor = _midpoint_solver(sys, dt)
     rhs = _band_matvec(sys.M_band, U.v) - (0.5 * dt) * _band_matvec(sys.K_band, U.q)
     v_mid = _band_solve(factor, rhs)

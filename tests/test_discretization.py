@@ -100,14 +100,14 @@ class TestAssembledMatrices:
             assert np.max(np.abs(mat - mat.T)) <= 1e-14
 
     def test_mass_and_stiffness_definite(self, sys16):
-        """The banded factor of M is read-only and reproduces M in node-major
-        order; K has a Cholesky factor."""
+        """The banded factor of M is read-only and reproduces M; K has a
+        Cholesky factor."""
         factor = sys16._m_factor
         assert factor.shape == (6, sys16.n_dofs)
         assert not factor.flags.writeable
         lm = lower_band_dense(factor)
         lk = np.linalg.cholesky(sys16.K)
-        assert_allclose(lm @ lm.T, node_major(sys16.M), rtol=0, atol=1e-13)
+        assert_allclose(lm @ lm.T, sys16.M, rtol=0, atol=1e-13)
         assert_allclose(lk @ lk.T, sys16.K, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("n, overrides", [
@@ -118,10 +118,10 @@ class TestAssembledMatrices:
     ])
     def test_dense_matrices_equal_the_block_reference(self, n, overrides):
         """M, C and K expanded from the bands equal a field-major np.block
-        assembly entry for entry."""
+        assembly, mapped to node-major order, entry for entry."""
         sys = make_system(n, **overrides)
         for got, ref in zip((sys.M, sys.C, sys.K), reference_matrices(sys)):
-            assert np.array_equal(got, ref)
+            assert np.array_equal(got, node_major(ref))
 
     @pytest.mark.parametrize("n", [16, 256])
     def test_node_major_bandwidth(self, n):
@@ -177,7 +177,7 @@ class TestAssembledMatrices:
         for block, sl in (("phi", dm.field_slice("phi")), ("w", dm.field_slice("w"))):
             for pos in range(m):
                 if (pos + 1) in damped:
-                    active.append(sl.start + pos)
+                    active.append(sl.start + 3 * pos)
         inactive = sorted(set(range(sys32.n_dofs)) - set(active))
         assert np.max(np.abs(sys32.C[inactive, :])) == 0.0
         assert np.max(np.abs(sys32.C[:, inactive])) == 0.0
@@ -251,7 +251,7 @@ class TestAssembledMatrices:
                         primitive = sp.Poly(integrand, x).integrate()
                         exact[name][i, j] += primitive.eval(b) - primitive.eval(a)
         for name in "MCK":
-            ref = exact[name].astype(float)
+            ref = node_major(exact[name].astype(float))
             err = np.max(np.abs(getattr(sys, name) - ref)) / np.max(np.abs(ref))
             assert err <= 1e-12, (name, err)
 
@@ -402,7 +402,7 @@ class TestEnergyMetric:
         for n in (16, 32, 64):
             sys = make_system(n)
             S = tridiagonal_dense(_field_matrices(sys.mesh.nodes, np.ones(n))[1])
-            flat = block_diag(S, S, S)
+            flat = node_major(block_diag(S, S, S))
             vals = eigh(sys.K, flat, eigvals_only=True)
             lo.append(min(vals.min(), 1.0))
             hi.append(max(vals.max(), 1.0))
@@ -460,6 +460,17 @@ class TestProjectInitialData:
         assert_allclose(
             U.v[dm.field_slice("psi")], np.sin(2.0 * np.pi * xi), rtol=1e-13
         )
+
+    def test_dofs_are_node_major(self, sys16):
+        """Field k of interior node i is dof 3*i + k in both blocks."""
+        fields = tuple((lambda x, c=c: c * x * (1.0 - x)) for c in range(1, 7))
+        U = project_initial_data(sys16, fields)
+        xi = sys16.mesh.nodes[1:-1]
+        for i, x in enumerate(xi):
+            for k in range(3):
+                assert U.q[3 * i + k] == fields[k](x)
+                assert U.v[3 * i + k] == fields[3 + k](x)
+        assert sys16.dof_map.field_slice("psi") == slice(1, None, 3)
 
     def test_zero_data(self, sys16):
         zero = lambda x: 0.0

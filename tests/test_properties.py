@@ -22,7 +22,7 @@ from bresse.model import ModelParams, validate_params
 from bresse.resolvent import _Resolvent, lambda_cap
 from bresse.timedomain import step_midpoint
 
-from conftest import lower_band_dense, node_major, random_state
+from conftest import lower_band_dense, random_state
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=100)
 
@@ -49,13 +49,13 @@ def systems(draw):
 @PROPERTY
 @given(systems())
 def test_mass_and_stiffness_factor_and_damping_is_semidefinite(sys):
-    """The banded factor of M and a Cholesky factor of K reproduce M (in
-    node-major order) and K; C is semidefinite.
+    """The banded factor of M and a Cholesky factor of K reproduce M and K;
+    C is semidefinite.
 
     C has no eigenvalue below -1e-12 ||C||.
     """
     for factor, mat in (
-        (lower_band_dense(sys._m_factor), node_major(sys.M)),
+        (lower_band_dense(sys._m_factor), sys.M),
         (np.linalg.cholesky(sys.K), sys.K),
     ):
         err = np.max(np.abs(factor @ factor.T - mat)) / np.max(np.abs(mat))
