@@ -22,13 +22,15 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded, LinAlgError
+from scipy.linalg import cholesky_banded, LinAlgError
 from scipy.linalg.blas import dsbmv
+from scipy.linalg.lapack import dpbtrs
 
 from .errors import (
     DimensionMismatch,
     FactorizationFailed,
     IncompatibleBoundary,
+    OutOfDomain,
     TooCoarse,
 )
 from .model import ModelParams
@@ -236,10 +238,15 @@ def _band_matvec(band: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def _band_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve with a lower band Cholesky factor for a vector rhs, real or
-    complex (part by part, as in _band_matvec)."""
+    complex (part by part, as in _band_matvec).  Raw dpbtrs: nothing is
+    scanned for NaN or Inf, so initial data is checked where it enters
+    (project_initial_data, simulate)."""
     if np.iscomplexobj(rhs):
         return _band_solve(factor, rhs.real) + 1j * _band_solve(factor, rhs.imag)
-    return cho_solve_banded((factor, True), rhs)
+    x, info = dpbtrs(factor, rhs, lower=1)
+    if info != 0:
+        raise FactorizationFailed(f"banded Cholesky solve: dpbtrs info={info}")
+    return x
 
 
 def _general_band(lower: np.ndarray) -> np.ndarray:
@@ -370,13 +377,20 @@ def energy(sys: AssembledSystem, U: StateVector) -> EnergyComponents:
     are real-valued on Hermitian arguments anyway.
     """
     _check_dims(sys, U)
-    kinetic = 0.5 * np.vdot(U.v, _band_matvec(sys.M_band, U.v)).real
-    potential = 0.5 * np.vdot(U.q, _band_matvec(sys.K_band, U.q)).real
+    _, _, kinetic, potential = _energy_terms(sys, U.q, U.v)
     return EnergyComponents(
         kinetic=kinetic,
         potential=potential,
         total=kinetic + potential,
     )
+
+
+def _energy_terms(sys: AssembledSystem, q: np.ndarray, v: np.ndarray):
+    """(M v, K q, 1/2 Re v* M v, 1/2 Re q* K q), shapes unchecked; simulate
+    carries M v and K q to the next step's right-hand side."""
+    Mv = _band_matvec(sys.M_band, v)
+    Kq = _band_matvec(sys.K_band, q)
+    return Mv, Kq, 0.5 * np.vdot(v, Mv).real, 0.5 * np.vdot(q, Kq).real
 
 
 def inner_product_H(sys: AssembledSystem, U: StateVector, V: StateVector) -> complex:
@@ -406,7 +420,8 @@ def project_initial_data(sys: AssembledSystem, fields) -> StateVector:
     fields = (phi0, psi0, w0, phi1, psi1, w1): the first three fill the
     displacement block, the last three the velocity block.  Every function
     must vanish at both ends (|f| <= 1e-12 at x=0 and x=L), matching the
-    clamped boundary conditions.
+    clamped boundary conditions, and be finite at every interior node
+    (OutOfDomain otherwise).
     """
     if len(fields) != 6:
         raise DimensionMismatch(f"expected 6 field functions, got {len(fields)}")
@@ -417,9 +432,11 @@ def project_initial_data(sys: AssembledSystem, fields) -> StateVector:
             raise IncompatibleBoundary(
                 f"initial field #{i} does not vanish at the clamped ends"
             )
-    xi = nodes[1:-1]
-
-    def nodal(fs):  # node by node: dof 3*i + k holds fs[k] at node i
-        return np.array([[f(x) for f in fs] for x in xi], dtype=float).ravel()
-
-    return StateVector(nodal(fields[:3]), nodal(fields[3:]))
+    # row i holds the six fields at interior node i; dof 3*i + k is column k
+    values = np.array([[f(x) for f in fields] for x in nodes[1:-1]], dtype=float)
+    bad = ~np.isfinite(values).all(axis=0)
+    if bad.any():
+        raise OutOfDomain(
+            f"initial field #{int(np.argmax(bad))} is not finite at every interior node"
+        )
+    return StateVector(values[:, :3].ravel(), values[:, 3:].ravel())

@@ -26,6 +26,7 @@ from bresse.errors import (
     DimensionMismatch,
     FactorizationFailed,
     IncompatibleBoundary,
+    OutOfDomain,
     TooCoarse,
 )
 
@@ -486,6 +487,12 @@ class TestProjectInitialData:
     def test_wrong_field_count(self, sys16):
         with pytest.raises(DimensionMismatch):
             project_initial_data(sys16, (lambda x: 0.0,) * 3)
+
+    def test_non_finite_field(self, sys16):
+        fields = [lambda x: 0.0] * 6
+        fields[4] = lambda x: math.nan if 0.4 < x < 0.6 else 0.0
+        with pytest.raises(OutOfDomain, match="#4"):
+            project_initial_data(sys16, tuple(fields))
 
 
 # ---------------------------------------------------------------------------

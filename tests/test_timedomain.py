@@ -6,12 +6,19 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from bresse.discretization import StateVector, energy, project_initial_data
+from bresse.discretization import (
+    StateVector,
+    _band_matvec,
+    energy,
+    project_initial_data,
+)
 from bresse.errors import (
     BadInterval,
     DimensionMismatch,
+    FactorizationFailed,
     NonPositiveParameter,
     NonpositiveEnergy,
+    OutOfDomain,
     WindowTooSmall,
 )
 from bresse import timedomain
@@ -50,6 +57,31 @@ def series_from(times, energies, e0=None):
     )
 
 
+def reference_series(sys, U0, cfg):
+    """simulate's series built step by step from step_midpoint and energy."""
+    dt, stride = cfg.dt, cfg.sample_stride
+    n_steps = int(round(cfg.t_final / dt))
+    eps = np.finfo(float).tiny
+    comp = energy(sys, U0)
+    e0 = comp.total
+    rows = [(0.0, comp.total, comp.kinetic, comp.potential, 0.0)]
+    residuals = []
+    U, window_max = U0, 0.0
+    for step in range(1, n_steps + 1):
+        U_next = step_midpoint(sys, U, dt)
+        comp_next = energy(sys, U_next)
+        v_mid = 0.5 * (U.v + U_next.v)
+        dissipated = dt * float(np.vdot(v_mid, _band_matvec(sys.C_band, v_mid)).real)
+        r = abs(comp_next.total - comp.total + dissipated) / (e0 + eps)
+        residuals.append(r)
+        window_max = max(window_max, r)
+        U, comp = U_next, comp_next
+        if step % stride == 0 or step == n_steps:
+            rows.append((step * dt, comp.total, comp.kinetic, comp.potential, window_max))
+            window_max = 0.0
+    return [np.array(col) for col in zip(*rows)] + [np.array(residuals)]
+
+
 # ---------------------------------------------------------------------------
 # configuration validation
 # ---------------------------------------------------------------------------
@@ -81,6 +113,17 @@ class TestSimConfig:
         cfg = SimConfig(dt=0.01, t_final=1.0, fit_window=(0.1, 1.0))
         with pytest.raises(DimensionMismatch):
             simulate(sys16, bad, cfg)
+
+    @pytest.mark.parametrize("block, value", [("q", np.nan), ("v", np.nan),
+                                              ("q", np.inf), ("v", 1e160)])
+    def test_non_finite_initial_state(self, sys16, block, value):
+        """A NaN or Inf entry, or an energy that overflows, is out of domain."""
+        U0 = default_state(sys16).copy()
+        getattr(U0, block)[4] = value
+        cfg = SimConfig(dt=0.01, t_final=1.0, fit_window=(0.1, 1.0))
+        with pytest.raises(OutOfDomain) as exc:
+            simulate(sys16, U0, cfg)
+        assert exc.value.exit_code == 15
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +187,27 @@ class TestStepMidpoint:
 
 
 class TestSimulate:
+    def test_matches_step_by_step_reference(self, sys16):
+        """The fused loop reproduces step_midpoint + energy bit for bit."""
+        cfg = SimConfig(dt=0.05, t_final=2.0, sample_stride=3, fit_window=(0.5, 2.0))
+        assert round(cfg.t_final / cfg.dt) % cfg.sample_stride != 0
+        U0 = default_state(sys16)
+        series = simulate(sys16, U0, cfg)
+        got = (series.times, series.energies, series.kinetics, series.potentials,
+               series.sample_residuals, series.dissipation_residuals)
+        for a, b in zip(got, reference_series(sys16, U0, cfg), strict=True):
+            assert np.array_equal(a, b)
+
+    def test_non_finite_energy_stops_the_run(self):
+        """A step whose energy is not finite raises instead of filling NaNs."""
+        cfg = SimConfig(dt=0.05, t_final=1.0, fit_window=(0.2, 1.0))
+        sys = make_system(16)
+        factor = timedomain._midpoint_solver(sys, cfg.dt).copy()
+        factor[0, 7] = np.nan
+        sys._step_cache = (cfg.dt, factor)
+        with pytest.raises(FactorizationFailed, match="after step 1"):
+            simulate(sys, default_state(sys), cfg)
+
     def test_balance_residuals_every_step(self, sys16):
         cfg = SimConfig(dt=1.0 / 32.0, t_final=5.0, sample_stride=4,
                         fit_window=(1.0, 5.0))
