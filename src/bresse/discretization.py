@@ -13,18 +13,16 @@ bands and dense matrices share that one order.  M, C and K are stored once,
 as lower symmetric bands (bandwidth 5), built from the per-field
 tridiagonals of vectorized element sums.  The system's products with M, C
 and K and its Cholesky factors work on these bands, so each costs O(N).
-The resolvent expands the same bands into LAPACK's general band storage
+The resolvent writes the same bands into LAPACK's general band storage
 for its complex banded LU.  The dense matrices are expanded on demand for
 the dense consumers (the companion eigensolve, the tests).
 """
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky_banded, LinAlgError
 from scipy.linalg.blas import dsbmv
-from scipy.linalg.lapack import dpbtrs
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .errors import (
     DimensionMismatch,
@@ -249,19 +247,16 @@ def _band_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def _general_band(lower: np.ndarray) -> np.ndarray:
-    """LAPACK general band storage of the symmetric matrix with lower band
-    `lower` (as in _node_major_band, real or complex), kl = ku = _BANDWIDTH.
-
-    Returns a Fortran-ordered (2 kl + 1, N) array holding A[i, j] at row
-    kl + i - j, column j; the corners outside A are zero.
-    """
-    kl, n = _BANDWIDTH, lower.shape[1]
-    out = np.zeros((2 * kl + 1, n), dtype=lower.dtype, order="F")
-    for k in range(kl + 1):
-        out[kl + k, : n - k] = lower[k, : n - k]  # A[j + k, j]
-        out[kl - k, k:] = lower[k, : n - k]  # A[j, j + k], by symmetry
-    return out
+def _band_cholesky(band: np.ndarray, what: str) -> np.ndarray:
+    """Read-only lower band Cholesky factor of the SPD matrix with lower
+    band `band`, by raw dpbtrf (the routine cholesky_banded wraps).  Nothing
+    is scanned for NaN or Inf: the bands are checked once at assembly.
+    Raises FactorizationFailed, naming `what`, when dpbtrf reports info != 0."""
+    factor, info = dpbtrf(band, lower=1)
+    if info != 0:
+        raise FactorizationFailed(f"{what} is not positive definite: dpbtrf info={info}")
+    factor.flags.writeable = False
+    return factor
 
 
 def _dense(band: np.ndarray) -> np.ndarray:
@@ -276,32 +271,31 @@ def _dense(band: np.ndarray) -> np.ndarray:
 
 
 class AssembledSystem:
-    """Banded matrices of the discretized system, immutable after assembly.
+    """Banded matrices of the discretized system, an immutable value.
 
     M_band, C_band and K_band are read-only lower bands, shape (6, N), of
-    M, C, K (see _node_major_band); they are the only stored form.  M, C
-    and K are the dense matrices expanded from them on each access, for
-    dense algorithms and checks; all share the dof order of dof_map.  The
-    energy metric on states (q, v) is G = diag(K, M), which is never
-    formed.  The banded Cholesky factor of M, computed eagerly, applies
-    M^{-1} through solve_m.  The midpoint-step factor is cached lazily
-    behind a lock so the object stays shareable.
+    M, C, K (see _node_major_band); they are the only stored form, and
+    each is checked finite at assembly (OutOfDomain otherwise).  M, C and
+    K are the dense matrices expanded from them on each access, for dense
+    algorithms and checks; all share the dof order of dof_map.  The energy
+    metric on states (q, v) is G = diag(K, M), which is never formed.  The
+    read-only banded Cholesky factor of M, computed at assembly, applies
+    M^{-1} through solve_m.  Nothing else is stored or cached.
     """
 
     def __init__(self, params: ModelParams, mesh: Mesh):
         self.params = params
         self.mesh = mesh
         self.dof_map = DofMap(mesh.nodes.size)
-        self.M_band, self.C_band, self.K_band = _assemble_bands(params, mesh)
-        try:
-            self._m_factor = cholesky_banded(self.M_band, lower=True)
-        except LinAlgError as exc:
-            raise FactorizationFailed(
-                f"mass matrix is not positive definite: {exc}"
-            ) from exc
-        self._m_factor.flags.writeable = False
-        self._cache_lock = threading.Lock()
-        self._step_cache: tuple | None = None  # (dt, midpoint-band factor)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+            self.M_band, self.C_band, self.K_band = _assemble_bands(params, mesh)
+        for name, band in zip("MCK", (self.M_band, self.C_band, self.K_band)):
+            if not np.isfinite(band).all():
+                raise OutOfDomain(
+                    f"{name} has a non-finite entry: a coefficient is infinite "
+                    f"or overflows at n={mesh.n_elements}"
+                )
+        self._m_factor = _band_cholesky(self.M_band, "the mass matrix")
 
     @property
     def n_dofs(self) -> int:

@@ -35,7 +35,6 @@ from .discretization import (
     AssembledSystem,
     StateVector,
     _band_matvec,
-    _general_band,
     g_norm_sq,
 )
 from .errors import (
@@ -95,8 +94,9 @@ class GrowthFit:
 class _Resolvent:
     """Factored resolvent at one real lambda, with forward/adjoint solves.
 
-    band holds P(lambda) in general band storage (see _general_band); lu
-    and piv are its banded LU with partial pivoting.
+    band holds P(lambda) in LAPACK's general band storage, P[i, j] at row
+    kl + i - j, column j (kl = ku = _BANDWIDTH); lu and piv are its banded
+    LU with partial pivoting.
     """
 
     def __init__(self, sys: AssembledSystem, lam: float):
@@ -104,14 +104,15 @@ class _Resolvent:
         self.lam = float(lam)
         self.il = 1j * self.lam
         kl = _BANDWIDTH
-        self.band = _general_band(
-            (-self.lam * self.lam) * sys.M_band + self.il * sys.C_band + sys.K_band
-        )
-        n = self.band.shape[1]
+        lower = (-self.lam * self.lam) * sys.M_band + self.il * sys.C_band + sys.K_band
+        n = lower.shape[1]
         self.bound = n * np.finfo(float).eps
-        # zgbtrf needs kl more rows above the band for the fill-in of pivoting
+        # zgbtrf's workspace: kl rows for the fill-in of pivoting above the band
         ab = np.zeros((3 * kl + 1, n), dtype=complex, order="F")
-        ab[kl:] = self.band
+        for k in range(kl + 1):
+            ab[2 * kl + k, : n - k] = lower[k, : n - k]  # P[j + k, j]
+            ab[2 * kl - k, k:] = lower[k, : n - k]  # P[j, j + k], by symmetry
+        self.band = ab[kl:].copy(order="F")
         self.lu, self.piv, info = zgbtrf(ab, kl, kl, overwrite_ab=1)
         if info != 0:
             raise SingularAtLambda(self.lam, f"the LU of P has an exact zero pivot (info {info})")

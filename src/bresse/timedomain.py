@@ -22,11 +22,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky_banded, LinAlgError
 
 from .discretization import (
     AssembledSystem,
     StateVector,
+    _band_cholesky,
     _band_matvec,
     _band_solve,
     _check_dims,
@@ -65,7 +65,8 @@ class SimConfig:
     """Time grid and decay-fit window for one trajectory.
 
     sample_stride defaults to 1 (every step), the CLI's SimSettings to 16;
-    SimSettings takes its fit_window default from here.
+    SimSettings takes its fit_window default from here.  simulate ignores
+    fit_window; decay_analysis checks it.
     """
 
     dt: float
@@ -105,19 +106,11 @@ class DecayFit:
     r_squared: float
 
 
-def _midpoint_solver(sys: AssembledSystem, dt: float):
-    """Banded Cholesky factor of M + dt/2 C + (dt/2)^2 K, cached for the last dt."""
-    with sys._cache_lock:
-        if sys._step_cache is not None and sys._step_cache[0] == dt:
-            return sys._step_cache[1]
-        half = 0.5 * dt
-        W = sys.M_band + half * sys.C_band + (half * half) * sys.K_band
-        try:
-            factor = cholesky_banded(W, lower=True)
-        except LinAlgError as exc:  # not reachable for dt>0: W is SPD
-            raise FactorizationFailed(f"midpoint matrix at dt={dt!r}: {exc}") from exc
-        sys._step_cache = (dt, factor)
-        return factor
+def _midpoint_factor(sys: AssembledSystem, dt: float):
+    """Banded Cholesky factor of M + dt/2 C + (dt/2)^2 K, SPD for dt > 0."""
+    half = 0.5 * dt
+    W = sys.M_band + half * sys.C_band + (half * half) * sys.K_band
+    return _band_cholesky(W, f"the midpoint matrix at dt={dt!r}")
 
 
 def _midpoint_update(factor, q, v, Mv, Kq, dt):
@@ -127,11 +120,12 @@ def _midpoint_update(factor, q, v, Mv, Kq, dt):
 
 
 def step_midpoint(sys: AssembledSystem, U: StateVector, dt: float) -> StateVector:
-    """One implicit-midpoint step of U_t = A_h U."""
+    """One implicit-midpoint step of U_t = A_h U.  It factors the midpoint
+    matrix on every call; simulate factors it once per trajectory."""
     if not dt > 0:
         raise NonPositiveParameter("dt", dt)
     _check_dims(sys, U)
-    factor = _midpoint_solver(sys, dt)
+    factor = _midpoint_factor(sys, dt)
     Mv = _band_matvec(sys.M_band, U.v)
     Kq = _band_matvec(sys.K_band, U.q)
     return StateVector(*_midpoint_update(factor, U.q, U.v, Mv, Kq, dt))
@@ -146,11 +140,6 @@ def _validate_sim_config(cfg: SimConfig):
         )
     if int(cfg.sample_stride) < 1:
         raise NonPositiveParameter("sample_stride", cfg.sample_stride)
-    lo, hi = cfg.fit_window
-    if not (0.0 < lo < hi <= cfg.t_final):
-        raise BadInterval(
-            f"fit_window={cfg.fit_window!r} must lie inside (0, t_final]"
-        )
 
 
 def simulate(sys: AssembledSystem, U0: StateVector, cfg: SimConfig) -> EnergySeries:
@@ -175,7 +164,7 @@ def simulate(sys: AssembledSystem, U0: StateVector, cfg: SimConfig) -> EnergySer
     e0 = E = comp.total
     if not math.isfinite(e0):  # a NaN or Inf entry of U0 always reaches e0
         raise OutOfDomain("initial state has a non-finite entry or energy")
-    factor = _midpoint_solver(sys, dt)
+    factor = _midpoint_factor(sys, dt)
     q, v = U0.q, U0.v
     Mv, Kq = _band_matvec(sys.M_band, v), _band_matvec(sys.K_band, q)
 
@@ -278,9 +267,15 @@ def decay_analysis(sys: AssembledSystem, cfg: SimConfig):
     the DecayFit of the default datum on cfg.fit_window, and the scaling
     constant C_obs = max E(t) t^gamma / ||U0||^2_D(A) over the family and
     the fit window, with gamma the predicted decay exponent of the regime.
+    Raises BadInterval, before any trajectory, unless 0 < lo < hi <= t_final
+    for cfg.fit_window = (lo, hi).
     """
-    gamma_theory = classify_speeds(sys.params).predicted_decay_exponent
     lo, hi = cfg.fit_window
+    if not (0.0 < lo < hi <= cfg.t_final):
+        raise BadInterval(
+            f"fit_window={cfg.fit_window!r} must lie inside (0, t_final]"
+        )
+    gamma_theory = classify_speeds(sys.params).predicted_decay_exponent
     series = []
     c_obs = 0.0
     for fields in initial_data_family(sys.params.L):

@@ -193,6 +193,15 @@ class TestMainExitCodes:
         path.write_text(json.dumps(raw))
         assert cli.main(["validate", "--config", str(path)]) == 13
 
+    def test_overflowing_coefficient(self, tmp_path, capsys):
+        """A coefficient whose stiffness band overflows is out of domain."""
+        raw = base_config(tmp_path / "out")
+        raw["params"]["k1"] = 1e308
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert cli.main(["validate", "--config", str(path)]) == 15
+        assert "K has a non-finite entry" in capsys.readouterr().err
+
     def test_negative_seed_override(self, tmp_path):
         path = write_config(tmp_path)
         assert cli.main(["validate", "--config", str(path), "--seed", "-3"]) == 11
@@ -310,6 +319,17 @@ class TestCommands:
         summary = json.loads((tmp_path / "out" / "simulate_summary.json").read_text())
         assert summary["max_balance_residual"] <= 1e-10
         assert summary["energy_initial"] > summary["energy_final"]
+
+    def test_simulate_ignores_the_fit_window(self, tmp_path):
+        """simulate fits nothing, so a horizon short of the default fit
+        window (10, 100) is no error."""
+        raw = base_config(tmp_path / "out")
+        raw["sim"] = {"t_final": 5}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert cli.main(["simulate", "--config", str(path)]) == 0
+        summary = json.loads((tmp_path / "out" / "simulate_summary.json").read_text())
+        assert summary["t_final"] == 5.0
 
     def test_decay_fit(self, tmp_path):
         path = write_config(tmp_path)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.linalg import block_diag, eig, eigh
+from scipy.linalg import block_diag, cholesky_banded, eig, eigh
 
 from bresse import discretization
 from bresse.discretization import (
@@ -159,6 +159,29 @@ class TestAssembledMatrices:
         p = make_params()
         with pytest.raises(FactorizationFailed, match="mass matrix"):
             assemble(p, build_mesh(p, 8))
+
+    @pytest.mark.parametrize("overrides, matrix", [
+        ({"rho1": math.inf}, "M"),
+        ({"d0": math.inf}, "C"),
+        ({"k1": 1e308}, "K"),
+    ])
+    def test_non_finite_band_is_out_of_domain(self, overrides, matrix):
+        """An infinite or overflowing coefficient is refused at assembly,
+        naming the matrix with the non-finite entry."""
+        p = make_params(**overrides)
+        with pytest.raises(OutOfDomain, match=f"^{matrix} has a non-finite entry") as exc:
+            assemble(p, build_mesh(p, 8))
+        assert exc.value.exit_code == 15
+
+    def test_band_cholesky_equals_cholesky_banded(self, sys16):
+        """The raw dpbtrf factor is scipy's cholesky_banded factor bit for
+        bit, on M and on a midpoint band, and it is read-only."""
+        half = 0.5 * 0.05
+        W = sys16.M_band + half * sys16.C_band + (half * half) * sys16.K_band
+        for band in (sys16.M_band, W):
+            factor = discretization._band_cholesky(band, "a test band")
+            assert not factor.flags.writeable
+            assert factor.tobytes() == cholesky_banded(band, lower=True).tobytes()
 
     def test_damping_semidefinite(self, sys16):
         w = np.linalg.eigvalsh(sys16.C)

@@ -103,10 +103,12 @@ class TestSimConfig:
         with pytest.raises(NonPositiveParameter):
             simulate(sys16, default_state(sys16), cfg)
 
-    def test_fit_window_outside_horizon(self, sys16):
+    def test_fit_window_outside_horizon(self, sys16, monkeypatch):
+        """decay_analysis refuses the window before its first trajectory."""
         cfg = SimConfig(dt=0.01, t_final=1.0)
-        with pytest.raises(BadInterval):
-            simulate(sys16, default_state(sys16), cfg)
+        monkeypatch.setattr(timedomain, "simulate", None)  # never reached
+        with pytest.raises(BadInterval, match="fit_window"):
+            decay_analysis(sys16, cfg)
 
     def test_dimension_mismatch(self, sys16):
         bad = StateVector(np.zeros(5), np.zeros(5))
@@ -154,24 +156,6 @@ class TestStepMidpoint:
         with pytest.raises(NonPositiveParameter):
             step_midpoint(sys16, U, -0.1)
 
-    def test_factor_cache_holds_the_last_dt(self, monkeypatch):
-        sys = make_system(8)
-        U = default_state(sys)
-        calls = []
-        original = timedomain.cholesky_banded
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(timedomain, "cholesky_banded", counting)
-        for dt in (0.05, 0.05, 0.02, 0.02, 0.05):
-            step_midpoint(sys, U, dt)
-        # a repeated dt reuses its factor; a new dt replaces it
-        assert len(calls) == 3
-        cached_dt, factor = sys._step_cache
-        assert cached_dt == 0.05 and factor.shape == (6, sys.n_dofs)
-
     def test_undamped_step_preserves_energy(self, sys16_undamped):
         rng = np.random.default_rng(53)
         U0 = random_state(sys16_undamped, rng)
@@ -198,15 +182,34 @@ class TestSimulate:
         for a, b in zip(got, reference_series(sys16, U0, cfg), strict=True):
             assert np.array_equal(a, b)
 
-    def test_non_finite_energy_stops_the_run(self):
+    def test_non_finite_energy_stops_the_run(self, monkeypatch):
         """A step whose energy is not finite raises instead of filling NaNs."""
         cfg = SimConfig(dt=0.05, t_final=1.0, fit_window=(0.2, 1.0))
         sys = make_system(16)
-        factor = timedomain._midpoint_solver(sys, cfg.dt).copy()
+        factor = timedomain._midpoint_factor(sys, cfg.dt).copy()
         factor[0, 7] = np.nan
-        sys._step_cache = (cfg.dt, factor)
+        monkeypatch.setattr(timedomain, "_midpoint_factor", lambda sys, dt: factor)
         with pytest.raises(FactorizationFailed, match="after step 1"):
             simulate(sys, default_state(sys), cfg)
+
+    def test_one_factorization_per_trajectory(self, sys16, monkeypatch):
+        """simulate factors its midpoint matrix once; decay_analysis once per
+        member of the initial-data family."""
+        calls = []
+        original = timedomain._band_cholesky
+
+        def counting(band, what):
+            calls.append(what)
+            return original(band, what)
+
+        monkeypatch.setattr(timedomain, "_band_cholesky", counting)
+        cfg = SimConfig(dt=0.05, t_final=2.0, fit_window=(0.5, 2.0))
+        simulate(sys16, default_state(sys16), cfg)
+        assert len(calls) == 1
+        calls.clear()
+        cfg = SimConfig(dt=0.05, t_final=20.0, fit_window=(1.0, 20.0))
+        decay_analysis(sys16, cfg)
+        assert len(calls) == 3
 
     def test_balance_residuals_every_step(self, sys16):
         cfg = SimConfig(dt=1.0 / 32.0, t_final=5.0, sample_stride=4,
