@@ -11,18 +11,21 @@ realizes the continuous energy norm.
 Every dof is numbered node-major, 3*node + field (see DofMap): states,
 bands and dense matrices share that one order.  M, C and K are stored once,
 as lower symmetric bands (bandwidth 5), built from the per-field
-tridiagonals of vectorized element sums.  The system's products with M, C
-and K and its Cholesky factors work on these bands, so each costs O(N).
-The resolvent writes the same bands into LAPACK's general band storage
-for its complex banded LU.  The dense matrices are expanded on demand for
-the dense consumers (the companion eigensolve, the tests).
+tridiagonals of vectorized element sums.  The bands are the stored form
+and the only input to the LAPACK factors: the banded Cholesky factors of
+M and of the midpoint matrix (dpbtrf) and the resolvent's complex banded
+LU (zgbtrf).  Every product with M, C or K goes through a CSR derived
+from its band on first use, holding only the band's nonzeros, so each
+costs O(nnz).  The dense matrices are expanded from the CSRs on demand
+for the dense consumers (the companion eigensolve, the tests).
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg.blas import dsbmv
 from scipy.linalg.lapack import dpbtrf, dpbtrs
+from scipy.sparse import csr_array
 
 from .errors import (
     DimensionMismatch,
@@ -223,22 +226,37 @@ def _node_major_band(lower: dict) -> np.ndarray:
     return band
 
 
-def _band_matvec(band: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """band @ x for a vector x, real or complex.
+def _band_csr(*bands: np.ndarray) -> csr_array:
+    """Read-only CSR of the block diagonal of the symmetric matrices with
+    these lower bands (one band: its matrix), holding only the nonzeros,
+    each row's in column order.
 
-    A complex x is multiplied part by part, so the real band is never cast
-    to complex.
+    Each band's padding (band[k, j] with j + k >= N) is zero, as
+    _node_major_band leaves it, so the bands side by side are the lower
+    band of the block diagonal.
     """
-    if np.iscomplexobj(x):
-        return _band_matvec(band, x.real) + 1j * _band_matvec(band, x.imag)
-    return dsbmv(_BANDWIDTH, 1.0, band, x, lower=1)
+    band = np.hstack(bands)
+    kd, n = band.shape[0] - 1, band.shape[1]
+    # row i of W holds A[i, i - kd .. i + kd]
+    W = np.zeros((n, 2 * kd + 1))
+    for k in range(kd + 1):
+        W[k:, kd - k] = band[k, : n - k]
+        W[: n - k, kd + k] = band[k, : n - k]
+    nonzero = W != 0.0
+    columns = np.arange(n)[:, None] + np.arange(-kd, kd + 1)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(nonzero.sum(axis=1), out=indptr[1:])
+    A = csr_array((W[nonzero], columns[nonzero].astype(np.int32), indptr), shape=(n, n))
+    for array in (A.data, A.indices, A.indptr):
+        array.flags.writeable = False
+    return A
 
 
 def _band_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve with a lower band Cholesky factor for a vector rhs, real or
-    complex (part by part, as in _band_matvec).  Raw dpbtrs: nothing is
-    scanned for NaN or Inf, so initial data is checked where it enters
-    (project_initial_data, simulate)."""
+    complex (part by part, so the real factor is never cast to complex).
+    Raw dpbtrs: nothing is scanned for NaN or Inf, so initial data is
+    checked where it enters (project_initial_data, simulate)."""
     if np.iscomplexobj(rhs):
         return _band_solve(factor, rhs.real) + 1j * _band_solve(factor, rhs.imag)
     x, info = dpbtrs(factor, rhs, lower=1)
@@ -259,28 +277,20 @@ def _band_cholesky(band: np.ndarray, what: str) -> np.ndarray:
     return factor
 
 
-def _dense(band: np.ndarray) -> np.ndarray:
-    """Dense symmetric matrix of a lower band."""
-    n = band.shape[1]
-    out = np.zeros((n, n))
-    for k in range(band.shape[0]):
-        j = np.arange(n - k)
-        out[j + k, j] = band[k, : n - k]
-        out[j, j + k] = band[k, : n - k]
-    return out
-
-
 class AssembledSystem:
     """Banded matrices of the discretized system, an immutable value.
 
     M_band, C_band and K_band are read-only lower bands, shape (6, N), of
-    M, C, K (see _node_major_band); they are the only stored form, and
-    each is checked finite at assembly (OutOfDomain otherwise).  M, C and
-    K are the dense matrices expanded from them on each access, for dense
+    M, C, K (see _node_major_band); they are the stored form and the only
+    input to the LAPACK factors, and each is checked finite at assembly
+    (OutOfDomain otherwise).  M_csr, C_csr and K_csr are read-only CSRs of
+    the same matrices with the bands' zeros dropped (see _band_csr), derived
+    on first use; every product goes through them.  M, C and K are the
+    dense matrices expanded from the CSRs on each access, for dense
     algorithms and checks; all share the dof order of dof_map.  The energy
     metric on states (q, v) is G = diag(K, M), which is never formed.  The
     read-only banded Cholesky factor of M, computed at assembly, applies
-    M^{-1} through solve_m.  Nothing else is stored or cached.
+    M^{-1} through solve_m.
     """
 
     def __init__(self, params: ModelParams, mesh: Mesh):
@@ -301,17 +311,29 @@ class AssembledSystem:
     def n_dofs(self) -> int:
         return self.dof_map.size
 
+    @cached_property
+    def M_csr(self) -> csr_array:
+        return _band_csr(self.M_band)
+
+    @cached_property
+    def C_csr(self) -> csr_array:
+        return _band_csr(self.C_band)
+
+    @cached_property
+    def K_csr(self) -> csr_array:
+        return _band_csr(self.K_band)
+
     @property
     def M(self) -> np.ndarray:
-        return _dense(self.M_band)
+        return self.M_csr.toarray()
 
     @property
     def C(self) -> np.ndarray:
-        return _dense(self.C_band)
+        return self.C_csr.toarray()
 
     @property
     def K(self) -> np.ndarray:
-        return _dense(self.K_band)
+        return self.K_csr.toarray()
 
     def solve_m(self, rhs: np.ndarray) -> np.ndarray:
         """M^{-1} rhs for a vector rhs, real or complex."""
@@ -360,7 +382,7 @@ def _check_dims(sys: AssembledSystem, U: StateVector):
 def apply_generator(sys: AssembledSystem, U: StateVector) -> StateVector:
     """Discrete generator: (q, v) -> (v, -M^{-1}(K q + C v))."""
     _check_dims(sys, U)
-    accel = -sys.solve_m(_band_matvec(sys.K_band, U.q) + _band_matvec(sys.C_band, U.v))
+    accel = -sys.solve_m(sys.K_csr @ U.q + sys.C_csr @ U.v)
     return StateVector(U.v.copy(), accel)
 
 
@@ -371,7 +393,8 @@ def energy(sys: AssembledSystem, U: StateVector) -> EnergyComponents:
     are real-valued on Hermitian arguments anyway.
     """
     _check_dims(sys, U)
-    _, _, kinetic, potential = _energy_terms(sys, U.q, U.v)
+    kinetic = 0.5 * np.vdot(U.v, sys.M_csr @ U.v).real
+    potential = 0.5 * np.vdot(U.q, sys.K_csr @ U.q).real
     return EnergyComponents(
         kinetic=kinetic,
         potential=potential,
@@ -379,21 +402,12 @@ def energy(sys: AssembledSystem, U: StateVector) -> EnergyComponents:
     )
 
 
-def _energy_terms(sys: AssembledSystem, q: np.ndarray, v: np.ndarray):
-    """(M v, K q, 1/2 Re v* M v, 1/2 Re q* K q), shapes unchecked; simulate
-    carries M v and K q to the next step's right-hand side."""
-    Mv = _band_matvec(sys.M_band, v)
-    Kq = _band_matvec(sys.K_band, q)
-    return Mv, Kq, 0.5 * np.vdot(v, Mv).real, 0.5 * np.vdot(q, Kq).real
-
-
 def inner_product_H(sys: AssembledSystem, U: StateVector, V: StateVector) -> complex:
     """Energy inner product (U, V) = V* G U with G = diag(K, M)."""
     _check_dims(sys, U)
     _check_dims(sys, V)
     return complex(
-        np.vdot(V.q, _band_matvec(sys.K_band, U.q))
-        + np.vdot(V.v, _band_matvec(sys.M_band, U.v))
+        np.vdot(V.q, sys.K_csr @ U.q) + np.vdot(V.v, sys.M_csr @ U.v)
     )
 
 

@@ -12,12 +12,14 @@ A_h* = J A_h J with J = diag(I, -I), so R(i lambda)* y = J conj(R(i lambda)
 conj(J y)): the adjoint is one more solve with the same LU of P(lambda).
 
 P(lambda) is complex symmetric and, in the node-major dof order of the
-system's bands, banded with bandwidth 5.  It is stored only as that band,
-in LAPACK's general band storage, and factored by a banded LU with partial
-pivoting (zgbtrf), so the factor, each solve (zgbtrs) and each residual
-(zgbmv) cost O(N).  States share the bands' node-major dof order, so each
-vector goes to LAPACK as it is.  Every solve's backward error is tested on
-the spot.
+system's bands, banded with bandwidth 5.  It is built from the bands, the
+system's stored form, into LAPACK's general band storage and factored by a
+banded LU with partial pivoting (zgbtrf), so the factor, each solve
+(zgbtrs) and each residual (zgbmv) cost O(N).  The right-hand side's
+products with M and C go through the system's CSRs, like every other
+product.  States share the bands' node-major dof order, so each vector
+goes to LAPACK as it is.  Every solve's backward error is tested on the
+spot.
 
 Profiles are capped at lambda_max = c_resolve / h: P1 elements cannot
 represent modes beyond O(1/h), and fitting past the cap would measure the
@@ -34,7 +36,6 @@ from .discretization import (
     _BANDWIDTH,
     AssembledSystem,
     StateVector,
-    _band_matvec,
     g_norm_sq,
 )
 from .errors import (
@@ -136,7 +137,7 @@ class _Resolvent:
         sys = self.sys
         f = F.q.astype(complex)
         g = F.v.astype(complex)
-        rhs = _band_matvec(sys.M_band, g + self.il * f) + _band_matvec(sys.C_band, f)
+        rhs = sys.M_csr @ (g + self.il * f) + sys.C_csr @ f
         kl, n = _BANDWIDTH, rhs.size
         q, _ = zgbtrs(self.lu, kl, kl, rhs, self.piv)
         err = np.linalg.norm(zgbmv(n, n, kl, kl, -1.0, self.band, q, beta=1.0, y=rhs), 1)

@@ -12,10 +12,12 @@ step and every dt (the scheme is unconditionally stable here).  That
 identity is what turns the dissipation law into a unit test instead of an
 approximation.
 
-A step of simulate costs one banded Cholesky solve and three band
-products: M v_{n+1} and K q_{n+1} give the energy and are carried to the
-next step's right-hand side, and C applied to the mean velocity gives the
-balance term.
+The midpoint matrix is factored from the system's bands.  A step of
+simulate costs one banded Cholesky solve and one CSR product with
+blkdiag(M, K, C), built once per trajectory, on the buffer
+[v_{n+1} | q_{n+1} | v_bar]: M v_{n+1} and K q_{n+1} give the energy and
+are carried to the next step's right-hand side, and C v_bar, with
+v_bar = (v_n + v_{n+1}) / 2, gives the balance term.
 """
 
 import math
@@ -27,10 +29,9 @@ from .discretization import (
     AssembledSystem,
     StateVector,
     _band_cholesky,
-    _band_matvec,
+    _band_csr,
     _band_solve,
     _check_dims,
-    _energy_terms,
     domain_norm,
     energy,
     project_initial_data,
@@ -41,6 +42,7 @@ from .errors import (
     NonPositiveParameter,
     NonpositiveEnergy,
     OutOfDomain,
+    SchemaError,
     WindowTooSmall,
 )
 from .model import classify_speeds
@@ -64,7 +66,8 @@ _MIN_ENERGY_RATIO = 1e-8  # fit_decay drops samples below this fraction of E_0
 class SimConfig:
     """Time grid and decay-fit window for one trajectory.
 
-    sample_stride defaults to 1 (every step), the CLI's SimSettings to 16;
+    sample_stride, an integer >= 1 (an integral float is taken as one),
+    defaults to 1 (every step), the CLI's SimSettings to 16;
     SimSettings takes its fit_window default from here.  simulate ignores
     fit_window; decay_analysis checks it.
     """
@@ -113,12 +116,6 @@ def _midpoint_factor(sys: AssembledSystem, dt: float):
     return _band_cholesky(W, f"the midpoint matrix at dt={dt!r}")
 
 
-def _midpoint_update(factor, q, v, Mv, Kq, dt):
-    """(q_{n+1}, v_{n+1}) from (q_n, v_n), M v_n, K q_n and the midpoint factor."""
-    v_mid = _band_solve(factor, Mv - (0.5 * dt) * Kq)
-    return q + dt * v_mid, 2.0 * v_mid - v
-
-
 def step_midpoint(sys: AssembledSystem, U: StateVector, dt: float) -> StateVector:
     """One implicit-midpoint step of U_t = A_h U.  It factors the midpoint
     matrix on every call; simulate factors it once per trajectory."""
@@ -126,20 +123,24 @@ def step_midpoint(sys: AssembledSystem, U: StateVector, dt: float) -> StateVecto
         raise NonPositiveParameter("dt", dt)
     _check_dims(sys, U)
     factor = _midpoint_factor(sys, dt)
-    Mv = _band_matvec(sys.M_band, U.v)
-    Kq = _band_matvec(sys.K_band, U.q)
-    return StateVector(*_midpoint_update(factor, U.q, U.v, Mv, Kq, dt))
+    v_mid = _band_solve(factor, sys.M_csr @ U.v - (0.5 * dt) * (sys.K_csr @ U.q))
+    return StateVector(U.q + dt * v_mid, 2.0 * v_mid - U.v)
 
 
-def _validate_sim_config(cfg: SimConfig):
+def _validate_sim_config(cfg: SimConfig) -> int:
+    """Check cfg and return its sample stride as an int."""
     if not cfg.dt > 0:
         raise NonPositiveParameter("dt", cfg.dt)
     if not cfg.t_final >= 10.0 * cfg.dt:
         raise BadInterval(
             f"t_final={cfg.t_final!r} must be at least 10*dt={10.0 * cfg.dt!r}"
         )
-    if int(cfg.sample_stride) < 1:
-        raise NonPositiveParameter("sample_stride", cfg.sample_stride)
+    stride = cfg.sample_stride
+    if not float(stride).is_integer():  # NaN and Inf included
+        raise SchemaError("sample_stride", "an integer")
+    if stride < 1:
+        raise NonPositiveParameter("sample_stride", stride)
+    return int(stride)
 
 
 def simulate(sys: AssembledSystem, U0: StateVector, cfg: SimConfig) -> EnergySeries:
@@ -148,15 +149,16 @@ def simulate(sys: AssembledSystem, U0: StateVector, cfg: SimConfig) -> EnergySer
     Per-step dissipation residuals verify the exact balance; the sampled
     series (every sample_stride steps plus the final step) is what decay
     fitting and the CSV output consume.  A step costs one banded Cholesky
-    solve and three band products, M v and K q being carried from the
-    energy of one step to the right-hand side of the next.  Raises
-    OutOfDomain when U0 has a NaN or Inf entry or an energy that
-    overflows, and FactorizationFailed when a later energy is not finite.
+    solve and one CSR product with blkdiag(M, K, C) on the buffer
+    [v_{n+1} | q_{n+1} | v_bar], which has the dtype of U0, so complex
+    data integrates too.  Raises SchemaError for a non-integral
+    sample_stride, OutOfDomain when U0 has a NaN or Inf entry or an energy
+    that overflows, and FactorizationFailed when a later energy is not
+    finite.
     """
-    _validate_sim_config(cfg)
+    stride = _validate_sim_config(cfg)
     dt = cfg.dt
     n_steps = max(1, int(round(cfg.t_final / dt)))
-    stride = int(cfg.sample_stride)
     eps = np.finfo(float).tiny
 
     dom0 = domain_norm(sys, U0)
@@ -165,8 +167,12 @@ def simulate(sys: AssembledSystem, U0: StateVector, cfg: SimConfig) -> EnergySer
     if not math.isfinite(e0):  # a NaN or Inf entry of U0 always reaches e0
         raise OutOfDomain("initial state has a non-finite entry or energy")
     factor = _midpoint_factor(sys, dt)
-    q, v = U0.q, U0.v
-    Mv, Kq = _band_matvec(sys.M_band, v), _band_matvec(sys.K_band, q)
+    n = sys.n_dofs
+    stacked = _band_csr(sys.M_band, sys.K_band, sys.C_band)  # blkdiag(M, K, C)
+    X = np.zeros(3 * n, dtype=np.result_type(U0.q, U0.v, float))
+    v, q, v_bar = X[:n], X[n : 2 * n], X[2 * n :]
+    v[:], q[:] = U0.v, U0.q
+    Y = stacked @ X  # [M v | K q | C v_bar]
 
     times = [0.0]
     energies = [E]
@@ -177,17 +183,22 @@ def simulate(sys: AssembledSystem, U0: StateVector, cfg: SimConfig) -> EnergySer
 
     window_max = 0.0
     for step in range(1, n_steps + 1):
-        q_next, v_next = _midpoint_update(factor, q, v, Mv, Kq, dt)
-        Mv, Kq, kinetic, potential = _energy_terms(sys, q_next, v_next)
+        v_mid = _band_solve(factor, Y[:n] - (0.5 * dt) * Y[n : 2 * n])
+        q += dt * v_mid
+        v_next = 2.0 * v_mid - v
+        v_bar[:] = 0.5 * (v + v_next)
+        v[:] = v_next
+        Y = stacked @ X
+        kinetic = 0.5 * np.vdot(v, Y[:n]).real
+        potential = 0.5 * np.vdot(q, Y[n : 2 * n]).real
         E_next = kinetic + potential
         if not math.isfinite(E_next):
             raise FactorizationFailed(f"energy is not finite after step {step}")
-        v_bar = 0.5 * (v + v_next)
-        dissipated = dt * float(np.vdot(v_bar, _band_matvec(sys.C_band, v_bar)).real)
+        dissipated = dt * float(np.vdot(v_bar, Y[2 * n :]).real)
         r = abs(E_next - E + dissipated) / (e0 + eps)
         step_residuals[step - 1] = r
         window_max = max(window_max, r)
-        q, v, E = q_next, v_next, E_next
+        E = E_next
         if step % stride == 0 or step == n_steps:
             times.append(step * dt)
             energies.append(E)

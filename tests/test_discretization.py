@@ -11,7 +11,6 @@ from scipy.linalg import block_diag, cholesky_banded, eig, eigh
 from bresse import discretization
 from bresse.discretization import (
     StateVector,
-    _band_matvec,
     _field_matrices,
     apply_generator,
     assemble,
@@ -89,6 +88,14 @@ class TestBuildMesh:
 # ---------------------------------------------------------------------------
 
 
+SYSTEMS = [  # (n, parameter overrides) of the systems checked entry by entry
+    (16, {}),
+    (16, {"d0": 0.0}),
+    (37, {"rho1": 1.3, "rho2": 0.7, "k1": 2.1, "k3": 1.7, "l": 0.45,
+          "alpha": 0.3, "beta": 0.61}),
+]
+
+
 class TestAssembledMatrices:
     def test_shapes(self, sys16):
         n = sys16.n_dofs
@@ -111,12 +118,7 @@ class TestAssembledMatrices:
         assert_allclose(lm @ lm.T, sys16.M, rtol=0, atol=1e-13)
         assert_allclose(lk @ lk.T, sys16.K, rtol=0, atol=1e-13)
 
-    @pytest.mark.parametrize("n, overrides", [
-        (16, {}),
-        (16, {"d0": 0.0}),
-        (37, {"rho1": 1.3, "rho2": 0.7, "k1": 2.1, "k3": 1.7, "l": 0.45,
-              "alpha": 0.3, "beta": 0.61}),
-    ])
+    @pytest.mark.parametrize("n, overrides", SYSTEMS)
     def test_dense_matrices_equal_the_block_reference(self, n, overrides):
         """M, C and K expanded from the bands equal a field-major np.block
         assembly, mapped to node-major order, entry for entry."""
@@ -138,14 +140,54 @@ class TestAssembledMatrices:
         assert bandwidth(C) <= 5 and bandwidth(K) <= 5
 
     def test_band_products_of_complex_vectors(self, sys16):
-        """Band products of a complex vector equal the dense products."""
+        """CSR products of a complex vector equal the dense products."""
         rng = np.random.default_rng(5)
         z = rng.standard_normal(sys16.n_dofs) + 1j * rng.standard_normal(sys16.n_dofs)
-        for band, dense in ((sys16.M_band, sys16.M), (sys16.C_band, sys16.C),
-                            (sys16.K_band, sys16.K)):
+        for csr, dense in ((sys16.M_csr, sys16.M), (sys16.C_csr, sys16.C),
+                           (sys16.K_csr, sys16.K)):
             ref = dense @ z
-            err = np.linalg.norm(_band_matvec(band, z) - ref) / np.linalg.norm(ref)
+            err = np.linalg.norm(csr @ z - ref) / np.linalg.norm(ref)
             assert err <= 1e-14
+
+    @pytest.mark.parametrize("n, overrides", SYSTEMS)
+    def test_csr_equals_the_band(self, n, overrides):
+        """Each CSR is the symmetric matrix of its band bit for bit, and
+        stores no zero; the CSR of three bands is their block diagonal."""
+        sys = make_system(n, **overrides)
+        for csr, band in ((sys.M_csr, sys.M_band), (sys.C_csr, sys.C_band),
+                          (sys.K_csr, sys.K_band)):
+            lower = lower_band_dense(band)
+            full = lower + np.tril(lower, -1).T
+            assert np.array_equal(csr.toarray(), full)
+            assert csr.nnz == np.count_nonzero(full)
+            assert csr.has_sorted_indices
+        stacked = discretization._band_csr(sys.M_band, sys.K_band, sys.C_band)
+        assert np.array_equal(stacked.toarray(), block_diag(sys.M, sys.K, sys.C))
+
+    def test_csr_is_read_only(self, sys16):
+        for csr in (sys16.M_csr, sys16.C_csr, sys16.K_csr):
+            for array in (csr.data, csr.indices, csr.indptr):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[0] = 1
+
+    def test_complex_csr_product_is_split_bit_for_bit(self, sys16):
+        """A real CSR times a complex vector equals its products with the
+        real and imaginary parts, bit for bit."""
+        rng = np.random.default_rng(6)
+        z = rng.standard_normal(sys16.n_dofs) + 1j * rng.standard_normal(sys16.n_dofs)
+        for csr in (sys16.M_csr, sys16.C_csr, sys16.K_csr):
+            got = csr @ z
+            assert np.array_equal(got.real, csr @ z.real)
+            assert np.array_equal(got.imag, csr @ z.imag)
+
+    def test_csrs_are_derived_on_first_use(self):
+        """assemble builds no CSR; the first access builds each once."""
+        sys = make_system(16)
+        assert not {"M_csr", "C_csr", "K_csr"} & vars(sys).keys()
+        first = sys.K_csr
+        assert sys.K_csr is first
+        assert "K_csr" in vars(sys) and "M_csr" not in vars(sys)
 
     def test_indefinite_mass_raises(self, monkeypatch):
         """assemble refuses a mass matrix without a Cholesky factor."""

@@ -1,6 +1,7 @@
 """Midpoint integration, the discrete energy balance, and decay fitting."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from numpy.testing import assert_allclose
 
 from bresse.discretization import (
     StateVector,
-    _band_matvec,
     energy,
     project_initial_data,
 )
@@ -19,6 +19,7 @@ from bresse.errors import (
     NonPositiveParameter,
     NonpositiveEnergy,
     OutOfDomain,
+    SchemaError,
     WindowTooSmall,
 )
 from bresse import timedomain
@@ -71,7 +72,7 @@ def reference_series(sys, U0, cfg):
         U_next = step_midpoint(sys, U, dt)
         comp_next = energy(sys, U_next)
         v_mid = 0.5 * (U.v + U_next.v)
-        dissipated = dt * float(np.vdot(v_mid, _band_matvec(sys.C_band, v_mid)).real)
+        dissipated = dt * float(np.vdot(v_mid, sys.C_csr @ v_mid).real)
         r = abs(comp_next.total - comp.total + dissipated) / (e0 + eps)
         residuals.append(r)
         window_max = max(window_max, r)
@@ -102,6 +103,23 @@ class TestSimConfig:
         cfg = SimConfig(dt=0.01, t_final=1.0, sample_stride=0, fit_window=(0.1, 1.0))
         with pytest.raises(NonPositiveParameter):
             simulate(sys16, default_state(sys16), cfg)
+
+    @pytest.mark.parametrize("stride", [2.5, 1.0000001, np.float64(3.5), np.nan, np.inf])
+    def test_non_integral_stride(self, sys16, stride):
+        """A stride that is no integer is refused with the CLI's SchemaError
+        (exit 11), not truncated."""
+        cfg = SimConfig(dt=0.01, t_final=1.0, sample_stride=stride, fit_window=(0.1, 1.0))
+        with pytest.raises(SchemaError) as exc:
+            simulate(sys16, default_state(sys16), cfg)
+        assert exc.value.exit_code == 11 and exc.value.path == "sample_stride"
+
+    def test_integral_float_stride(self, sys16):
+        """An integral float stride samples as the integer does."""
+        U0 = default_state(sys16)
+        got = simulate(sys16, U0, SimConfig(dt=0.01, t_final=1.0, sample_stride=4.0))
+        ref = simulate(sys16, U0, SimConfig(dt=0.01, t_final=1.0, sample_stride=4))
+        assert np.array_equal(got.times, ref.times)
+        assert np.array_equal(got.energies, ref.energies)
 
     def test_fit_window_outside_horizon(self, sys16, monkeypatch):
         """decay_analysis refuses the window before its first trajectory."""
@@ -181,6 +199,20 @@ class TestSimulate:
                series.sample_residuals, series.dissipation_residuals)
         for a, b in zip(got, reference_series(sys16, U0, cfg), strict=True):
             assert np.array_equal(a, b)
+
+    def test_complex_initial_data(self, sys16):
+        """Complex data integrates in full: (1 + i) U0 carries twice the
+        energies of U0, and nothing is cast away with a warning."""
+        cfg = SimConfig(dt=0.05, t_final=2.0, fit_window=(0.5, 2.0))
+        U0 = default_state(sys16)
+        Uc = StateVector((1 + 1j) * U0.q, (1 + 1j) * U0.v)
+        ref = simulate(sys16, U0, cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = simulate(sys16, Uc, cfg)
+        for a, b in ((got.energies, ref.energies), (got.kinetics, ref.kinetics),
+                     (got.potentials, ref.potentials)):
+            assert_allclose(a, 2.0 * b, rtol=1e-14, atol=0)
 
     def test_non_finite_energy_stops_the_run(self, monkeypatch):
         """A step whose energy is not finite raises instead of filling NaNs."""
