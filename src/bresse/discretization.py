@@ -12,12 +12,13 @@ Every dof is numbered node-major, 3*node + field (see DofMap): states,
 bands and dense matrices share that one order.  M, C and K are stored once,
 as lower symmetric bands (bandwidth 5), built from the per-field
 tridiagonals of vectorized element sums.  The bands are the stored form
-and the only input to the LAPACK factors: the banded Cholesky factors of
-M and of the midpoint matrix (dpbtrf) and the resolvent's complex banded
-LU (zgbtrf).  Every product with M, C or K goes through a CSR derived
-from its band on first use, holding only the band's nonzeros, so each
-costs O(nnz).  The dense matrices are expanded from the CSRs on demand
-for the dense consumers (the companion eigensolve, the tests).
+and feed the banded Cholesky factors (dpbtrf) of M, once at assembly, and
+of the midpoint matrix.  _full_band mirrors a lower band into the one full
+layout that is LAPACK's general band storage, for the resolvent's banded
+LU (zgbtrf), and scipy's dia data, from which each CSR of M, C and K is
+converted on first use: every product goes through those, O(nnz) each.
+The dense matrices are expanded from the CSRs on demand for the dense
+consumers (the companion eigensolve, the tests).
 """
 
 from dataclasses import dataclass
@@ -25,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg.lapack import dpbtrf, dpbtrs
-from scipy.sparse import csr_array
+from scipy.sparse import csr_array, dia_array
 
 from .errors import (
     DimensionMismatch,
@@ -202,9 +203,6 @@ def _transpose(T: np.ndarray) -> np.ndarray:
     return T[[0, 2, 1]]
 
 
-_BANDWIDTH = 5  # node-major: neighbouring nodes' three fields are <= 5 dofs apart
-
-
 def _node_major_band(lower: dict) -> np.ndarray:
     """Lower band (6, 3 n) of the symmetric matrix with field blocks lower[a, b].
 
@@ -226,37 +224,37 @@ def _node_major_band(lower: dict) -> np.ndarray:
     return band
 
 
-def _band_csr(*bands: np.ndarray) -> csr_array:
-    """Read-only CSR of the block diagonal of the symmetric matrices with
-    these lower bands (one band: its matrix), holding only the nonzeros,
-    each row's in column order.
+def _full_band(lower: np.ndarray) -> np.ndarray:
+    """Full band (2 kd + 1, N), in lower's dtype and Fortran order, of the
+    symmetric matrix with lower band `lower` (kd + 1, N): A[i, j] sits at
+    row kd + i - j of column j, LAPACK's general band storage with kl = ku
+    = kd and the data of a scipy dia_array with offsets kd, ..., -kd."""
+    kd, n = lower.shape[0] - 1, lower.shape[1]
+    full = np.zeros((2 * kd + 1, n), dtype=lower.dtype, order="F")
+    full[kd:] = lower
+    for k in range(1, kd + 1):
+        full[kd - k, k:] = lower[k, : n - k]  # A[j - k, j] = A[j, j - k]
+    return full
 
-    Each band's padding (band[k, j] with j + k >= N) is zero, as
-    _node_major_band leaves it, so the bands side by side are the lower
-    band of the block diagonal.
-    """
-    band = np.hstack(bands)
+
+def _band_csr(band: np.ndarray) -> csr_array:
+    """Read-only CSR of the symmetric matrix with lower band `band`,
+    holding only the nonzeros, each row's in column order."""
     kd, n = band.shape[0] - 1, band.shape[1]
-    # row i of W holds A[i, i - kd .. i + kd]
-    W = np.zeros((n, 2 * kd + 1))
-    for k in range(kd + 1):
-        W[k:, kd - k] = band[k, : n - k]
-        W[: n - k, kd + k] = band[k, : n - k]
-    nonzero = W != 0.0
-    columns = np.arange(n)[:, None] + np.arange(-kd, kd + 1)
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(nonzero.sum(axis=1), out=indptr[1:])
-    A = csr_array((W[nonzero], columns[nonzero].astype(np.int32), indptr), shape=(n, n))
+    A = dia_array((_full_band(band), np.arange(kd, -kd - 1, -1)), shape=(n, n)).tocsr()
+    A.eliminate_zeros()
+    A.sort_indices()
     for array in (A.data, A.indices, A.indptr):
         array.flags.writeable = False
     return A
 
 
 def _band_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve with a lower band Cholesky factor for a vector rhs, real or
-    complex (part by part, so the real factor is never cast to complex).
-    Raw dpbtrs: nothing is scanned for NaN or Inf, so initial data is
-    checked where it enters (project_initial_data, simulate)."""
+    """Solve with a lower band Cholesky factor for a vector or (N, k) matrix
+    rhs, real or complex (part by part, so the real factor is never cast to
+    complex).  Raw dpbtrs, column by column: nothing is scanned for NaN or
+    Inf, so initial data is checked where it enters (project_initial_data,
+    simulate)."""
     if np.iscomplexobj(rhs):
         return _band_solve(factor, rhs.real) + 1j * _band_solve(factor, rhs.imag)
     x, info = dpbtrs(factor, rhs, lower=1)
@@ -336,7 +334,7 @@ class AssembledSystem:
         return self.K_csr.toarray()
 
     def solve_m(self, rhs: np.ndarray) -> np.ndarray:
-        """M^{-1} rhs for a vector rhs, real or complex."""
+        """M^{-1} rhs for a vector or (N, k) matrix rhs, real or complex."""
         return _band_solve(self._m_factor, rhs)
 
 

@@ -12,32 +12,28 @@ A_h* = J A_h J with J = diag(I, -I), so R(i lambda)* y = J conj(R(i lambda)
 conj(J y)): the adjoint is one more solve with the same LU of P(lambda).
 
 P(lambda) is complex symmetric and, in the node-major dof order of the
-system's bands, banded with bandwidth 5.  It is built from the bands, the
-system's stored form, into LAPACK's general band storage and factored by a
-banded LU with partial pivoting (zgbtrf), so the factor, each solve
-(zgbtrs) and each residual (zgbmv) cost O(N).  The right-hand side's
-products with M and C go through the system's CSRs, like every other
-product.  States share the bands' node-major dof order, so each vector
-goes to LAPACK as it is.  Every solve's backward error is tested on the
-spot.
+system's bands, banded.  Its lower band is combined from the system's
+bands and mirrored by _full_band into LAPACK's general band storage, the
+one layout that the banded LU with partial pivoting (zgbtrf) and each
+residual (zgbmv) read, so the factor, each solve (zgbtrs) and each
+residual cost O(N).  The right-hand side's products with M and C go
+through the system's CSRs, like every other product.  States share the
+bands' node-major dof order, so each vector goes to LAPACK as it is.
+Every solve's backward error is tested on the spot.
 
 Profiles are capped at lambda_max = c_resolve / h: P1 elements cannot
 represent modes beyond O(1/h), and fitting past the cap would measure the
 discretization rather than the system.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.blas import zgbmv
 from scipy.linalg.lapack import zgbcon, zgbtrf, zgbtrs
 
-from .discretization import (
-    _BANDWIDTH,
-    AssembledSystem,
-    StateVector,
-    g_norm_sq,
-)
+from .discretization import AssembledSystem, StateVector, _full_band, g_norm_sq
 from .errors import (
     EmptyGrid,
     GridBeyondResolution,
@@ -95,25 +91,24 @@ class GrowthFit:
 class _Resolvent:
     """Factored resolvent at one real lambda, with forward/adjoint solves.
 
-    band holds P(lambda) in LAPACK's general band storage, P[i, j] at row
-    kl + i - j, column j (kl = ku = _BANDWIDTH); lu and piv are its banded
-    LU with partial pivoting.
+    band holds P(lambda) in LAPACK's general band storage (_full_band),
+    kl = ku rows on either side of the diagonal; lu and piv are its banded
+    LU with partial pivoting.  A NaN or infinite lambda is OutOfDomain.
     """
 
     def __init__(self, sys: AssembledSystem, lam: float):
         self.sys = sys
         self.lam = float(lam)
+        if not math.isfinite(self.lam):
+            raise OutOfDomain(f"lambda={self.lam!r} must be finite")
         self.il = 1j * self.lam
-        kl = _BANDWIDTH
         lower = (-self.lam * self.lam) * sys.M_band + self.il * sys.C_band + sys.K_band
-        n = lower.shape[1]
+        self.band = _full_band(lower)
+        kl, n = self.band.shape[0] // 2, self.band.shape[1]
         self.bound = n * np.finfo(float).eps
         # zgbtrf's workspace: kl rows for the fill-in of pivoting above the band
         ab = np.zeros((3 * kl + 1, n), dtype=complex, order="F")
-        for k in range(kl + 1):
-            ab[2 * kl + k, : n - k] = lower[k, : n - k]  # P[j + k, j]
-            ab[2 * kl - k, k:] = lower[k, : n - k]  # P[j, j + k], by symmetry
-        self.band = ab[kl:].copy(order="F")
+        ab[kl:] = self.band
         self.lu, self.piv, info = zgbtrf(ab, kl, kl, overwrite_ab=1)
         if info != 0:
             raise SingularAtLambda(self.lam, f"the LU of P has an exact zero pivot (info {info})")
@@ -138,7 +133,7 @@ class _Resolvent:
         f = F.q.astype(complex)
         g = F.v.astype(complex)
         rhs = sys.M_csr @ (g + self.il * f) + sys.C_csr @ f
-        kl, n = _BANDWIDTH, rhs.size
+        kl, n = self.band.shape[0] // 2, rhs.size
         q, _ = zgbtrs(self.lu, kl, kl, rhs, self.piv)
         err = np.linalg.norm(zgbmv(n, n, kl, kl, -1.0, self.band, q, beta=1.0, y=rhs), 1)
         scale = self.p_norm * np.linalg.norm(q, 1) + np.linalg.norm(rhs, 1)
@@ -159,11 +154,12 @@ class _Resolvent:
 def resolvent_solve(sys: AssembledSystem, lam: float, F: StateVector) -> StateVector:
     """Solve (i*lam - A_h) U = F with a backward-stable P(lam) solve.
 
-    Raises SingularAtLambda when i*lam sits on the discrete spectrum
-    (possible only for the undamped system): the 1-norm reciprocal
-    condition number of P(lam) is at most dim * eps.  It raises too when
-    the P solve leaves a residual above dim * eps * (||P||_1 ||q||_1 +
-    ||rhs||_1), the rounding level of the residual itself.
+    Raises OutOfDomain for a NaN or infinite lam, and SingularAtLambda
+    when i*lam sits on the discrete spectrum (possible only for the
+    undamped system): the 1-norm reciprocal condition number of P(lam) is
+    at most dim * eps.  It raises too when the P solve leaves a residual
+    above dim * eps * (||P||_1 ||q||_1 + ||rhs||_1), the rounding level of
+    the residual itself.
     """
     U, _ = _Resolvent(sys, lam).solve(F)
     return U
@@ -249,7 +245,7 @@ def profile(
     grid = np.atleast_1d(np.asarray(lambda_grid, dtype=float))
     if grid.size == 0:
         raise EmptyGrid("lambda grid is empty")
-    if np.any(grid <= 0):
+    if not np.all(grid > 0):  # NaN included
         raise OutOfDomain("lambda grid must be strictly positive")
     grid = np.sort(grid)
     cap = lambda_cap(sys, c_resolve)

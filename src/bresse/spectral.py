@@ -5,23 +5,23 @@ variables as the standard companion eigenproblem
 
     Z y = s y,    Z = [[0, I], [-M^{-1} K, -M^{-1} C]],    y = (x, s x),
 
-with M^{-1} applied through one dense Cholesky factor of the mass matrix;
-only the dense M, C and K of the system are read.  One dense eigensolve
-of Z gives the whole discrete spectrum; each shift then selects, by index,
-the eigenvalues nearest to it, so eigenvalues closer together than any
-tolerance stay distinct.
+with M^{-1} applied by the system's solve_m, through the banded factor of
+M taken at assembly.  One dense eigensolve of Z gives the whole discrete
+spectrum; each shift then selects, by index, the eigenvalues nearest to
+it, so eigenvalues closer together than any tolerance stay distinct.
 
 Eigenpair accuracy is certified directly on the quadratic residual
 ||(s^2 M + s C + K)x|| / ||x||, never on the companion problem alone.
 """
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, eig
+from scipy.linalg import eig
 
 from .discretization import AssembledSystem
-from .errors import EmptyGrid, FactorizationFailed, NoConvergence
+from .errors import EmptyGrid, NoConvergence, NonPositiveParameter, OutOfDomain
 
 __all__ = ["SpectrumReport", "quadratic_eigs", "axis_scan"]
 
@@ -59,17 +59,13 @@ def _quad_residuals(M, C, K, s: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.divide(r, nx, out=np.full_like(r, np.inf), where=nx > 0.0)
 
 
-def _companion_eig(M, C, K):
+def _companion_eig(sys: AssembledSystem):
     """All eigenvalues of the pencil and the x-part of their eigenvectors."""
-    n = M.shape[0]
-    try:
-        m_chol = cho_factor(M, lower=True)
-    except LinAlgError as exc:
-        raise FactorizationFailed(f"mass matrix is not positive definite: {exc}") from exc
+    n = sys.n_dofs
     Z = np.zeros((2 * n, 2 * n))
     Z[:n, n:] = np.eye(n)
-    Z[n:, :n] = -cho_solve(m_chol, K)
-    Z[n:, n:] = -cho_solve(m_chol, C)
+    Z[n:, :n] = -sys.solve_m(sys.K)
+    Z[n:, n:] = -sys.solve_m(sys.C)
     w, y = eig(Z)
     return w, y[:n]
 
@@ -85,8 +81,9 @@ def quadratic_eigs(
     The full spectrum comes from one dense companion eigensolve.  Each
     shift selects the indices of its per_shift nearest eigenvalues (stable
     sort on distance), and each selected pair is certified once: it counts
-    when its quadratic residual is <= tol * ||K||_2.  Raises
-    FactorizationFailed when M is not positive definite and NoConvergence
+    when its quadratic residual is <= tol * ||K||_2.  Raises, before the
+    eigensolve, OutOfDomain for a NaN or infinite shift and
+    NonPositiveParameter when per_shift < 1, and after it NoConvergence
     when a shift has no certified pair among its selection.  The conjugate
     partner of a certified pair is added by index, since a real pencil's
     eig returns exact conjugate pairs, and the result is sorted by (Re, Im).
@@ -94,10 +91,14 @@ def quadratic_eigs(
     shifts = [complex(s) for s in shifts]
     if not shifts:
         raise EmptyGrid("no shifts supplied")
+    if not all(map(cmath.isfinite, shifts)):
+        raise OutOfDomain(f"every shift must be finite, got {shifts!r}")
+    if not per_shift >= 1:
+        raise NonPositiveParameter("per_shift", per_shift)
     M, C, K = sys.M, sys.C, sys.K
     k_norm = float(np.linalg.norm(K, 2))
     tol_abs = tol * k_norm
-    w, x = _companion_eig(M, C, K)
+    w, x = _companion_eig(sys)
 
     selections = [
         np.argsort(np.abs(w - sigma), kind="stable")[:per_shift] for sigma in shifts

@@ -12,9 +12,9 @@ step and every dt (the scheme is unconditionally stable here).  That
 identity is what turns the dissipation law into a unit test instead of an
 approximation.
 
-The midpoint matrix is factored from the system's bands.  A step of
-simulate costs one banded Cholesky solve and one CSR product with
-blkdiag(M, K, C), built once per trajectory, on the buffer
+Only the midpoint factor is derived from the system's bands.  A step of
+simulate costs one banded Cholesky solve and one product with the CSR
+blkdiag(M, K, C), stacked once per trajectory from the system's CSRs, on
 [v_{n+1} | q_{n+1} | v_bar]: M v_{n+1} and K q_{n+1} give the energy and
 are carried to the next step's right-hand side, and C v_bar, with
 v_bar = (v_n + v_{n+1}) / 2, gives the balance term.
@@ -24,12 +24,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import block_diag
 
 from .discretization import (
     AssembledSystem,
     StateVector,
     _band_cholesky,
-    _band_csr,
     _band_solve,
     _check_dims,
     domain_norm,
@@ -129,6 +129,10 @@ def step_midpoint(sys: AssembledSystem, U: StateVector, dt: float) -> StateVecto
 
 def _validate_sim_config(cfg: SimConfig) -> int:
     """Check cfg and return its sample stride as an int."""
+    for name in ("dt", "t_final"):
+        value = getattr(cfg, name)
+        if not math.isfinite(value):
+            raise OutOfDomain(f"{name}={value!r} must be finite")
     if not cfg.dt > 0:
         raise NonPositiveParameter("dt", cfg.dt)
     if not cfg.t_final >= 10.0 * cfg.dt:
@@ -152,9 +156,9 @@ def simulate(sys: AssembledSystem, U0: StateVector, cfg: SimConfig) -> EnergySer
     solve and one CSR product with blkdiag(M, K, C) on the buffer
     [v_{n+1} | q_{n+1} | v_bar], which has the dtype of U0, so complex
     data integrates too.  Raises SchemaError for a non-integral
-    sample_stride, OutOfDomain when U0 has a NaN or Inf entry or an energy
-    that overflows, and FactorizationFailed when a later energy is not
-    finite.
+    sample_stride, OutOfDomain for a NaN or Inf dt or t_final and when U0
+    has a NaN or Inf entry or an energy that overflows, and
+    FactorizationFailed when a later energy is not finite.
     """
     stride = _validate_sim_config(cfg)
     dt = cfg.dt
@@ -168,7 +172,7 @@ def simulate(sys: AssembledSystem, U0: StateVector, cfg: SimConfig) -> EnergySer
         raise OutOfDomain("initial state has a non-finite entry or energy")
     factor = _midpoint_factor(sys, dt)
     n = sys.n_dofs
-    stacked = _band_csr(sys.M_band, sys.K_band, sys.C_band)  # blkdiag(M, K, C)
+    stacked = block_diag((sys.M_csr, sys.K_csr, sys.C_csr), format="csr")
     X = np.zeros(3 * n, dtype=np.result_type(U0.q, U0.v, float))
     v, q, v_bar = X[:n], X[n : 2 * n], X[2 * n :]
     v[:], q[:] = U0.v, U0.q

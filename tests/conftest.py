@@ -94,9 +94,10 @@ def node_major(A):
 
 
 def lower_band_dense(band):
-    """Dense lower-triangular matrix of a LAPACK lower band, band[k, j] = A[j+k, j]."""
+    """Dense lower-triangular matrix of a LAPACK lower band, band[k, j] = A[j+k, j],
+    in the band's dtype."""
     n = band.shape[1]
-    out = np.zeros((n, n))
+    out = np.zeros((n, n), dtype=band.dtype)
     for k in range(band.shape[0]):
         out[np.arange(k, n), np.arange(n - k)] = band[k, : n - k]
     return out

@@ -152,7 +152,7 @@ class TestAssembledMatrices:
     @pytest.mark.parametrize("n, overrides", SYSTEMS)
     def test_csr_equals_the_band(self, n, overrides):
         """Each CSR is the symmetric matrix of its band bit for bit, and
-        stores no zero; the CSR of three bands is their block diagonal."""
+        stores no zero and each row's columns in increasing order."""
         sys = make_system(n, **overrides)
         for csr, band in ((sys.M_csr, sys.M_band), (sys.C_csr, sys.C_band),
                           (sys.K_csr, sys.K_band)):
@@ -161,8 +161,29 @@ class TestAssembledMatrices:
             assert np.array_equal(csr.toarray(), full)
             assert csr.nnz == np.count_nonzero(full)
             assert csr.has_sorted_indices
-        stacked = discretization._band_csr(sys.M_band, sys.K_band, sys.C_band)
-        assert np.array_equal(stacked.toarray(), block_diag(sys.M, sys.K, sys.C))
+            for start, stop in zip(csr.indptr[:-1], csr.indptr[1:]):
+                assert np.all(np.diff(csr.indices[start:stop]) > 0)
+
+    @pytest.mark.parametrize("n, overrides", SYSTEMS)
+    def test_full_band_is_the_mirrored_band(self, n, overrides):
+        """_full_band puts A[i, j] of the mirrored lower band at row
+        kd + i - j of column j, bit for bit and in the band's dtype, for
+        the real bands of M, C, K and the complex lower band of P(lambda);
+        its entries outside the matrix are zero."""
+        sys = make_system(n, **overrides)
+        lam = 7.5
+        pencil = (-lam * lam) * sys.M_band + (1j * lam) * sys.C_band + sys.K_band
+        for band in (sys.M_band, sys.C_band, sys.K_band, pencil):
+            kd, N = band.shape[0] - 1, band.shape[1]
+            got = discretization._full_band(band)
+            assert got.shape == (2 * kd + 1, N) and got.dtype == band.dtype
+            lower = lower_band_dense(band)
+            A = np.where(np.tri(N, dtype=bool), lower, lower.T)  # keeps the sign of zeros
+            rows, cols = np.nonzero(np.abs(np.subtract.outer(np.arange(N), np.arange(N))) <= kd)
+            inside = np.zeros(got.shape, dtype=bool)
+            inside[kd + rows - cols, cols] = True
+            assert got[kd + rows - cols, cols].tobytes() == A[rows, cols].tobytes()
+            assert np.all(got[~inside] == 0)
 
     def test_csr_is_read_only(self, sys16):
         for csr in (sys16.M_csr, sys16.C_csr, sys16.K_csr):
@@ -350,6 +371,19 @@ class TestAssembledMatrices:
                     for row, offset in zip(got, (0, 1, -1)):
                         diagonal = np.diag(interior, offset)
                         assert row[: diagonal.size].tobytes() == diagonal.tobytes()
+
+    @pytest.mark.parametrize("complex_valued", [False, True])
+    def test_mass_solve_of_a_matrix_is_column_by_column(self, sys16, complex_valued):
+        """solve_m of an N x k matrix equals its solves column by column,
+        bit for bit."""
+        rng = np.random.default_rng(4)
+        B = rng.standard_normal((sys16.n_dofs, 7))
+        if complex_valued:
+            B = B + 1j * rng.standard_normal(B.shape)
+        X = sys16.solve_m(B)
+        assert X.shape == B.shape and X.dtype == B.dtype
+        for k in range(B.shape[1]):
+            assert X[:, k].tobytes() == sys16.solve_m(B[:, k]).tobytes()
 
     def test_mass_solve_roundtrip(self, sys16):
         rng = np.random.default_rng(3)

@@ -130,6 +130,17 @@ class TestBandedPencil:
         assert np.linalg.norm(U.q - q) <= 1e-12 * np.linalg.norm(q)
         assert np.linalg.norm(U.v - (1j * lam * q - F.q)) <= 1e-12 * np.linalg.norm(U.v)
 
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf])
+    def test_non_finite_frequency_is_out_of_domain(self, sys16, lam):
+        """A NaN or infinite lambda is bad input (exit 15), refused before
+        P(lambda) is formed, for a solve and for a norm."""
+        F = random_state(sys16, np.random.default_rng(47))
+        with pytest.raises(OutOfDomain, match="must be finite") as exc:
+            resolvent_solve(sys16, lam, F)
+        assert exc.value.exit_code == 15
+        with pytest.raises(OutOfDomain, match="must be finite"):
+            resolvent_norm(sys16, lam)
+
     def test_zero_pivot_raises(self, sys16, monkeypatch):
         def zero_pivot(ab, kl, ku, **kwargs):
             lu, piv, _ = zgbtrf(ab, kl, ku, **kwargs)
@@ -265,6 +276,11 @@ class TestProfile:
     def test_nonpositive_frequency(self, sys16):
         with pytest.raises(OutOfDomain):
             profile(sys16, [1.0, -2.0])
+
+    def test_nan_frequency_is_out_of_domain(self, sys16):
+        with pytest.raises(OutOfDomain) as exc:
+            profile(sys16, [3.0, np.nan])
+        assert exc.value.exit_code == 15
 
     def test_cap_enforced_with_both_numbers_reported(self, sys16):
         assert lambda_cap(sys16) == 16.0

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag, eig
 
-from bresse.errors import EmptyGrid, NoConvergence
+from bresse import spectral
+from bresse.errors import EmptyGrid, NoConvergence, NonPositiveParameter, OutOfDomain
 from bresse.spectral import axis_scan, quadratic_eigs
 
 from conftest import make_system
@@ -37,7 +38,7 @@ def wave_chain(n, rho1=1.0, k3=1.0, d0=0.1, L=1.0):
     K = (k3 / h) * tri
     C = (d0 / h) * tri
     sys = types.SimpleNamespace(
-        M=M, C=C, K=K, n_dofs=m,
+        M=M, C=C, K=K, n_dofs=m, solve_m=lambda rhs: np.linalg.solve(M, rhs),
         mesh=types.SimpleNamespace(n_elements=n),
     )
     mu = np.sort(np.linalg.eigvals(np.linalg.solve(M, K)).real)
@@ -121,15 +122,34 @@ class TestQuadraticEigs:
         have eigenvalues about 1.6e-9 apart; both members of each are kept."""
         a, roots_a = wave_chain(16)
         b, roots_b = wave_chain(16, k3=1.0 + 1e-9)
+        M = block_diag(a.M, b.M)
         twin = types.SimpleNamespace(
-            M=block_diag(a.M, b.M), C=block_diag(a.C, b.C), K=block_diag(a.K, b.K),
-            n_dofs=2 * a.n_dofs, mesh=a.mesh,
+            M=M, C=block_diag(a.C, b.C), K=block_diag(a.K, b.K),
+            n_dofs=2 * a.n_dofs, solve_m=lambda rhs: np.linalg.solve(M, rhs), mesh=a.mesh,
         )
         report = quadratic_eigs(twin, [3.2j, 6.5j], per_shift=4)
         expected = np.concatenate([roots_a[:4], roots_b[:4]])  # two lowest modes each
         nearest = [int(np.argmin(np.abs(expected - s))) for s in report.eigenvalues]
         assert sorted(nearest) == list(range(8))
         assert np.max(np.abs(expected[nearest] - report.eigenvalues)) <= 1e-8
+
+    @pytest.mark.parametrize("shift", [complex(np.nan, 2.0), complex(0.0, np.inf)])
+    def test_non_finite_shift_is_refused_before_the_eigensolve(self, monkeypatch, shift):
+        monkeypatch.setattr(spectral, "_companion_eig", None)  # never reached
+        with pytest.raises(OutOfDomain, match="must be finite") as exc:
+            quadratic_eigs(make_system(16), [2j, shift])
+        assert exc.value.exit_code == 15
+        with pytest.raises(OutOfDomain):
+            axis_scan(make_system(16), [2.0, np.nan])
+
+    @pytest.mark.parametrize("per_shift", [0, -1])
+    def test_per_shift_below_one_is_refused_before_the_eigensolve(self, monkeypatch, per_shift):
+        monkeypatch.setattr(spectral, "_companion_eig", None)  # never reached
+        with pytest.raises(NonPositiveParameter) as exc:
+            quadratic_eigs(make_system(16), [2j], per_shift=per_shift)
+        assert exc.value.name == "per_shift"
+        with pytest.raises(NonPositiveParameter):
+            axis_scan(make_system(16), [2.0], per_shift=per_shift)
 
     def test_uncertified_shift_raises(self):
         """A shift with no pair under the residual bound is an error."""

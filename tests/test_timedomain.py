@@ -94,6 +94,18 @@ class TestSimConfig:
             simulate(sys16, default_state(sys16), SimConfig(dt=0.0, t_final=1.0))
         assert exc.value.name == "dt"
 
+    @pytest.mark.parametrize("field, dt, t_final", [
+        ("dt", np.inf, 1.0), ("dt", np.inf, np.inf), ("dt", np.nan, 1.0),
+        ("t_final", 0.01, np.inf), ("t_final", 0.01, np.nan),
+    ])
+    def test_non_finite_time_setting(self, sys16, field, dt, t_final):
+        """A NaN or infinite dt or t_final is OutOfDomain (exit 15), naming
+        the field, not a bare ValueError or OverflowError."""
+        cfg = SimConfig(dt=dt, t_final=t_final, fit_window=(0.1, 1.0))
+        with pytest.raises(OutOfDomain, match=f"^{field}=") as exc:
+            simulate(sys16, default_state(sys16), cfg)
+        assert exc.value.exit_code == 15
+
     def test_horizon_too_short_for_dt(self, sys16):
         cfg = SimConfig(dt=0.5, t_final=1.0, fit_window=(0.1, 1.0))
         with pytest.raises(BadInterval):
