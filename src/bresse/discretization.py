@@ -14,18 +14,21 @@ as lower symmetric bands (bandwidth 5), built from the per-field
 tridiagonals of vectorized element sums.  The bands are the stored form
 and feed the banded Cholesky factors (dpbtrf) of M, once at assembly, and
 of the midpoint matrix.  _full_band mirrors a lower band into the one full
-layout that is LAPACK's general band storage, for the resolvent's banded
-LU (zgbtrf), and scipy's dia data, from which each CSR of M, C and K is
-converted on first use: every product goes through those, O(nnz) each.
-The dense matrices are expanded from the CSRs on demand for the dense
-consumers (the companion eigensolve, the tests).
+layout that is LAPACK's general band storage and scipy's dia data, from
+which each CSR of M, C and K is converted on first use: every product goes
+through those, O(nnz) each.  The quadratic pencil P(s) = s^2 M + s C + K,
+which both the spectrum and the resolvent ask about, is formed, factored
+(banded LU, zgbtrf), solved and applied in one place, _Pencil.  The dense
+matrices are expanded from the CSRs on demand for the dense consumers (the
+companion eigensolve, the tests).
 """
 
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.lapack import dpbtrf, dpbtrs
+from scipy.linalg.blas import zgbmv
+from scipy.linalg.lapack import dpbtrf, dpbtrs, zgbtrf, zgbtrs
 from scipy.sparse import csr_array, dia_array
 
 from .errors import (
@@ -336,6 +339,38 @@ class AssembledSystem:
     def solve_m(self, rhs: np.ndarray) -> np.ndarray:
         """M^{-1} rhs for a vector or (N, k) matrix rhs, real or complex."""
         return _band_solve(self._m_factor, rhs)
+
+
+class _Pencil:
+    """The quadratic pencil P(s) = s^2 M + s C + K at one complex s and
+    its banded LU, each O(N) in the node-major dof order.
+
+    band holds P(s), combined from the system's lower bands, in LAPACK's
+    general band storage (_full_band) with kl = ku.  lu and piv are
+    zgbtrf's LU with partial pivoting, in its 3 kl + 1 row workspace (kl
+    more rows for the fill-in of pivoting); info > 0 means an exact zero
+    pivot.  norm1 is ||P(s)||_1.  Nothing is checked here: each caller
+    decides what a zero pivot or a large residual means.
+    """
+
+    def __init__(self, sys: AssembledSystem, s: complex):
+        self.band = _full_band((s * s) * sys.M_band + s * sys.C_band + sys.K_band)
+        self.kl = kl = self.band.shape[0] // 2
+        n = self.band.shape[1]
+        ab = np.zeros((3 * kl + 1, n), dtype=complex, order="F")
+        ab[kl:] = self.band
+        self.lu, self.piv, self.info = zgbtrf(ab, kl, kl, overwrite_ab=1)
+        self.norm1 = float(np.abs(self.band).sum(axis=0).max())
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """P(s)^{-1} rhs through the LU (zgbtrs)."""
+        x, _ = zgbtrs(self.lu, self.kl, self.kl, rhs, self.piv)
+        return x
+
+    def residual(self, x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """rhs - P(s) x, by one banded product (zgbmv) on band."""
+        n = x.size
+        return zgbmv(n, n, self.kl, self.kl, -1.0, self.band, x, beta=1.0, y=rhs)
 
 
 def _assemble_bands(p: ModelParams, mesh: Mesh):

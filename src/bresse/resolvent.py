@@ -11,15 +11,11 @@ M, C and K are real and symmetric, the G-adjoint of the generator is
 A_h* = J A_h J with J = diag(I, -I), so R(i lambda)* y = J conj(R(i lambda)
 conj(J y)): the adjoint is one more solve with the same LU of P(lambda).
 
-P(lambda) is complex symmetric and, in the node-major dof order of the
-system's bands, banded.  Its lower band is combined from the system's
-bands and mirrored by _full_band into LAPACK's general band storage, the
-one layout that the banded LU with partial pivoting (zgbtrf) and each
-residual (zgbmv) read, so the factor, each solve (zgbtrs) and each
-residual cost O(N).  The right-hand side's products with M and C go
-through the system's CSRs, like every other product.  States share the
-bands' node-major dof order, so each vector goes to LAPACK as it is.
-Every solve's backward error is tested on the spot.
+P(lambda) is the system's quadratic pencil at s = i lambda, banded and
+LU-factored once per lambda by discretization._Pencil, which the spectrum
+certifies on too.  The right-hand side's products with M and C go through
+the system's CSRs, like every other product.  Every solve's backward error
+is tested on the spot.
 
 Profiles are capped at lambda_max = c_resolve / h: P1 elements cannot
 represent modes beyond O(1/h), and fitting past the cap would measure the
@@ -30,10 +26,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import zgbmv
-from scipy.linalg.lapack import zgbcon, zgbtrf, zgbtrs
+from scipy.linalg.lapack import zgbcon
 
-from .discretization import AssembledSystem, StateVector, _full_band, g_norm_sq
+from .discretization import AssembledSystem, StateVector, _Pencil, g_norm_sq
 from .errors import (
     EmptyGrid,
     GridBeyondResolution,
@@ -91,9 +86,8 @@ class GrowthFit:
 class _Resolvent:
     """Factored resolvent at one real lambda, with forward/adjoint solves.
 
-    band holds P(lambda) in LAPACK's general band storage (_full_band),
-    kl = ku rows on either side of the diagonal; lu and piv are its banded
-    LU with partial pivoting.  A NaN or infinite lambda is OutOfDomain.
+    pencil is P(lambda) = P(i lambda) with its banded LU (_Pencil).  A NaN
+    or infinite lambda is OutOfDomain.
     """
 
     def __init__(self, sys: AssembledSystem, lam: float):
@@ -102,19 +96,12 @@ class _Resolvent:
         if not math.isfinite(self.lam):
             raise OutOfDomain(f"lambda={self.lam!r} must be finite")
         self.il = 1j * self.lam
-        lower = (-self.lam * self.lam) * sys.M_band + self.il * sys.C_band + sys.K_band
-        self.band = _full_band(lower)
-        kl, n = self.band.shape[0] // 2, self.band.shape[1]
-        self.bound = n * np.finfo(float).eps
-        # zgbtrf's workspace: kl rows for the fill-in of pivoting above the band
-        ab = np.zeros((3 * kl + 1, n), dtype=complex, order="F")
-        ab[kl:] = self.band
-        self.lu, self.piv, info = zgbtrf(ab, kl, kl, overwrite_ab=1)
-        if info != 0:
-            raise SingularAtLambda(self.lam, f"the LU of P has an exact zero pivot (info {info})")
-        self.p_norm = float(np.abs(self.band).sum(axis=0).max())
+        self.pencil = pencil = _Pencil(sys, self.il)
+        self.bound = sys.n_dofs * np.finfo(float).eps
+        if pencil.info != 0:
+            raise SingularAtLambda(self.lam, f"the LU of P has an exact zero pivot (info {pencil.info})")
         # i*lam on the discrete spectrum: a vanishing reciprocal condition number
-        rcond, _ = zgbcon(kl, kl, self.lu, self.piv, self.p_norm, norm="1")
+        rcond, _ = zgbcon(pencil.kl, pencil.kl, pencil.lu, pencil.piv, pencil.norm1, norm="1")
         if not rcond > self.bound:
             raise SingularAtLambda(
                 self.lam, f"reciprocal condition number {rcond:.3e} <= {self.bound:.3e}"
@@ -133,10 +120,9 @@ class _Resolvent:
         f = F.q.astype(complex)
         g = F.v.astype(complex)
         rhs = sys.M_csr @ (g + self.il * f) + sys.C_csr @ f
-        kl, n = self.band.shape[0] // 2, rhs.size
-        q, _ = zgbtrs(self.lu, kl, kl, rhs, self.piv)
-        err = np.linalg.norm(zgbmv(n, n, kl, kl, -1.0, self.band, q, beta=1.0, y=rhs), 1)
-        scale = self.p_norm * np.linalg.norm(q, 1) + np.linalg.norm(rhs, 1)
+        q = self.pencil.solve(rhs)
+        err = np.linalg.norm(self.pencil.residual(q, rhs), 1)
+        scale = self.pencil.norm1 * np.linalg.norm(q, 1) + np.linalg.norm(rhs, 1)
         backward = err / scale if scale else 0.0  # F = 0 gives U = 0 exactly
         if not backward <= self.bound:
             raise SingularAtLambda(

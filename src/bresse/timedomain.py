@@ -156,13 +156,18 @@ def simulate(sys: AssembledSystem, U0: StateVector, cfg: SimConfig) -> EnergySer
     solve and one CSR product with blkdiag(M, K, C) on the buffer
     [v_{n+1} | q_{n+1} | v_bar], which has the dtype of U0, so complex
     data integrates too.  Raises SchemaError for a non-integral
-    sample_stride, OutOfDomain for a NaN or Inf dt or t_final and when U0
-    has a NaN or Inf entry or an energy that overflows, and
-    FactorizationFailed when a later energy is not finite.
+    sample_stride, OutOfDomain for a NaN or Inf dt or t_final, for a step
+    count too large to record and when U0 has a NaN or Inf entry or an
+    energy that overflows, and FactorizationFailed when a later energy is
+    not finite.
     """
     stride = _validate_sim_config(cfg)
     dt = cfg.dt
     n_steps = max(1, int(round(cfg.t_final / dt)))
+    try:
+        step_residuals = np.empty(n_steps)
+    except (ValueError, MemoryError):
+        raise OutOfDomain(f"t_final/dt asks for {n_steps:.3e} steps, too many to record") from None
     eps = np.finfo(float).tiny
 
     dom0 = domain_norm(sys, U0)
@@ -183,7 +188,6 @@ def simulate(sys: AssembledSystem, U0: StateVector, cfg: SimConfig) -> EnergySer
     kinetics = [comp.kinetic]
     potentials = [comp.potential]
     sample_residuals = [0.0]
-    step_residuals = np.empty(n_steps)
 
     window_max = 0.0
     for step in range(1, n_steps + 1):

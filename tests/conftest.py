@@ -4,6 +4,8 @@ Systems are assembled once per session where reuse is safe; anything a
 test mutates gets a fresh build.
 """
 
+import types
+
 import numpy as np
 import pytest
 from scipy.linalg import eig
@@ -101,6 +103,45 @@ def lower_band_dense(band):
     for k in range(band.shape[0]):
         out[np.arange(k, n), np.arange(n - k)] = band[k, : n - k]
     return out
+
+
+def full_band_dense(band):
+    """Dense matrix of a LAPACK general band with kl = ku, band[kl + i - j, j] = A[i, j],
+    in the band's dtype."""
+    kl = (band.shape[0] - 1) // 2
+    n = band.shape[1]
+    out = np.zeros((n, n), dtype=band.dtype)
+    for i in range(n):
+        for j in range(max(0, i - kl), min(n, i + kl + 1)):
+            out[i, j] = band[kl + i - j, j]
+    return out
+
+
+def dense_lower_band(A, kd):
+    """Lower band (kd + 1, N) of a dense symmetric matrix, band[k, j] = A[j+k, j]."""
+    n = A.shape[0]
+    band = np.zeros((kd + 1, n), dtype=A.dtype)
+    for k in range(kd + 1):
+        band[k, : n - k] = np.diagonal(A, -k)
+    return band
+
+
+def matrix_system(M, C, K, mesh):
+    """A bare system of dense symmetric M, C, K, for the spectral layer.
+
+    It holds the dense matrices, their lower bands as wide as the widest
+    of them, solve_m by a dense solve, n_dofs and the given mesh.
+    """
+    kd = max(int(np.abs(np.subtract(*np.nonzero(A))).max()) for A in (M, C, K))
+    return types.SimpleNamespace(
+        M=M, C=C, K=K,
+        M_band=dense_lower_band(M, kd),
+        C_band=dense_lower_band(C, kd),
+        K_band=dense_lower_band(K, kd),
+        n_dofs=M.shape[0],
+        solve_m=lambda rhs: np.linalg.solve(M, rhs),
+        mesh=mesh,
+    )
 
 
 def random_state(sys, rng, complex_valued=False):

@@ -35,7 +35,13 @@ from bresse.timedomain import (
     simulate,
 )
 
-from conftest import MidpointModalOracle, make_system, node_major, random_state
+from conftest import (
+    MidpointModalOracle,
+    make_system,
+    matrix_system,
+    node_major,
+    random_state,
+)
 
 
 def report(num, label, ok, detail):
@@ -322,14 +328,12 @@ class TestAcceptance:
         mass = (np.diag(np.full(m, 4.0)) + np.diag(np.ones(m - 1), 1)
                 + np.diag(np.ones(m - 1), -1))
         d0 = 0.1
-        wave = types.SimpleNamespace(
-            M=(h / 6.0) * mass,
-            C=(d0 / h) * tri,
-            K=(1.0 / h) * tri,
-            n_dofs=m,
-            mesh=types.SimpleNamespace(n_elements=n),
+        wave = matrix_system(
+            (h / 6.0) * mass,
+            (d0 / h) * tri,
+            (1.0 / h) * tri,
+            types.SimpleNamespace(n_elements=n),
         )
-        wave.solve_m = lambda rhs: np.linalg.solve(wave.M, rhs)
         mu = np.sort(np.linalg.eigvals(np.linalg.solve(wave.M, wave.K)).real)
         roots = []
         for m_k in mu:

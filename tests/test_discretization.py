@@ -30,6 +30,7 @@ from bresse.errors import (
 )
 
 from conftest import (
+    full_band_dense,
     lower_band_dense,
     make_params,
     make_system,
@@ -391,6 +392,38 @@ class TestAssembledMatrices:
         assert_allclose(sys16.solve_m(sys16.M @ x), x, rtol=1e-12)
         z = x + 1j * rng.standard_normal(sys16.n_dofs)
         assert_allclose(sys16.solve_m(sys16.M @ z), z, rtol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the quadratic pencil P(s)
+# ---------------------------------------------------------------------------
+
+
+class TestPencil:
+    """The banded P(s) = s^2 M + s C + K and its LU at complex s off the axis."""
+
+    @pytest.mark.parametrize("k2", [1.0, 2.0])
+    @pytest.mark.parametrize("s", [-0.5 + 3j, 2 + 7j])
+    def test_band_is_the_pencil(self, k2, s):
+        """Equal (k2 = 1) and unequal (k2 = 2) speeds."""
+        sys = make_system(16, k2=k2)
+        band = discretization._Pencil(sys, s).band
+        assert np.array_equal(full_band_dense(band), (s * s) * sys.M + s * sys.C + sys.K)
+
+    @pytest.mark.parametrize("k2", [1.0, 2.0])
+    @pytest.mark.parametrize("s", [-0.5 + 3j, 2 + 7j])
+    def test_solve_matches_dense_solve(self, k2, s):
+        sys = make_system(16, k2=k2)
+        rng = np.random.default_rng(8)
+        rhs = rng.standard_normal(sys.n_dofs) + 1j * rng.standard_normal(sys.n_dofs)
+        P = (s * s) * sys.M + s * sys.C + sys.K
+        pencil = discretization._Pencil(sys, s)
+        assert pencil.info == 0
+        x = pencil.solve(rhs)
+        ref = np.linalg.solve(P, rhs)
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert_allclose(pencil.residual(x, rhs), rhs - P @ x, rtol=0, atol=1e-12 * np.abs(rhs).max())
+        assert abs(pencil.norm1 - np.linalg.norm(P, 1)) <= 1e-14 * np.linalg.norm(P, 1)
 
 
 # ---------------------------------------------------------------------------

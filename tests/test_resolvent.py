@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 from scipy.linalg import block_diag, eig
 from scipy.linalg.lapack import zgbtrf, zgbtrs
 
-from bresse import resolvent
+from bresse import discretization, resolvent
 from bresse.discretization import (
     AssembledSystem,
     StateVector,
@@ -30,7 +30,7 @@ from bresse.resolvent import (
     resolvent_solve,
 )
 
-from conftest import make_system, random_state
+from conftest import full_band_dense, make_system, random_state
 
 
 def dense_generator(sys):
@@ -101,22 +101,12 @@ class TestBandedPencil:
     def dense_pencil(sys, lam):
         return -lam * lam * sys.M + 1j * lam * sys.C + sys.K
 
-    @staticmethod
-    def band_to_dense(band):
-        kl = (band.shape[0] - 1) // 2
-        n = band.shape[1]
-        out = np.zeros((n, n), dtype=band.dtype)
-        for i in range(n):
-            for j in range(max(0, i - kl), min(n, i + kl + 1)):
-                out[i, j] = band[kl + i - j, j]
-        return out
-
     @pytest.mark.parametrize("lam", [3.0, 7.5, 20.0])
     def test_band_is_the_pencil(self, sys16, lam):
         op = resolvent._Resolvent(sys16, lam)
         P = self.dense_pencil(sys16, lam)
-        assert np.array_equal(self.band_to_dense(op.band), P)
-        assert abs(op.p_norm - np.linalg.norm(P, 1)) <= 1e-14 * np.linalg.norm(P, 1)
+        assert np.array_equal(full_band_dense(op.pencil.band), P)
+        assert abs(op.pencil.norm1 - np.linalg.norm(P, 1)) <= 1e-14 * np.linalg.norm(P, 1)
 
     @pytest.mark.parametrize("k2", [1.0, 2.0])
     @pytest.mark.parametrize("lam", [3.0, 7.5, 20.0])
@@ -146,7 +136,7 @@ class TestBandedPencil:
             lu, piv, _ = zgbtrf(ab, kl, ku, **kwargs)
             return lu, piv, 1
 
-        monkeypatch.setattr(resolvent, "zgbtrf", zero_pivot)
+        monkeypatch.setattr(discretization, "zgbtrf", zero_pivot)
         with pytest.raises(SingularAtLambda, match="zero pivot"):
             resolvent_solve(sys16, 3.0, random_state(sys16, np.random.default_rng(46)))
 
@@ -314,7 +304,7 @@ class TestProfile:
                 q[0] += 1e-6 * np.abs(q).max()
             return q, info
 
-        monkeypatch.setattr(resolvent, "zgbtrs", perturbed)
+        monkeypatch.setattr(discretization, "zgbtrs", perturbed)
         with pytest.raises(SingularAtLambda, match="backward error"):
             profile(sys16, [3.0, 5.0])
         assert len(calls) == first_bad

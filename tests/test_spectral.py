@@ -5,12 +5,20 @@ import types
 import numpy as np
 import pytest
 from scipy.linalg import block_diag, eig
+from scipy.linalg.lapack import zgbtrf
 
-from bresse import spectral
-from bresse.errors import EmptyGrid, NoConvergence, NonPositiveParameter, OutOfDomain
+from bresse import discretization, spectral
+from bresse.discretization import AssembledSystem
+from bresse.errors import (
+    EmptyGrid,
+    NoConvergence,
+    NonPositiveParameter,
+    OutOfDomain,
+    SchemaError,
+)
 from bresse.spectral import axis_scan, quadratic_eigs
 
-from conftest import make_system
+from conftest import make_system, matrix_system
 
 
 def companion_eigenvalues(sys):
@@ -37,10 +45,7 @@ def wave_chain(n, rho1=1.0, k3=1.0, d0=0.1, L=1.0):
     M = rho1 * (h / 6.0) * mass
     K = (k3 / h) * tri
     C = (d0 / h) * tri
-    sys = types.SimpleNamespace(
-        M=M, C=C, K=K, n_dofs=m, solve_m=lambda rhs: np.linalg.solve(M, rhs),
-        mesh=types.SimpleNamespace(n_elements=n),
-    )
+    sys = matrix_system(M, C, K, types.SimpleNamespace(n_elements=n))
     mu = np.sort(np.linalg.eigvals(np.linalg.solve(M, K)).real)
     roots = []
     for m_k in mu:
@@ -122,10 +127,8 @@ class TestQuadraticEigs:
         have eigenvalues about 1.6e-9 apart; both members of each are kept."""
         a, roots_a = wave_chain(16)
         b, roots_b = wave_chain(16, k3=1.0 + 1e-9)
-        M = block_diag(a.M, b.M)
-        twin = types.SimpleNamespace(
-            M=M, C=block_diag(a.C, b.C), K=block_diag(a.K, b.K),
-            n_dofs=2 * a.n_dofs, solve_m=lambda rhs: np.linalg.solve(M, rhs), mesh=a.mesh,
+        twin = matrix_system(
+            block_diag(a.M, b.M), block_diag(a.C, b.C), block_diag(a.K, b.K), a.mesh
         )
         report = quadratic_eigs(twin, [3.2j, 6.5j], per_shift=4)
         expected = np.concatenate([roots_a[:4], roots_b[:4]])  # two lowest modes each
@@ -151,10 +154,46 @@ class TestQuadraticEigs:
         with pytest.raises(NonPositiveParameter):
             axis_scan(make_system(16), [2.0], per_shift=per_shift)
 
+    @pytest.mark.parametrize("per_shift", [2.5, 1.0000001, np.float64(3.5), np.nan, np.inf])
+    def test_non_integral_per_shift_is_refused_before_the_eigensolve(self, monkeypatch, per_shift):
+        """A per_shift that is no integer is the CLI's SchemaError (exit 11)."""
+        monkeypatch.setattr(spectral, "_companion_eig", None)  # never reached
+        with pytest.raises(SchemaError) as exc:
+            quadratic_eigs(make_system(8), [2j], per_shift=per_shift)
+        assert exc.value.exit_code == 11 and exc.value.path == "per_shift"
+
+    def test_integral_float_per_shift(self):
+        """An integral float per_shift selects as the integer does."""
+        sys = make_system(8)
+        got = quadratic_eigs(sys, [2j], per_shift=4.0)
+        ref = quadratic_eigs(sys, [2j], per_shift=4)
+        assert np.array_equal(got.eigenvalues, ref.eigenvalues)
+        assert np.array_equal(got.residuals, ref.residuals)
+
     def test_uncertified_shift_raises(self):
         """A shift with no pair under the residual bound is an error."""
         with pytest.raises(NoConvergence, match=r"shift 2j.*best residual .* bound 0\.000e\+00"):
             quadratic_eigs(make_system(16), [2j], tol=0.0)
+
+    def test_zero_pivot_leaves_the_picks_uncertified(self, monkeypatch):
+        """An exact zero pivot in the pencil's LU is no certificate."""
+        def zero_pivot(ab, kl, ku, **kwargs):
+            lu, piv, _ = zgbtrf(ab, kl, ku, **kwargs)
+            return lu, piv, 1
+
+        monkeypatch.setattr(discretization, "zgbtrf", zero_pivot)
+        with pytest.raises(NoConvergence, match=r"best residual inf"):
+            quadratic_eigs(make_system(16), [2j])
+
+    def test_needs_no_dense_mass_matrix(self, monkeypatch):
+        """The spectrum reads M only through its bands and its factor."""
+
+        def dense(self):
+            raise AssertionError("dense matrix expanded")
+
+        monkeypatch.setattr(AssembledSystem, "M", property(dense))
+        report = quadratic_eigs(make_system(16), [2j, 5j])
+        assert np.all(report.residuals <= 1e-10 * report.k_norm)
 
     def test_deterministic(self):
         sys = make_system(16)

@@ -1,6 +1,7 @@
 """Midpoint integration, the discrete energy balance, and decay fitting."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -104,6 +105,16 @@ class TestSimConfig:
         cfg = SimConfig(dt=dt, t_final=t_final, fit_window=(0.1, 1.0))
         with pytest.raises(OutOfDomain, match=f"^{field}=") as exc:
             simulate(sys16, default_state(sys16), cfg)
+        assert exc.value.exit_code == 15
+
+    @pytest.mark.parametrize("dt", [1e-300, 1e-30])
+    def test_step_count_too_large_to_record(self, sys16, monkeypatch, dt):
+        """A step count no array can hold is OutOfDomain (exit 15), naming
+        the count, before the domain norm or the midpoint factor runs."""
+        monkeypatch.setattr(timedomain, "domain_norm", None)  # never reached
+        monkeypatch.setattr(timedomain, "_midpoint_factor", None)  # never reached
+        with pytest.raises(OutOfDomain, match=re.escape(f"{round(1.0 / dt):.3e} steps")) as exc:
+            simulate(sys16, default_state(sys16), SimConfig(dt, 1.0))
         assert exc.value.exit_code == 15
 
     def test_horizon_too_short_for_dt(self, sys16):
