@@ -12,12 +12,11 @@ and "mesh_n"; everything else is optional with documented defaults:
       "params": {"rho1": 1, "rho2": 1, "k1": 1, "k2": 1, "k3": 1,
                  "l": 1, "L": 1, "alpha": 0.25, "beta": 0.75, "d0": 1},
       "mesh_n": 64,
-      "seed": 0,                  // power-iteration start vectors
+      "seed": 0,                  // Lanczos start vectors
       "output_dir": "out",
       "spectrum":  {"mu_grid": [1, 2, ..., 50], "per_shift": 5},
       "resolvent": {"lambda_min": 3.0, "lambda_max": null,   // null -> cap
-                    "count": 25, "tol": 1e-6,
-                    "window": null,                          // null -> default
+                    "count": 25, "window": null,             // null -> default
                     "c_resolve": 1.0},
       "sim":       {"dt": null,                              // null -> h/2
                     "t_final": 200.0, "sample_stride": 16,
@@ -27,7 +26,7 @@ and "mesh_n"; everything else is optional with documented defaults:
 
 Unknown keys anywhere are rejected, and so are out-of-range settings:
 seed must be >= 0; per_shift, count and sample_stride >= 1; lambda_min,
-lambda_max, tol, c_resolve, dt, t_final and unequal_factor > 0.  Exit
+lambda_max, c_resolve, dt, t_final and unequal_factor > 0.  Exit
 codes: 0 success; 10-19 config errors; 20-29 numerical errors; 30 I/O
 errors; each error class in bresse.errors has its own code.
 
@@ -91,7 +90,6 @@ class ResolventSettings:
     lambda_min: float = 3.0
     lambda_max: float | None = None  # None: use the mesh resolution cap
     count: int = 25
-    tol: float = 1e-6
     window: tuple | None = None  # None: default fit window
     c_resolve: float = 1.0
 
@@ -150,7 +148,6 @@ _SCHEMA = (
     ("resolvent", "lambda_min", "float", 0.0),
     ("resolvent", "lambda_max", "float", 0.0),
     ("resolvent", "count", "int", 1),
-    ("resolvent", "tol", "float", 0.0),
     ("resolvent", "window", "pair", None),
     ("resolvent", "c_resolve", "float", 0.0),
     ("sim", "dt", "float", 0.0),
@@ -299,7 +296,7 @@ def _profile(cfg: ExperimentConfig, sys_):
     rs = cfg.resolvent
     hi = rs.lambda_max if rs.lambda_max is not None else lambda_cap(sys_, rs.c_resolve)
     grid = np.logspace(math.log10(rs.lambda_min), math.log10(hi), rs.count)
-    return profile(sys_, grid, tol=rs.tol, seed=cfg.seed, c_resolve=rs.c_resolve)
+    return profile(sys_, grid, seed=cfg.seed, c_resolve=rs.c_resolve)
 
 
 def _sim_config(cfg: ExperimentConfig, sys_) -> SimConfig:
@@ -357,7 +354,6 @@ def _run_resolvent(cfg, timings):
         "window": list(fit.window),
         "r_squared": fit.r_squared,
         "predicted_exponent": speed.predicted_resolvent_exponent,
-        "consistent": bool(fit.slope <= speed.predicted_resolvent_exponent + 0.5),
     }
     return summary, {"resolvent.csv": _profile_table(prof)}
 

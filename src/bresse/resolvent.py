@@ -6,7 +6,7 @@ F = (f, g), the displacement block satisfies
     (-lambda^2 M + i lambda C + K) q = M (g + i lambda f) + C f,
 
 and v = i*lambda*q - f.  The operator norm is taken in the energy metric
-G = diag(K, M) itself, by power iteration x <- R* R x on states.  Because
+G = diag(K, M) itself, by Lanczos on R* R over states.  Because
 M, C and K are real and symmetric, the G-adjoint of the generator is
 A_h* = J A_h J with J = diag(I, -I), so R(i lambda)* y = J conj(R(i lambda)
 conj(J y)): the adjoint is one more solve with the same LU of P(lambda).
@@ -26,9 +26,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import zgbcon
 
-from .discretization import AssembledSystem, StateVector, _Pencil, g_norm_sq
+from .discretization import AssembledSystem, StateVector, _Pencil
 from .errors import (
     EmptyGrid,
     GridBeyondResolution,
@@ -49,20 +50,22 @@ __all__ = [
     "fit_growth_exponent",
 ]
 
-_POWER_SEED = 314159
+_START_SEED = 314159
+_LANCZOS_CAP = 50  # Lanczos steps before NoConvergence
+_RITZ_GAP = 1e-12  # Kato-Temple: r^2 / (theta_1 - theta_2) <= this * theta_1
+_RITZ_RESIDUAL = 1e-6  # and r <= this * theta_1
 
 
 @dataclass(frozen=True, eq=False)
 class ResolventProfile:
     """Resolvent norms over a frequency grid, with solver diagnostics.
 
-    iters and residuals record, per lambda, the power-iteration count and
+    iters and residuals record, per lambda, the Lanczos step count and
     the worst relative backward error ||rhs - P q||_1 / (||P||_1 ||q||_1 +
     ||rhs||_1) over every forward and adjoint P(lambda) solve behind that
-    norm; each solve tests its own and passes only at most dim * eps.  The
-    power iteration's tol bounds the change between successive estimates,
-    not the error of a norm: that can be larger when sigma_2/sigma_1 is
-    near 1, and every norm lies below the true one.
+    norm; each solve tests its own and passes only at most dim * eps.
+    Each norm lies below the true one, its square by about 1e-12 relative
+    at most (see resolvent_norm).
     """
 
     lambdas: np.ndarray
@@ -151,63 +154,68 @@ def resolvent_solve(sys: AssembledSystem, lam: float, F: StateVector) -> StateVe
     return U
 
 
-def _scaled(U: StateVector, c: float) -> StateVector:
-    return StateVector(U.q * c, U.v * c)
+def _norm_details(sys: AssembledSystem, lam: float, seed: int = 0):
+    """Lanczos on T = R* R, self-adjoint in the G inner product, for ||R(lam)||_G.
 
-
-def _norm_details(
-    sys: AssembledSystem,
-    lam: float,
-    tol: float = 1e-6,
-    max_iters: int = 200,
-    seed: int = 0,
-):
-    """Power iteration x <- R* R x for ||R(lam)||_G.
-
-    Returns (norm, iters, worst backward error over all its solves).
+    The basis is reorthogonalized in full, in two passes, and stored by
+    rows with its G-images, so each G inner product is one row product.
+    The largest Ritz value theta_1, with residual r = beta_k |y_k| and
+    second Ritz value theta_2 (0 after one step), is accepted when r^2 <=
+    _RITZ_GAP * theta_1 (theta_1 - theta_2) (the Kato-Temple bound on its
+    error) and r <= _RITZ_RESIDUAL * theta_1.  Returns (sqrt(theta_1),
+    steps, worst backward error over all its solves).
     """
     op = _Resolvent(sys, lam)
     n = sys.n_dofs
-    rng = np.random.default_rng(_POWER_SEED + seed)
+    rng = np.random.default_rng(_START_SEED + seed)
 
-    def draw():  # drawn field by field, so each seed keeps its start vector and iters
+    def draw():  # drawn field by field, so each seed keeps its start vector
         return rng.standard_normal((3, n // 3)).T.ravel()
 
-    x = StateVector(draw() + 1j * draw(), draw() + 1j * draw())
-    x = _scaled(x, 1.0 / np.sqrt(g_norm_sq(sys, x)))
-    sigma_prev = 0.0
+    def g(x):
+        return np.concatenate((sys.K_csr @ x[:n], sys.M_csr @ x[n:]))
+
+    x = np.concatenate((draw() + 1j * draw(), draw() + 1j * draw()))
+    gx = g(x)
+    scale = 1.0 / np.sqrt(np.vdot(x, gx).real)
+    V = np.empty((_LANCZOS_CAP, 2 * n), dtype=complex)
+    GV = np.empty_like(V)
+    V[0], GV[0] = x * scale, gx * scale
+    alpha, beta = np.empty(_LANCZOS_CAP), np.empty(_LANCZOS_CAP)
     worst = 0.0
-    for it in range(1, max_iters + 1):
-        y, err_y = op.solve(x)
-        sigma = float(np.sqrt(g_norm_sq(sys, y)))
+    for k in range(_LANCZOS_CAP):
+        y, err_y = op.solve(StateVector(V[k, :n], V[k, n:]))
         z, err_z = op.solve_adjoint(y)
         worst = max(worst, err_y, err_z)
-        nz = np.sqrt(g_norm_sq(sys, z))
-        if nz == 0.0:
-            raise SingularAtLambda(lam, "power iterate collapsed")
-        x = _scaled(z, 1.0 / nz)
-        if abs(sigma - sigma_prev) <= tol * max(sigma, np.finfo(float).tiny):
-            return sigma, it, worst
-        sigma_prev = sigma
-    raise NoConvergence(max_iters, what=f"resolvent norm at lambda={lam!r}")
+        w = np.concatenate((z.q, z.v))
+        alpha[k] = 0.0
+        for _ in range(2):
+            h = GV[: k + 1].conj() @ w
+            w -= h @ V[: k + 1]
+            alpha[k] += h[k].real
+        gw = g(w)
+        beta[k] = np.sqrt(max(np.vdot(w, gw).real, 0.0))
+        theta, S = eigh_tridiagonal(alpha[: k + 1], beta[:k])
+        theta1 = theta[-1]
+        theta2 = theta[-2] if k else 0.0
+        r = beta[k] * abs(S[-1, -1])
+        if r * r <= _RITZ_GAP * theta1 * (theta1 - theta2) and r <= _RITZ_RESIDUAL * theta1:
+            return float(np.sqrt(theta1)), k + 1, worst
+        if k + 1 < _LANCZOS_CAP:
+            V[k + 1], GV[k + 1] = w / beta[k], gw / beta[k]
+    raise NoConvergence(_LANCZOS_CAP, what=f"resolvent norm at lambda={lam!r}")
 
 
-def resolvent_norm(
-    sys: AssembledSystem,
-    lam: float,
-    tol: float = 1e-6,
-    max_iters: int = 200,
-    seed: int = 0,
-) -> float:
-    """Operator norm ||(i*lam - A_h)^{-1}||_G by power iteration.
+def resolvent_norm(sys: AssembledSystem, lam: float, seed: int = 0) -> float:
+    """Operator norm ||(i*lam - A_h)^{-1}||_G by Lanczos on R* R.
 
-    Converged when successive estimates differ by <= tol relative (default
-    1e-6), capped at max_iters (default 200) before NoConvergence.  tol
-    bounds that change, not the error, which can be larger when
-    sigma_2/sigma_1 is near 1 (2.1e-5 at lambda = 58.39, n = 64, equal
-    speeds); the estimate lies below the true norm.
+    The largest Ritz value is accepted when its residual r meets r^2 <=
+    1e-12 theta_1 (theta_1 - theta_2) and r <= 1e-6 theta_1, so the
+    squared norm is within about 1e-12 relative of the true one, from
+    below.  NoConvergence past 50 Lanczos steps; seed picks the start
+    vector.
     """
-    norm, _, _ = _norm_details(sys, lam, tol=tol, max_iters=max_iters, seed=seed)
+    norm, _, _ = _norm_details(sys, lam, seed=seed)
     return norm
 
 
@@ -217,16 +225,11 @@ def lambda_cap(sys: AssembledSystem, c_resolve: float = 1.0) -> float:
 
 
 def profile(
-    sys: AssembledSystem,
-    lambda_grid,
-    tol: float = 1e-6,
-    seed: int = 0,
-    c_resolve: float = 1.0,
+    sys: AssembledSystem, lambda_grid, seed: int = 0, c_resolve: float = 1.0
 ) -> ResolventProfile:
     """Map resolvent_norm over a positive grid, sorted, capped at lambda_max.
 
-    tol bounds the change between successive power-iteration estimates at
-    each lambda, not the error of the norm (see resolvent_norm).
+    Every lambda runs Lanczos from the same seeded start vector.
     """
     grid = np.atleast_1d(np.asarray(lambda_grid, dtype=float))
     if grid.size == 0:
@@ -239,7 +242,7 @@ def profile(
     if beyond.size:
         raise GridBeyondResolution(float(beyond[0]), cap)
 
-    details = [_norm_details(sys, lam, tol=tol, seed=seed) for lam in grid]
+    details = [_norm_details(sys, lam, seed=seed) for lam in grid]
     norms = np.array([d[0] for d in details])
     iters = np.array([d[1] for d in details], dtype=int)
     residuals = np.array([d[2] for d in details])

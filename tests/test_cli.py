@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bresse import cli, errors
+from bresse import cli, errors, resolvent
 from bresse.errors import (
     BadInterval,
     ConfigError,
@@ -98,6 +98,11 @@ class TestParseConfig:
         with pytest.raises(SchemaError) as exc:
             cli.parse_config(json.dumps(raw))
         assert exc.value.path == "params.gamma"
+        raw = base_config(".", resolvent={"tol": 1e-6})  # Lanczos has no tolerance to set
+        with pytest.raises(SchemaError) as exc:
+            cli.parse_config(json.dumps(raw))
+        assert exc.value.path == "resolvent.tol"
+        assert exc.value.exit_code == 11
 
     def test_type_errors(self):
         with pytest.raises(SchemaError):
@@ -215,13 +220,31 @@ class TestMainExitCodes:
             ("spectrum", "spectrum", "per_shift", -1),
             ("spectrum", "spectrum", "per_shift", 0),
             ("validate", "resolvent", "c_resolve", -1),
-            ("resolvent", "resolvent", "tol", -1),
+            ("resolvent", "resolvent", "c_resolve", 0),
         ],
     )
     def test_out_of_range_setting(self, tmp_path, capsys, command, block, key, value):
         path = write_config(tmp_path, **{block: {key: value}})
         assert cli.main([command, "--config", str(path)]) == 11
         assert f"'{block}.{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mesh_n", [64, 128])
+    def test_readme_resolvent_exits_zero_for_every_seed(self, tmp_path, mesh_n):
+        """The README config converges at seeds 0-9 on the default grid,
+        whose two largest singular values of R nearly coincide between
+        peaks (a power iteration exhausted 200 steps at lambda = 128,
+        n = 128, seed 0)."""
+        path = write_config(tmp_path, mesh_n=mesh_n, resolvent={"count": 25})
+        codes = [cli.main(["resolvent", "--config", str(path), "--seed", str(seed)])
+                 for seed in range(10)]
+        assert codes == [0] * 10
+
+    def test_lanczos_cap_is_no_convergence(self, tmp_path, capsys, monkeypatch):
+        """A norm not certified within the step cap exits 23."""
+        monkeypatch.setattr(resolvent, "_LANCZOS_CAP", 1)
+        path = write_config(tmp_path)
+        assert cli.main(["resolvent", "--config", str(path)]) == 23
+        assert "did not converge within 1 iterations" in capsys.readouterr().err
 
     def test_grid_beyond_resolution(self, tmp_path, capsys):
         path = write_config(tmp_path, resolvent={"count": 8, "lambda_max": 100.0})
@@ -305,7 +328,7 @@ class TestCommands:
         assert len(rows) == 8
         assert all(float(r[1]) > 0.0 for r in rows)
         summary = json.loads((tmp_path / "out" / "resolvent_summary.json").read_text())
-        assert set(summary) == {"slope", "window", "r_squared", "predicted_exponent", "consistent"}
+        assert set(summary) == {"slope", "window", "r_squared", "predicted_exponent"}
         assert 0.0 <= summary["r_squared"] <= 1.0
 
     def test_simulate(self, tmp_path):

@@ -93,7 +93,7 @@ def test_resolvent_adjoint_is_consistent(sys, frac, seed):
     """(R x, y)_G = (x, R* y)_G to 1e-10 of ||R x||_G ||y||_G.
 
     R is the resolvent at lam = frac * lambda_max and R* its adjoint in the
-    energy metric G, the pair whose power iteration resolvent_norm runs.
+    energy metric G, the pair on which resolvent_norm runs Lanczos.
     """
     op = _Resolvent(sys, frac * lambda_cap(sys))
     rng = np.random.default_rng(seed)
