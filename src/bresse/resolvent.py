@@ -6,7 +6,9 @@ F = (f, g), the displacement block satisfies
     (-lambda^2 M + i lambda C + K) q = M (g + i lambda f) + C f,
 
 and v = i*lambda*q - f.  The operator norm is taken in the energy metric
-G = diag(K, M) itself, by Lanczos on R* R over states.  Because
+G = diag(K, M) itself, by Lanczos on R* R over flat complex states (q, v);
+a profile draws the seeded start state and allocates the Lanczos
+workspace once, for all its lambdas.  Because
 M, C and K are real and symmetric, the G-adjoint of the generator is
 A_h* = J A_h J with J = diag(I, -I), so R(i lambda)* y = J conj(R(i lambda)
 conj(J y)): the adjoint is one more solve with the same LU of P(lambda).
@@ -26,8 +28,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import zgbcon
+from scipy.linalg.lapack import dstevd, zgbcon
+from scipy.sparse import block_diag
 
 from .discretization import AssembledSystem, StateVector, _Pencil
 from .errors import (
@@ -90,7 +92,9 @@ class _Resolvent:
     """Factored resolvent at one real lambda, with forward/adjoint solves.
 
     pencil is P(lambda) = P(i lambda) with its banded LU (_Pencil).  A NaN
-    or infinite lambda is OutOfDomain.
+    or infinite lambda is OutOfDomain.  apply and apply_adjoint work on
+    flat complex states x = (q, v) of length 2N and write into a given
+    buffer; solve and solve_adjoint wrap them for StateVectors.
     """
 
     def __init__(self, sys: AssembledSystem, lam: float):
@@ -109,9 +113,12 @@ class _Resolvent:
             raise SingularAtLambda(
                 self.lam, f"reciprocal condition number {rcond:.3e} <= {self.bound:.3e}"
             )
+        self._work = np.empty((3, sys.n_dofs), dtype=complex)  # rhs, q, rhs - P q
+        self._magnitudes = np.empty((3, sys.n_dofs))
 
-    def solve(self, F: StateVector) -> tuple[StateVector, float]:
-        """(U, backward error of its P solve), U = R(i lam) F.
+    def apply(self, x: np.ndarray, out: np.ndarray) -> float:
+        """out <- R(i lam) x for a flat state x = (f, g); returns the
+        backward error of its P solve.
 
         The backward error is ||rhs - P q||_1 / (||P||_1 ||q||_1 +
         ||rhs||_1), and the solve passes when it is at most dim * eps: the
@@ -119,25 +126,62 @@ class _Resolvent:
         evaluating that residual itself, so a larger one (or a non-finite
         one) is a failed solve, not roundoff, and raises SingularAtLambda.
         """
-        sys = self.sys
-        f = F.q.astype(complex)
-        g = F.v.astype(complex)
-        rhs = sys.M_csr @ (g + self.il * f) + sys.C_csr @ f
-        q = self.pencil.solve(rhs)
-        err = np.linalg.norm(self.pencil.residual(q, rhs), 1)
-        scale = self.pencil.norm1 * np.linalg.norm(q, 1) + np.linalg.norm(rhs, 1)
+        n = self.sys.n_dofs
+        f, g = x[:n], x[n:]
+        rhs, q, res = self._work
+        np.add(self.sys.M_csr @ (g + self.il * f), self.sys.C_csr @ f, out=rhs)
+        q[:] = self.pencil.solve(rhs)
+        res[:] = self.pencil.residual(q, rhs)
+        rhs_norm, q_norm, err = np.abs(self._work, out=self._magnitudes).sum(axis=1)
+        scale = self.pencil.norm1 * q_norm + rhs_norm
         backward = err / scale if scale else 0.0  # F = 0 gives U = 0 exactly
         if not backward <= self.bound:
             raise SingularAtLambda(
                 self.lam, f"backward error {backward:.3e} of the P solve exceeds {self.bound:.3e}"
             )
-        return StateVector(q, self.il * q - f), float(backward)
+        out[:n] = q
+        np.multiply(self.il, q, out=out[n:])
+        out[n:] -= f
+        return float(backward)
+
+    def apply_adjoint(self, y: np.ndarray, out: np.ndarray) -> float:
+        """out <- R(i lam)* y in the G inner product, J conj(R(i lam) conj(J y)),
+        with the backward error of its P solve; y is overwritten with conj(J y)."""
+        _flip(y)
+        backward = self.apply(y, out)
+        _flip(out)
+        return backward
+
+    def solve(self, F: StateVector) -> tuple[StateVector, float]:
+        """(U, backward error of its P solve), U = R(i lam) F (see apply)."""
+        out = np.empty(2 * self.sys.n_dofs, dtype=complex)
+        backward = self.apply(_flat(F), out)
+        return _state(out), backward
 
     def solve_adjoint(self, Y: StateVector) -> tuple[StateVector, float]:
-        """R(i lam)* Y in the G inner product, J conj(R(i lam) conj(J Y)),
-        with the backward error of its P solve."""
-        U, backward = self.solve(StateVector(np.conj(Y.q), -np.conj(Y.v)))
-        return StateVector(np.conj(U.q), -np.conj(U.v)), backward
+        """(R(i lam)* Y, backward error of its P solve) (see apply_adjoint)."""
+        out = np.empty(2 * self.sys.n_dofs, dtype=complex)
+        backward = self.apply_adjoint(_flat(Y), out)
+        return _state(out), backward
+
+
+def _flat(U: StateVector) -> np.ndarray:
+    """A complex copy of U as one flat array (q, v)."""
+    x = np.empty(2 * U.q.size, dtype=complex)
+    x[: U.q.size], x[U.q.size :] = U.q, U.v
+    return x
+
+
+def _state(x: np.ndarray) -> StateVector:
+    n = x.size // 2
+    return StateVector(x[:n], x[n:])
+
+
+def _flip(x: np.ndarray):
+    """x <- J conj(x) in place, J = diag(I, -I) on a flat state."""
+    np.conjugate(x, out=x)
+    v = x[x.size // 2 :]
+    np.negative(v, out=v)
 
 
 def resolvent_solve(sys: AssembledSystem, lam: float, F: StateVector) -> StateVector:
@@ -154,56 +198,78 @@ def resolvent_solve(sys: AssembledSystem, lam: float, F: StateVector) -> StateVe
     return U
 
 
-def _norm_details(sys: AssembledSystem, lam: float, seed: int = 0):
-    """Lanczos on T = R* R, self-adjoint in the G inner product, for ||R(lam)||_G.
+class _Lanczos:
+    """Lanczos on T = R* R, self-adjoint in the G inner product, for
+    ||R(lam)||_G, with one start state and one workspace for every lambda.
 
-    The basis is reorthogonalized in full, in two passes, and stored by
-    rows with its G-images, so each G inner product is one row product.
-    The largest Ritz value theta_1, with residual r = beta_k |y_k| and
-    second Ritz value theta_2 (0 after one step), is accepted when r^2 <=
-    _RITZ_GAP * theta_1 (theta_1 - theta_2) (the Kato-Temple bound on its
-    error) and r <= _RITZ_RESIDUAL * theta_1.  Returns (sqrt(theta_1),
-    steps, worst backward error over all its solves).
+    The seeded start state, G-normalized, and its G-image are formed once;
+    every lambda starts from them.  The basis V is stored by rows with the
+    conjugates of its G-images, GVc, so the G inner products with a state
+    are one row product; both are sized to the step cap (plus the row that
+    takes each step's new vector) and reused by every lambda, which reads
+    only the rows it wrote itself.  G = blkdiag(K, M) is one CSR, whose
+    product gives K q and M v at once.
     """
-    op = _Resolvent(sys, lam)
-    n = sys.n_dofs
-    rng = np.random.default_rng(_START_SEED + seed)
 
-    def draw():  # drawn field by field, so each seed keeps its start vector
-        return rng.standard_normal((3, n // 3)).T.ravel()
+    def __init__(self, sys: AssembledSystem, seed: int = 0):
+        self.sys = sys
+        n = sys.n_dofs
+        # complex entries, so that no product casts the real ones again
+        self.G = block_diag((sys.K_csr, sys.M_csr), format="csr").astype(complex)
+        rng = np.random.default_rng(_START_SEED + seed)
 
-    def g(x):
-        return np.concatenate((sys.K_csr @ x[:n], sys.M_csr @ x[n:]))
+        def draw():  # drawn field by field, so each seed keeps its start vector
+            return rng.standard_normal((3, n // 3)).T.ravel()
 
-    x = np.concatenate((draw() + 1j * draw(), draw() + 1j * draw()))
-    gx = g(x)
-    scale = 1.0 / np.sqrt(np.vdot(x, gx).real)
-    V = np.empty((_LANCZOS_CAP, 2 * n), dtype=complex)
-    GV = np.empty_like(V)
-    V[0], GV[0] = x * scale, gx * scale
-    alpha, beta = np.empty(_LANCZOS_CAP), np.empty(_LANCZOS_CAP)
-    worst = 0.0
-    for k in range(_LANCZOS_CAP):
-        y, err_y = op.solve(StateVector(V[k, :n], V[k, n:]))
-        z, err_z = op.solve_adjoint(y)
-        worst = max(worst, err_y, err_z)
-        w = np.concatenate((z.q, z.v))
-        alpha[k] = 0.0
-        for _ in range(2):
-            h = GV[: k + 1].conj() @ w
-            w -= h @ V[: k + 1]
-            alpha[k] += h[k].real
-        gw = g(w)
-        beta[k] = np.sqrt(max(np.vdot(w, gw).real, 0.0))
-        theta, S = eigh_tridiagonal(alpha[: k + 1], beta[:k])
-        theta1 = theta[-1]
-        theta2 = theta[-2] if k else 0.0
-        r = beta[k] * abs(S[-1, -1])
-        if r * r <= _RITZ_GAP * theta1 * (theta1 - theta2) and r <= _RITZ_RESIDUAL * theta1:
-            return float(np.sqrt(theta1)), k + 1, worst
-        if k + 1 < _LANCZOS_CAP:
-            V[k + 1], GV[k + 1] = w / beta[k], gw / beta[k]
-    raise NoConvergence(_LANCZOS_CAP, what=f"resolvent norm at lambda={lam!r}")
+        x = np.concatenate((draw() + 1j * draw(), draw() + 1j * draw()))
+        gx = self.G @ x
+        scale = 1.0 / np.sqrt(np.vdot(x, gx).real)
+        self.V = np.empty((_LANCZOS_CAP + 1, 2 * n), dtype=complex)
+        self.GVc = np.empty_like(self.V)
+        self.V[0] = x * scale
+        np.conjugate(gx * scale, out=self.GVc[0])
+        self.y = np.empty(2 * n, dtype=complex)
+        self.alpha, self.beta = np.empty(_LANCZOS_CAP), np.empty(_LANCZOS_CAP)
+
+    def norm(self, lam: float):
+        """(||R(lam)||_G, Lanczos steps, worst backward error over its solves).
+
+        The basis is reorthogonalized in full, in two passes.  The largest
+        Ritz value theta_1 (dstevd on the tridiagonal), with residual r =
+        beta_k |y_k| and second Ritz value theta_2 (0 after one step), is
+        accepted when r^2 <= _RITZ_GAP * theta_1 (theta_1 - theta_2) (the
+        Kato-Temple bound on its error) and r <= _RITZ_RESIDUAL * theta_1;
+        the norm is sqrt(theta_1).  NoConvergence past _LANCZOS_CAP steps.
+        """
+        op = _Resolvent(self.sys, lam)
+        V, GVc, y, alpha, beta = self.V, self.GVc, self.y, self.alpha, self.beta
+        worst = 0.0
+        for k in range(_LANCZOS_CAP):
+            w = V[k + 1]
+            err_y = op.apply(V[k], y)
+            err_z = op.apply_adjoint(y, w)
+            worst = max(worst, err_y, err_z)
+            alpha[k] = 0.0
+            for _ in range(2):
+                h = GVc[: k + 1] @ w
+                w -= h @ V[: k + 1]
+                alpha[k] += h[k].real
+            gw = self.G @ w
+            beta[k] = np.sqrt(max(np.vdot(w, gw).real, 0.0))
+            # dstevd reads k off-diagonals; f2py wants at least one entry
+            theta, S, info = dstevd(alpha[: k + 1], beta[: max(k, 1)])
+            if info != 0:
+                raise NoConvergence(
+                    what=f"resolvent norm at lambda={lam!r}", reason=f"has no Ritz values: dstevd info={info}"
+                )
+            theta1 = theta[-1]
+            theta2 = theta[-2] if k else 0.0
+            r = beta[k] * abs(S[-1, -1])
+            if r * r <= _RITZ_GAP * theta1 * (theta1 - theta2) and r <= _RITZ_RESIDUAL * theta1:
+                return float(np.sqrt(theta1)), k + 1, worst
+            w /= beta[k]
+            np.conjugate(gw / beta[k], out=GVc[k + 1])
+        raise NoConvergence(_LANCZOS_CAP, what=f"resolvent norm at lambda={lam!r}")
 
 
 def resolvent_norm(sys: AssembledSystem, lam: float, seed: int = 0) -> float:
@@ -215,7 +281,7 @@ def resolvent_norm(sys: AssembledSystem, lam: float, seed: int = 0) -> float:
     below.  NoConvergence past 50 Lanczos steps; seed picks the start
     vector.
     """
-    norm, _, _ = _norm_details(sys, lam, seed=seed)
+    norm, _, _ = _Lanczos(sys, seed).norm(lam)
     return norm
 
 
@@ -242,7 +308,8 @@ def profile(
     if beyond.size:
         raise GridBeyondResolution(float(beyond[0]), cap)
 
-    details = [_norm_details(sys, lam, seed=seed) for lam in grid]
+    lanczos = _Lanczos(sys, seed)
+    details = [lanczos.norm(lam) for lam in grid]
     norms = np.array([d[0] for d in details])
     iters = np.array([d[1] for d in details], dtype=int)
     residuals = np.array([d[2] for d in details])

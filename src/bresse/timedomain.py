@@ -287,7 +287,10 @@ def decay_analysis(sys: AssembledSystem, cfg: SimConfig):
     constant C_obs = max E(t) t^gamma / ||U0||^2_D(A) over the family and
     the fit window, with gamma the predicted decay exponent of the regime.
     Raises BadInterval, before any trajectory, unless 0 < lo < hi <= t_final
-    for cfg.fit_window = (lo, hi).
+    for cfg.fit_window = (lo, hi).  The default datum is fitted before the
+    other two run, so a window that fit_decay refuses (WindowTooSmall,
+    NonpositiveEnergy) fails after one trajectory; a fitted window holds
+    samples of every trajectory, which share one time grid.
     """
     lo, hi = cfg.fit_window
     if not (0.0 < lo < hi <= cfg.t_final):
@@ -295,15 +298,16 @@ def decay_analysis(sys: AssembledSystem, cfg: SimConfig):
             f"fit_window={cfg.fit_window!r} must lie inside (0, t_final]"
         )
     gamma_theory = classify_speeds(sys.params).predicted_decay_exponent
-    series = []
+    first, *others = initial_data_family(sys.params.L)
+    series = [simulate(sys, project_initial_data(sys, first), cfg)]
+    fit = fit_decay(series[0], cfg.fit_window)
+    series += [simulate(sys, project_initial_data(sys, fields), cfg) for fields in others]
     c_obs = 0.0
-    for fields in initial_data_family(sys.params.L):
-        s = simulate(sys, project_initial_data(sys, fields), cfg)
-        series.append(s)
+    for s in series:
         mask = (s.times >= lo) & (s.times <= hi)
         scaled = s.energies[mask] * s.times[mask] ** gamma_theory / s.initial_domain_norm
         c_obs = max(c_obs, float(scaled.max()))
-    return series, fit_decay(series[0], cfg.fit_window), c_obs
+    return series, fit, c_obs
 
 
 def default_initial_data(L: float):

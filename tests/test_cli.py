@@ -354,6 +354,21 @@ class TestCommands:
         summary = json.loads((tmp_path / "out" / "simulate_summary.json").read_text())
         assert summary["t_final"] == 5.0
 
+    @pytest.mark.parametrize("command, table", [("spectrum", "spectrum.csv"), ("resolvent", "resolvent.csv")])
+    def test_pencil_commands_on_the_coarsest_mesh(self, tmp_path, command, table):
+        """mesh_n = 4 gives 9 dofs, fewer than the 11 rows of the pencil's
+        band; both banded-pencil commands still run to exit 0."""
+        path = write_config(tmp_path, mesh_n=4)
+        assert cli.main([command, "--config", str(path)]) == 0
+        _, rows = read_csv(tmp_path / "out" / table)
+        assert rows
+
+    def test_decay_fit_window_without_samples(self, tmp_path, capsys):
+        """A fit window between two samples exits 26 (WindowTooSmall)."""
+        path = write_config(tmp_path, mesh_n=8, sim={"t_final": 20.0, "fit_window": [10.1, 10.2]})
+        assert cli.main(["decay-fit", "--config", str(path)]) == 26
+        assert "only 0 usable samples" in capsys.readouterr().err
+
     def test_decay_fit(self, tmp_path):
         path = write_config(tmp_path)
         assert cli.main(["decay-fit", "--config", str(path)]) == 0

@@ -425,6 +425,16 @@ class TestPencil:
         assert_allclose(pencil.residual(x, rhs), rhs - P @ x, rtol=0, atol=1e-12 * np.abs(rhs).max())
         assert abs(pencil.norm1 - np.linalg.norm(P, 1)) <= 1e-14 * np.linalg.norm(P, 1)
 
+    def test_residual_with_fewer_dofs_than_band_rows(self):
+        """4 elements give N = 9, fewer than the band's 2 kl + 1 = 11 rows."""
+        sys = make_system(4)
+        s = -0.5 + 3j
+        rng = np.random.default_rng(9)
+        x, rhs = (rng.standard_normal(9) + 1j * rng.standard_normal(9) for _ in range(2))
+        P = (s * s) * sys.M + s * sys.C + sys.K
+        residual = discretization._Pencil(sys, s).residual(x, rhs)
+        assert_allclose(residual, rhs - P @ x, rtol=0, atol=1e-12 * np.abs(rhs).max())
+
 
 # ---------------------------------------------------------------------------
 # generator and dissipativity

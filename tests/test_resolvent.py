@@ -253,6 +253,10 @@ class TestNormAtPeaks:
         assert lams.size >= 40
         assert self.mismatches(sys, lams) == []
 
+    def test_coarsest_mesh(self):
+        """n = 4: 9 dofs, fewer than the 11 rows of the pencil's band."""
+        assert self.mismatches(make_system(4), [1.0, 2.0, 3.0, 4.0]) == []
+
     def test_equal_speed_peak_at_n64(self):
         """A peak whose G-norm solve residual (about 7e-10) exceeds 1e-10."""
         assert self.mismatches(make_system(64), [34.98946235961022]) == []
@@ -345,6 +349,31 @@ class TestProfile:
             monkeypatch.setattr(AssembledSystem, name, property(dense))
         prof = profile(sys16, [3.0, 5.0, 12.0])
         assert np.all(prof.norms > 0.0)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_each_lambda_as_if_alone(self, seed):
+        """A profile draws one start state and fills one workspace for all
+        its lambdas, and each lambda gets the norm, step count and residual
+        of a run on it alone.  On this grid (resolvent-n128's) the counts
+        go up and down (5, 9, 4, ... at seed 0), so a short run follows
+        a longer one whose basis rows are still in the workspace."""
+        sys = make_system(128)
+        grid = np.logspace(np.log10(3.0), np.log10(38.3), 8)
+        prof = profile(sys, grid, seed=seed)
+        alone = [resolvent._Lanczos(sys, seed).norm(lam) for lam in grid]
+        assert prof.norms.tolist() == [norm for norm, _, _ in alone]
+        assert prof.iters.tolist() == [steps for _, steps, _ in alone]
+        assert prof.residuals.tolist() == [worst for _, _, worst in alone]
+        assert prof.norms.tolist() == [resolvent_norm(sys, lam, seed=seed) for lam in grid]
+        assert min(prof.iters) < max(prof.iters[: int(np.argmin(prof.iters))])
+
+    def test_stale_workspace_rows_are_never_read(self, sys16):
+        """Every workspace row past the start state may hold anything."""
+        fresh = resolvent._Lanczos(sys16, 0).norm(7.0)
+        lanczos = resolvent._Lanczos(sys16, 0)
+        for rows in (lanczos.V[1:], lanczos.GVc[1:], lanczos.alpha, lanczos.beta, lanczos.y):
+            rows[...] = np.nan
+        assert lanczos.norm(7.0) == fresh
 
     def test_deterministic(self, sys16):
         grid = [3.0, 6.0, 12.0]

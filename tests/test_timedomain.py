@@ -151,6 +151,23 @@ class TestSimConfig:
         with pytest.raises(BadInterval, match="fit_window"):
             decay_analysis(sys16, cfg)
 
+    def test_fit_window_without_samples(self, sys16, monkeypatch):
+        """A window inside the horizon that holds no sample fails the fit
+        with WindowTooSmall (exit 26) after the first trajectory alone."""
+        calls = []
+        original = timedomain.simulate
+
+        def counting(*args):
+            calls.append(None)
+            return original(*args)
+
+        monkeypatch.setattr(timedomain, "simulate", counting)
+        cfg = SimConfig(dt=0.0625, t_final=20.0, sample_stride=16, fit_window=(10.1, 10.2))
+        with pytest.raises(WindowTooSmall, match="only 0 usable samples") as exc:
+            decay_analysis(sys16, cfg)
+        assert exc.value.exit_code == 26
+        assert len(calls) == 1
+
     def test_dimension_mismatch(self, sys16):
         bad = StateVector(np.zeros(5), np.zeros(5))
         cfg = SimConfig(dt=0.01, t_final=1.0, fit_window=(0.1, 1.0))
