@@ -370,13 +370,12 @@ class _Pencil:
     def residual(self, x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """rhs - P(s) x, by one banded product (zgbmv) on band.
 
-        scipy's zgbmv refuses fewer than kl + ku + 1 rows, so below that
-        (N = 9 at 4 elements) the product runs on that many rows and the
+        scipy's zgbmv refuses fewer than kl + ku + 1 rows, so the product
+        runs on at least that many (more than N = 9 at 4 elements) and the
         rows past N, which read only band entries outside P(s), are dropped.
         """
-        n, m = x.size, 2 * self.kl + 1
-        if n >= m:
-            return zgbmv(n, n, self.kl, self.kl, -1.0, self.band, x, beta=1.0, y=rhs)
+        n = x.size
+        m = max(n, 2 * self.kl + 1)
         y = np.zeros(m, dtype=complex)
         y[:n] = rhs
         return zgbmv(m, n, self.kl, self.kl, -1.0, self.band, x, beta=1.0, y=y, overwrite_y=1)[:n]

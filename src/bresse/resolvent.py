@@ -31,7 +31,7 @@ import numpy as np
 from scipy.linalg.lapack import dstevd, zgbcon
 from scipy.sparse import block_diag
 
-from .discretization import AssembledSystem, StateVector, _Pencil
+from .discretization import AssembledSystem, StateVector, _check_dims, _Pencil
 from .errors import (
     EmptyGrid,
     GridBeyondResolution,
@@ -155,20 +155,23 @@ class _Resolvent:
     def solve(self, F: StateVector) -> tuple[StateVector, float]:
         """(U, backward error of its P solve), U = R(i lam) F (see apply)."""
         out = np.empty(2 * self.sys.n_dofs, dtype=complex)
-        backward = self.apply(_flat(F), out)
+        backward = self.apply(_flat(self.sys, F), out)
         return _state(out), backward
 
     def solve_adjoint(self, Y: StateVector) -> tuple[StateVector, float]:
         """(R(i lam)* Y, backward error of its P solve) (see apply_adjoint)."""
         out = np.empty(2 * self.sys.n_dofs, dtype=complex)
-        backward = self.apply_adjoint(_flat(Y), out)
+        backward = self.apply_adjoint(_flat(self.sys, Y), out)
         return _state(out), backward
 
 
-def _flat(U: StateVector) -> np.ndarray:
-    """A complex copy of U as one flat array (q, v)."""
-    x = np.empty(2 * U.q.size, dtype=complex)
-    x[: U.q.size], x[U.q.size :] = U.q, U.v
+def _flat(sys: AssembledSystem, U: StateVector) -> np.ndarray:
+    """A complex copy of U as one flat array (q, v); DimensionMismatch
+    unless both blocks have sys.n_dofs entries."""
+    _check_dims(sys, U)
+    n = sys.n_dofs
+    x = np.empty(2 * n, dtype=complex)
+    x[:n], x[n:] = U.q, U.v
     return x
 
 
@@ -192,7 +195,8 @@ def resolvent_solve(sys: AssembledSystem, lam: float, F: StateVector) -> StateVe
     undamped system): the 1-norm reciprocal condition number of P(lam) is
     at most dim * eps.  It raises too when the P solve leaves a residual
     above dim * eps * (||P||_1 ||q||_1 + ||rhs||_1), the rounding level of
-    the residual itself.
+    the residual itself.  DimensionMismatch when a block of F does not
+    have sys.n_dofs entries.
     """
     U, _ = _Resolvent(sys, lam).solve(F)
     return U

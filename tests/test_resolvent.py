@@ -14,6 +14,7 @@ from bresse.discretization import (
     g_norm_sq,
 )
 from bresse.errors import (
+    DimensionMismatch,
     EmptyGrid,
     GridBeyondResolution,
     OutOfDomain,
@@ -102,6 +103,22 @@ class TestResolventSolve:
         U = resolvent_solve(sys16, 4.0, both)
         assert_allclose(U.q, 2.0 * U1.q + U2.q, rtol=1e-10, atol=1e-12)
         assert_allclose(U.v, 2.0 * U1.v + U2.v, rtol=1e-10, atol=1e-12)
+
+    def test_mis_sized_state_raises(self, sys16):
+        """Blocks of (N + 1) / 2 entries fill 2N slots between them when N
+        is odd, as it is at sys16; they are refused all the same, as are
+        blocks of unequal size, for the forward and the adjoint solve."""
+        n = sys16.n_dofs
+        assert n % 2 == 1
+        rng = np.random.default_rng(48)
+        op = resolvent._Resolvent(sys16, 3.0)
+        for nq, nv in [((n + 1) // 2, (n + 1) // 2), (n, n - 1), (n + 1, n)]:
+            F = StateVector(rng.standard_normal(nq), rng.standard_normal(nv))
+            with pytest.raises(DimensionMismatch) as exc:
+                resolvent_solve(sys16, 3.0, F)
+            assert exc.value.exit_code == 24
+            with pytest.raises(DimensionMismatch):
+                op.solve_adjoint(F)
 
 
 class TestBandedPencil:
