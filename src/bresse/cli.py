@@ -76,45 +76,56 @@ __all__ = [
     "COMMANDS",
 ]
 
-COMMANDS = ("validate", "spectrum", "resolvent", "simulate", "decay-fit", "dichotomy")
+
+def _key(kind, lower=None, **default):
+    """A config key's dataclass field, its schema in the metadata.
+
+    kind is "int", "float", "str", "list" or "pair"; integers must be >=
+    lower, other numbers > it.  An absent or null key takes the field
+    default, and a field without one is required.  A field without
+    metadata (every ModelParams coefficient) is a float with no bound.
+    """
+    return field(metadata={"kind": kind, "lower": lower}, **default)
 
 
 @dataclass(frozen=True)
 class SpectrumSettings:
-    mu_grid: tuple = tuple(float(m) for m in range(1, 51))
-    per_shift: int = 5
+    mu_grid: tuple = _key("list", default=tuple(float(m) for m in range(1, 51)))
+    per_shift: int = _key("int", 1, default=5)
 
 
 @dataclass(frozen=True)
 class ResolventSettings:
-    lambda_min: float = 3.0
-    lambda_max: float | None = None  # None: use the mesh resolution cap
-    count: int = 25
-    window: tuple | None = None  # None: default fit window
-    c_resolve: float = 1.0
+    lambda_min: float = _key("float", 0.0, default=3.0)
+    lambda_max: float | None = _key("float", 0.0, default=None)  # None: the mesh cap
+    count: int = _key("int", 1, default=25)
+    window: tuple | None = _key("pair", default=None)  # None: default fit window
+    c_resolve: float = _key("float", 0.0, default=1.0)
 
 
 @dataclass(frozen=True)
 class SimSettings:
     """CLI time grid: sample_stride defaults to 16 here, to 1 in SimConfig."""
 
-    dt: float | None = None  # None: half the largest element width
-    t_final: float = 200.0
-    sample_stride: int = 16
-    fit_window: tuple = SimConfig.fit_window  # the library's default
+    dt: float | None = _key("float", 0.0, default=None)  # None: half the largest element width
+    t_final: float = _key("float", 0.0, default=200.0)
+    sample_stride: int = _key("int", 1, default=16)
+    fit_window: tuple = _key("pair", default=SimConfig.fit_window)  # the library's default
 
 
 @dataclass(frozen=True)
 class DichotomySettings:
-    unequal_factor: float = 2.0
+    unequal_factor: float = _key("float", 0.0, default=2.0)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """The checked config.  Top-level keys carry their schema; blocks have a default_factory."""
+
     params: ModelParams
-    mesh_n: int
-    seed: int = 0
-    output_dir: str = "out"
+    mesh_n: int = _key("int")
+    seed: int = _key("int", 0, default=0)
+    output_dir: str = _key("str", default="out")
     spectrum: SpectrumSettings = field(default_factory=SpectrumSettings)
     resolvent: ResolventSettings = field(default_factory=ResolventSettings)
     sim: SimSettings = field(default_factory=SimSettings)
@@ -133,40 +144,12 @@ class RunReport:
     timings: dict
 
 
-# The schema of every config key: (block, key, kind, lower bound).  Block
-# "config" is the top level; "params" is required whole.  Defaults live only
-# on the dataclass each block fills: an absent or null key takes the field
-# default, and a field without one is required.  Integers must be >= their
-# lower bound, other numbers > it.
-_SCHEMA = (
-    *(("params", f.name, "float", None) for f in fields(ModelParams)),
-    ("config", "mesh_n", "int", None),
-    ("config", "seed", "int", 0),
-    ("config", "output_dir", "str", None),
-    ("spectrum", "mu_grid", "list", None),
-    ("spectrum", "per_shift", "int", 1),
-    ("resolvent", "lambda_min", "float", 0.0),
-    ("resolvent", "lambda_max", "float", 0.0),
-    ("resolvent", "count", "int", 1),
-    ("resolvent", "window", "pair", None),
-    ("resolvent", "c_resolve", "float", 0.0),
-    ("sim", "dt", "float", 0.0),
-    ("sim", "t_final", "float", 0.0),
-    ("sim", "sample_stride", "int", 1),
-    ("sim", "fit_window", "pair", None),
-    ("dichotomy", "unequal_factor", "float", 0.0),
-)
-
+_TOP_KEYS = tuple(f for f in fields(ExperimentConfig) if f.metadata)
 _BLOCKS = {
-    "spectrum": SpectrumSettings,
-    "resolvent": ResolventSettings,
-    "sim": SimSettings,
-    "dichotomy": DichotomySettings,
+    f.name: f.default_factory
+    for f in fields(ExperimentConfig)
+    if f.default_factory is not MISSING
 }
-
-
-def _keys(block):
-    return {key for b, key, _, _ in _SCHEMA if b == block}
 
 
 def _schema_keys(obj, path, allowed):
@@ -214,21 +197,18 @@ def _setting(value, path, kind, lower):
     return float(value)
 
 
-def _fill(obj, block, cls):
-    """Checked keyword arguments for cls from one config block."""
+def _fill(obj, block, keys):
+    """Checked keyword arguments from one config block, for the fields in keys."""
     if block != "config":  # the top level also holds the blocks
-        _schema_keys(obj, block, _keys(block))
-    required = {
-        f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING
-    }
+        _schema_keys(obj, block, {f.name for f in keys})
     kwargs = {}
-    for b, key, kind, lower in _SCHEMA:
-        if b != block:
-            continue
-        if obj.get(key) is not None:
-            kwargs[key] = _setting(obj[key], f"{block}.{key}", kind, lower)
-        elif key in required:
-            raise SchemaError(f"{block}.{key}", "a required number")
+    for f in keys:
+        path = f"{block}.{f.name}"
+        if obj.get(f.name) is not None:
+            schema = f.metadata.get("kind", "float"), f.metadata.get("lower")
+            kwargs[f.name] = _setting(obj[f.name], path, *schema)
+        elif f.default is MISSING:
+            raise SchemaError(path, "a required number")
     return kwargs
 
 
@@ -247,13 +227,15 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
         raise ParseError(f"config is not valid JSON: {exc.msg}", exc.lineno, exc.colno) from exc
     except ValueError as exc:  # an integer literal too long to convert
         raise ParseError(f"config is not valid JSON: {exc}") from exc
-    _schema_keys(raw, "config", {"params", *_BLOCKS, *_keys("config")})
+    _schema_keys(raw, "config", {"params", *_BLOCKS, *(f.name for f in _TOP_KEYS)})
     raw = {**raw, **(overrides or {})}
     if "params" not in raw:
         raise SchemaError("config.params", "a required object")
-    params = validate_params(ModelParams(**_fill(raw["params"], "params", ModelParams)))
-    top = _fill(raw, "config", ExperimentConfig)
-    blocks = {name: cls(**_fill(raw.get(name, {}), name, cls)) for name, cls in _BLOCKS.items()}
+    params = validate_params(ModelParams(**_fill(raw["params"], "params", fields(ModelParams))))
+    top = _fill(raw, "config", _TOP_KEYS)
+    blocks = {
+        name: cls(**_fill(raw.get(name, {}), name, fields(cls))) for name, cls in _BLOCKS.items()
+    }
     canonical = json.dumps(raw, sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(canonical.encode()).hexdigest()[:16]
     return ExperimentConfig(params=params, **top, **blocks, digest=digest)
@@ -423,9 +405,6 @@ def _run_dichotomy(cfg, timings):
         "slope_unequal": unequal["slope"],
         "gamma_equal": equal["gamma_hat"],
         "gamma_unequal": unequal["gamma_hat"],
-        "ordering_ok": bool(
-            unequal["slope"] > equal["slope"] and equal["gamma_hat"] > unequal["gamma_hat"]
-        ),
     }
     return summary, tables
 
@@ -441,6 +420,7 @@ _RUNNERS = {
     "decay-fit": (_run_decay_fit, "decay_summary.json"),
     "dichotomy": (_run_dichotomy, "dichotomy_summary.json"),
 }
+COMMANDS = tuple(_RUNNERS)
 
 
 def run(command: str, cfg: ExperimentConfig) -> RunReport:

@@ -289,7 +289,8 @@ class AssembledSystem:
     on first use; every product goes through them.  M, C and K are the
     dense matrices expanded from the CSRs on each access, for dense
     algorithms and checks; all share the dof order of dof_map.  The energy
-    metric on states (q, v) is G = diag(K, M), which is never formed.  The
+    metric on states (q, v) is G = diag(K, M), applied block by block here;
+    resolvent._Lanczos forms it once, as one stacked complex CSR.  The
     read-only banded Cholesky factor of M, computed at assembly, applies
     M^{-1} through solve_m.
     """

@@ -54,6 +54,7 @@ class SpectrumReport:
 # Inverse iteration starts from a fixed random vector: a ones vector has no
 # component along the modes that are odd about L/2 in a mirror-symmetric system.
 _START_SEED = 271828
+_RESIDUAL_TOL = 1e-10  # a pick counts when its residual is <= this * ||K||_2
 
 
 def _inverse_residual(sys: AssembledSystem, s: complex, start: np.ndarray) -> float:
@@ -86,7 +87,6 @@ def quadratic_eigs(
     sys: AssembledSystem,
     shifts,
     per_shift: int = 5,
-    tol: float = 1e-10,
 ) -> SpectrumReport:
     """Eigenvalues of the quadratic pencil nearest each shift.
 
@@ -95,7 +95,7 @@ def quadratic_eigs(
     nearest eigenvalues (stable sort on distance), and each selected
     eigenvalue is certified once, by inverse iteration on the banded
     pencil from one fixed seeded start: it counts when its quadratic
-    residual is <= tol * ||K||_2.  Raises, before the eigensolve,
+    residual is <= _RESIDUAL_TOL * ||K||_2.  Raises, before the eigensolve,
     OutOfDomain for a NaN or infinite shift, SchemaError for a
     non-integral per_shift (an integral float is taken as an int) and
     NonPositiveParameter when per_shift < 1, and after it NoConvergence
@@ -117,7 +117,7 @@ def quadratic_eigs(
     n = sys.n_dofs
     top = eig_banded(sys.K_band, lower=True, eigvals_only=True, select="i", select_range=(n - 1,) * 2)
     k_norm = float(top[0])
-    tol_abs = tol * k_norm
+    tol_abs = _RESIDUAL_TOL * k_norm
     w = _companion_eig(sys)
 
     selections = [
@@ -164,7 +164,6 @@ def axis_scan(
     sys: AssembledSystem,
     mu_grid,
     per_shift: int = 5,
-    tol: float = 1e-10,
 ) -> SpectrumReport:
     """Scan shifts i*mu along the imaginary axis.
 
@@ -176,4 +175,4 @@ def axis_scan(
     if mu.size == 0:
         raise EmptyGrid("mu_grid is empty")
     shifts = [1j * m for m in np.sort(mu)]
-    return quadratic_eigs(sys, shifts, per_shift=per_shift, tol=tol)
+    return quadratic_eigs(sys, shifts, per_shift=per_shift)

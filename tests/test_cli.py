@@ -394,11 +394,9 @@ class TestCommands:
         assert header[0] == "regime"
         assert {r[0] for r in rows} == {"equal", "unequal"}
         summary = json.loads((out / "dichotomy_summary.json").read_text())
-        expected = bool(
-            summary["slope_unequal"] > summary["slope_equal"]
-            and summary["gamma_equal"] > summary["gamma_unequal"]
-        )
-        assert summary["ordering_ok"] == expected
+        assert "ordering_ok" not in summary  # the theorem orders no two finite-window slopes
+        numbers = ("slope_equal", "slope_unequal", "gamma_equal", "gamma_unequal")
+        assert all(np.isfinite(summary[key]) for key in numbers)
 
     def test_dichotomy_fits_the_resolvent_window(self, tmp_path):
         """With resolvent.window null both commands fit default_fit_window.
