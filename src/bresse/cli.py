@@ -15,18 +15,16 @@ and "mesh_n"; everything else is optional with documented defaults:
       "seed": 0,                  // Lanczos start vectors
       "output_dir": "out",
       "spectrum":  {"mu_grid": [1, 2, ..., 50], "per_shift": 5},
-      "resolvent": {"lambda_min": 3.0, "lambda_max": null,   // null -> cap
-                    "count": 25, "window": null,             // null -> default
-                    "c_resolve": 1.0},
+      "resolvent": {"lambda_min": 3.0, "lambda_max": null,   // null -> 1/h
+                    "count": 25, "window": null},            // null -> default
       "sim":       {"dt": null,                              // null -> h/2
                     "t_final": 200.0, "sample_stride": 16,
-                    "fit_window": [10.0, 100.0]},
-      "dichotomy": {"unequal_factor": 2.0}
+                    "fit_window": [10.0, 100.0]}
     }
 
-Unknown keys anywhere are rejected, and so are out-of-range settings:
-seed must be >= 0; per_shift, count and sample_stride >= 1; lambda_min,
-lambda_max, c_resolve, dt, t_final and unequal_factor > 0.  Exit
+h is the largest element width.  Unknown keys anywhere are rejected, and
+so are out-of-range settings: seed must be >= 0; per_shift, count and
+sample_stride >= 1; lambda_min, lambda_max, dt and t_final > 0.  Exit
 codes: 0 success; 10-19 config errors; 20-29 numerical errors; 30 I/O
 errors; each error class in bresse.errors has its own code.
 
@@ -39,12 +37,12 @@ tables, its JSON summary and run_report.json, in that order; the report's
 "outputs" lists all but itself.  validate writes validate_summary.json
 alone; spectrum spectrum.csv; resolvent resolvent.csv; simulate and
 decay-fit energy.csv; dichotomy resolvent_<regime>.csv and
-energy_<regime>.csv for the equal and then the unequal regime, and then
-dichotomy.csv.  Summaries are named <command>_summary.json, except
-decay-fit's decay_summary.json.  All CSV output is deterministic for a
-fixed (config, seed, version): floats are serialized with 17 significant
-digits and every sweep is merged in sorted order, so repeated runs
-produce byte-identical files.
+energy_<regime>.csv for the equal and then the unequal regime (k2 twice
+its equal-speed value), and then dichotomy.csv.  Summaries are named
+<command>_summary.json, except decay-fit's decay_summary.json.  All CSV
+output is deterministic for a fixed (config, seed, version): floats are
+serialized with 17 significant digits and every sweep is merged in
+sorted order, so repeated runs produce byte-identical files.
 """
 
 import argparse
@@ -64,7 +62,7 @@ from .discretization import assemble, build_mesh, project_initial_data
 from .errors import BresseError, OutputError, ParseError, SchemaError
 from .model import ModelParams, classify_speeds, validate_params
 from .resolvent import fit_growth_exponent, lambda_cap, profile
-from .spectral import axis_scan
+from .spectral import quadratic_eigs
 from .timedomain import SimConfig, decay_analysis, default_initial_data, simulate
 
 __all__ = [
@@ -100,7 +98,6 @@ class ResolventSettings:
     lambda_max: float | None = _key("float", 0.0, default=None)  # None: the mesh cap
     count: int = _key("int", 1, default=25)
     window: tuple | None = _key("pair", default=None)  # None: default fit window
-    c_resolve: float = _key("float", 0.0, default=1.0)
 
 
 @dataclass(frozen=True)
@@ -114,11 +111,6 @@ class SimSettings:
 
 
 @dataclass(frozen=True)
-class DichotomySettings:
-    unequal_factor: float = _key("float", 0.0, default=2.0)
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     """The checked config.  Top-level keys carry their schema; blocks have a default_factory."""
 
@@ -129,7 +121,6 @@ class ExperimentConfig:
     spectrum: SpectrumSettings = field(default_factory=SpectrumSettings)
     resolvent: ResolventSettings = field(default_factory=ResolventSettings)
     sim: SimSettings = field(default_factory=SimSettings)
-    dichotomy: DichotomySettings = field(default_factory=DichotomySettings)
     digest: str = ""
 
 
@@ -276,9 +267,9 @@ def _build(cfg: ExperimentConfig, p: ModelParams):
 def _profile(cfg: ExperimentConfig, sys_):
     """Resolvent norms on the config's log-spaced lambda grid."""
     rs = cfg.resolvent
-    hi = rs.lambda_max if rs.lambda_max is not None else lambda_cap(sys_, rs.c_resolve)
+    hi = rs.lambda_max if rs.lambda_max is not None else lambda_cap(sys_)
     grid = np.logspace(math.log10(rs.lambda_min), math.log10(hi), rs.count)
-    return profile(sys_, grid, seed=cfg.seed, c_resolve=rs.c_resolve)
+    return profile(sys_, grid, seed=cfg.seed)
 
 
 def _sim_config(cfg: ExperimentConfig, sys_) -> SimConfig:
@@ -307,7 +298,7 @@ def _run_validate(cfg, timings):
         "variant": speed.variant,
         "predicted_resolvent_exponent": speed.predicted_resolvent_exponent,
         "predicted_decay_exponent": speed.predicted_decay_exponent,
-        "lambda_max": lambda_cap(sys_, cfg.resolvent.c_resolve),
+        "lambda_max": lambda_cap(sys_),
         "damped_elements": int(sys_.mesh.beta_index - sys_.mesh.alpha_index),
     }
     return summary, {}
@@ -316,7 +307,8 @@ def _run_validate(cfg, timings):
 def _run_spectrum(cfg, timings):
     sys_ = _build(cfg, cfg.params)
     sc = cfg.spectrum
-    report = _timed(timings, "axis_scan", axis_scan, sys_, sc.mu_grid, sc.per_shift)
+    shifts = [1j * mu for mu in sorted(sc.mu_grid)]  # a scan of the imaginary axis
+    report = _timed(timings, "axis_scan", quadratic_eigs, sys_, shifts, sc.per_shift)
     pairs = zip(report.eigenvalues, report.residuals)
     rows = [(s.real, s.imag, r, report.mesh_size) for s, r in pairs]
     summary = {
@@ -371,11 +363,15 @@ def _run_decay_fit(cfg, timings):
     return summary, {"energy.csv": _energy_table(series[0])}
 
 
+# k2 of the unequal twin over its equal-speed value; any factor != 1 is unequal
+_UNEQUAL_FACTOR = 2.0
+
+
 def _run_dichotomy(cfg, timings):
     """The equal-speed projection of the config params, then its unequal twin."""
     k2_equal = cfg.params.rho2 * cfg.params.k1 / cfg.params.rho1
     tables, rows = {}, []
-    for tag, k2 in (("equal", k2_equal), ("unequal", k2_equal * cfg.dichotomy.unequal_factor)):
+    for tag, k2 in (("equal", k2_equal), ("unequal", k2_equal * _UNEQUAL_FACTOR)):
         params = validate_params(replace(cfg.params, k2=k2))
         sys_ = _build(cfg, params)
         speed = classify_speeds(params)

@@ -36,6 +36,7 @@ from .errors import (
     FactorizationFailed,
     IncompatibleBoundary,
     OutOfDomain,
+    SchemaError,
     TooCoarse,
 )
 from .model import ModelParams
@@ -125,8 +126,11 @@ def build_mesh(p: ModelParams, n_elements: int) -> Mesh:
     widths stay within a factor 2 of L/n_elements.  Raises TooCoarse when
     the damping interval cannot contain a complete element (including when
     n_elements < 4 or an interface point sits closer to a boundary than
-    half an element).
+    half an element), and SchemaError, before any work, when n_elements is
+    not an integer (an integral float is taken as one).
     """
+    if not float(n_elements).is_integer():  # NaN and Inf included
+        raise SchemaError("n_elements", "an integer")
     n = int(n_elements)
     if n < 4:
         raise TooCoarse(f"need at least 4 elements, got {n}")

@@ -142,12 +142,6 @@ class NoConvergence(NumericsError):
 
     exit_code = 23
 
-    def __init__(self, max_iters=None, what="iteration", reason=None):
-        self.max_iters = max_iters
-        if reason is None:
-            reason = f"did not converge within {max_iters} iterations"
-        super().__init__(f"{what} {reason}")
-
 
 class EmptyGrid(NumericsError):
     """A frequency or time grid contains no points."""

@@ -19,9 +19,9 @@ certifies on too.  The right-hand side's products with M and C go through
 the system's CSRs, like every other product.  Every solve's backward error
 is tested on the spot.
 
-Profiles are capped at lambda_max = c_resolve / h: P1 elements cannot
-represent modes beyond O(1/h), and fitting past the cap would measure the
-discretization rather than the system.
+Profiles are capped at lambda_max = 1 / h, h the largest element width:
+P1 elements cannot represent modes beyond O(1/h), and fitting past the cap
+would measure the discretization rather than the system.
 """
 
 import math
@@ -37,6 +37,7 @@ from .errors import (
     GridBeyondResolution,
     NoConvergence,
     OutOfDomain,
+    SchemaError,
     SingularAtLambda,
     WindowTooSmall,
 )
@@ -74,7 +75,6 @@ class ResolventProfile:
     norms: np.ndarray
     iters: np.ndarray
     residuals: np.ndarray
-    mesh_size: int
     lambda_max: float
 
 
@@ -212,15 +212,18 @@ class _Lanczos:
     are one row product; both are sized to the step cap (plus the row that
     takes each step's new vector) and reused by every lambda, which reads
     only the rows it wrote itself.  G = blkdiag(K, M) is one CSR, whose
-    product gives K q and M v at once.
+    product gives K q and M v at once.  SchemaError unless seed is an
+    integer >= 0 (an integral float is taken as one).
     """
 
     def __init__(self, sys: AssembledSystem, seed: int = 0):
+        if not float(seed).is_integer() or seed < 0:  # NaN and Inf included
+            raise SchemaError("seed", "an integer >= 0")
         self.sys = sys
         n = sys.n_dofs
         # complex entries, so that no product casts the real ones again
         self.G = block_diag((sys.K_csr, sys.M_csr), format="csr").astype(complex)
-        rng = np.random.default_rng(_START_SEED + seed)
+        rng = np.random.default_rng(_START_SEED + int(seed))
 
         def draw():  # drawn field by field, so each seed keeps its start vector
             return rng.standard_normal((3, n // 3)).T.ravel()
@@ -263,9 +266,7 @@ class _Lanczos:
             # dstevd reads k off-diagonals; f2py wants at least one entry
             theta, S, info = dstevd(alpha[: k + 1], beta[: max(k, 1)])
             if info != 0:
-                raise NoConvergence(
-                    what=f"resolvent norm at lambda={lam!r}", reason=f"has no Ritz values: dstevd info={info}"
-                )
+                raise NoConvergence(f"resolvent norm at lambda={lam!r} has no Ritz values: dstevd info={info}")
             theta1 = theta[-1]
             theta2 = theta[-2] if k else 0.0
             r = beta[k] * abs(S[-1, -1])
@@ -273,7 +274,9 @@ class _Lanczos:
                 return float(np.sqrt(theta1)), k + 1, worst
             w /= beta[k]
             np.conjugate(gw / beta[k], out=GVc[k + 1])
-        raise NoConvergence(_LANCZOS_CAP, what=f"resolvent norm at lambda={lam!r}")
+        raise NoConvergence(
+            f"resolvent norm at lambda={lam!r} did not converge within {_LANCZOS_CAP} iterations"
+        )
 
 
 def resolvent_norm(sys: AssembledSystem, lam: float, seed: int = 0) -> float:
@@ -282,24 +285,23 @@ def resolvent_norm(sys: AssembledSystem, lam: float, seed: int = 0) -> float:
     The largest Ritz value is accepted when its residual r meets r^2 <=
     1e-12 theta_1 (theta_1 - theta_2) and r <= 1e-6 theta_1, so the
     squared norm is within about 1e-12 relative of the true one, from
-    below.  NoConvergence past 50 Lanczos steps; seed picks the start
-    vector.
+    below.  NoConvergence past 50 Lanczos steps; seed, an integer >= 0
+    (SchemaError otherwise), picks the start vector.
     """
     norm, _, _ = _Lanczos(sys, seed).norm(lam)
     return norm
 
 
-def lambda_cap(sys: AssembledSystem, c_resolve: float = 1.0) -> float:
-    """Largest frequency the mesh resolves: c_resolve / max element width."""
-    return c_resolve / float(sys.mesh.widths.max())
+def lambda_cap(sys: AssembledSystem) -> float:
+    """Largest frequency the mesh resolves: 1 / max element width."""
+    return 1.0 / float(sys.mesh.widths.max())
 
 
-def profile(
-    sys: AssembledSystem, lambda_grid, seed: int = 0, c_resolve: float = 1.0
-) -> ResolventProfile:
+def profile(sys: AssembledSystem, lambda_grid, seed: int = 0) -> ResolventProfile:
     """Map resolvent_norm over a positive grid, sorted, capped at lambda_max.
 
-    Every lambda runs Lanczos from the same seeded start vector.
+    Every lambda runs Lanczos from the same seeded start vector; seed is
+    checked as in resolvent_norm.
     """
     grid = np.atleast_1d(np.asarray(lambda_grid, dtype=float))
     if grid.size == 0:
@@ -307,7 +309,7 @@ def profile(
     if not np.all(grid > 0):  # NaN included
         raise OutOfDomain("lambda grid must be strictly positive")
     grid = np.sort(grid)
-    cap = lambda_cap(sys, c_resolve)
+    cap = lambda_cap(sys)
     beyond = grid[grid > cap * (1.0 + 1e-12)]
     if beyond.size:
         raise GridBeyondResolution(float(beyond[0]), cap)
@@ -322,7 +324,6 @@ def profile(
         norms=norms,
         iters=iters,
         residuals=residuals,
-        mesh_size=sys.mesh.n_elements,
         lambda_max=cap,
     )
 

@@ -27,7 +27,7 @@ from scipy.linalg import eig_banded, eigvals
 from .discretization import AssembledSystem, _Pencil
 from .errors import EmptyGrid, NoConvergence, NonPositiveParameter, OutOfDomain, SchemaError
 
-__all__ = ["SpectrumReport", "quadratic_eigs", "axis_scan"]
+__all__ = ["SpectrumReport", "quadratic_eigs"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,7 +46,6 @@ class SpectrumReport:
     residuals: np.ndarray
     spectral_abscissa: float
     min_abs_real: float
-    closest_to_axis: complex
     mesh_size: int
     k_norm: float
 
@@ -133,8 +132,8 @@ def quadratic_eigs(
         if not any(residual[i] <= tol_abs for i in nearest):
             best = min((residual[i] for i in nearest), default=np.inf)
             raise NoConvergence(
-                what=f"eigensolve at shift {sigma!r}",
-                reason=f"certified no pair (best residual {best:.3e} exceeds the bound {tol_abs:.3e})",
+                f"eigensolve at shift {sigma!r} certified no pair"
+                f" (best residual {best:.3e} exceeds the bound {tol_abs:.3e})"
             )
 
     certified = {}
@@ -148,31 +147,12 @@ def quadratic_eigs(
     eigenvalues = w[order]
     residuals = np.array([certified[i] for i in order])
     re = eigenvalues.real
-    i_min = int(np.argmin(np.abs(re)))
     return SpectrumReport(
         eigenvalues=eigenvalues,
         residuals=residuals,
         spectral_abscissa=float(re.max()),
         min_abs_real=float(np.abs(re).min()),
-        closest_to_axis=complex(eigenvalues[i_min]),
         mesh_size=sys.mesh.n_elements,
         k_norm=k_norm,
     )
 
-
-def axis_scan(
-    sys: AssembledSystem,
-    mu_grid,
-    per_shift: int = 5,
-) -> SpectrumReport:
-    """Scan shifts i*mu along the imaginary axis.
-
-    Maps the discrete spectrum's approach to the axis: min_abs_real in the
-    report is the observed gap.  The grid is sorted internally so output is
-    independent of input ordering.
-    """
-    mu = np.atleast_1d(np.asarray(mu_grid, dtype=float))
-    if mu.size == 0:
-        raise EmptyGrid("mu_grid is empty")
-    shifts = [1j * m for m in np.sort(mu)]
-    return quadratic_eigs(sys, shifts, per_shift=per_shift)

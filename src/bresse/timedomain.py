@@ -33,7 +33,6 @@ from .discretization import (
     _band_solve,
     _check_dims,
     domain_norm,
-    energy,
     project_initial_data,
 )
 from .errors import (
@@ -155,7 +154,8 @@ def simulate(sys: AssembledSystem, U0: StateVector, cfg: SimConfig) -> EnergySer
     fitting and the CSV output consume.  A step costs one banded Cholesky
     solve and one CSR product with blkdiag(M, K, C) on the buffer
     [v_{n+1} | q_{n+1} | v_bar], which has the dtype of U0, so complex
-    data integrates too.  Raises SchemaError for a non-integral
+    data integrates too; the initial energy comes from that product on
+    [v_0 | q_0 | 0].  Raises SchemaError for a non-integral
     sample_stride, OutOfDomain for a NaN or Inf dt or t_final, for a step
     count too large to record and when U0 has a NaN or Inf entry or an
     energy that overflows, and FactorizationFailed when a later energy is
@@ -171,22 +171,23 @@ def simulate(sys: AssembledSystem, U0: StateVector, cfg: SimConfig) -> EnergySer
     eps = np.finfo(float).tiny
 
     dom0 = domain_norm(sys, U0)
-    comp = energy(sys, U0)
-    e0 = E = comp.total
-    if not math.isfinite(e0):  # a NaN or Inf entry of U0 always reaches e0
-        raise OutOfDomain("initial state has a non-finite entry or energy")
-    factor = _midpoint_factor(sys, dt)
     n = sys.n_dofs
     stacked = block_diag((sys.M_csr, sys.K_csr, sys.C_csr), format="csr")
     X = np.zeros(3 * n, dtype=np.result_type(U0.q, U0.v, float))
     v, q, v_bar = X[:n], X[n : 2 * n], X[2 * n :]
     v[:], q[:] = U0.v, U0.q
     Y = stacked @ X  # [M v | K q | C v_bar]
+    kinetic = 0.5 * np.vdot(v, Y[:n]).real
+    potential = 0.5 * np.vdot(q, Y[n : 2 * n]).real
+    e0 = E = kinetic + potential
+    if not math.isfinite(e0):  # a NaN or Inf entry of U0 always reaches e0
+        raise OutOfDomain("initial state has a non-finite entry or energy")
+    factor = _midpoint_factor(sys, dt)
 
     times = [0.0]
     energies = [E]
-    kinetics = [comp.kinetic]
-    potentials = [comp.potential]
+    kinetics = [kinetic]
+    potentials = [potential]
     sample_residuals = [0.0]
 
     window_max = 0.0

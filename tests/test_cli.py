@@ -73,7 +73,6 @@ class TestParseConfig:
         assert cfg.sim.t_final == 200.0
         assert cfg.sim.sample_stride == 16
         assert cfg.sim.fit_window == (10.0, 100.0)
-        assert cfg.dichotomy.unequal_factor == 2.0
         assert len(cfg.digest) == 16
 
     def test_digest_tracks_content(self):
@@ -103,6 +102,14 @@ class TestParseConfig:
             cli.parse_config(json.dumps(raw))
         assert exc.value.path == "resolvent.tol"
         assert exc.value.exit_code == 11
+        # the resolution cap is 1/h and the unequal twin has k2 doubled: no settings
+        for raw, path in [
+            (base_config(".", resolvent={"c_resolve": 1.0}), "resolvent.c_resolve"),
+            (base_config(".", dichotomy={"unequal_factor": 2.0}), "config.dichotomy"),
+        ]:
+            with pytest.raises(SchemaError) as exc:
+                cli.parse_config(json.dumps(raw))
+            assert exc.value.path == path and exc.value.exit_code == 11
 
     def test_type_errors(self):
         with pytest.raises(SchemaError):
@@ -219,8 +226,6 @@ class TestMainExitCodes:
             ("resolvent", "resolvent", "lambda_min", -3),
             ("spectrum", "spectrum", "per_shift", -1),
             ("spectrum", "spectrum", "per_shift", 0),
-            ("validate", "resolvent", "c_resolve", -1),
-            ("resolvent", "resolvent", "c_resolve", 0),
         ],
     )
     def test_out_of_range_setting(self, tmp_path, capsys, command, block, key, value):
@@ -487,7 +492,6 @@ BLOCKS = {
     "spectrum": cli.SpectrumSettings,
     "resolvent": cli.ResolventSettings,
     "sim": cli.SimSettings,
-    "dichotomy": cli.DichotomySettings,
 }
 SETTING_KEYS = [("config", "mesh_n"), ("config", "seed"), ("config", "output_dir")] + [
     (block, f.name) for block, cls in BLOCKS.items() if block != "config" for f in fields(cls)

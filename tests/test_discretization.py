@@ -26,6 +26,7 @@ from bresse.errors import (
     FactorizationFailed,
     IncompatibleBoundary,
     OutOfDomain,
+    SchemaError,
     TooCoarse,
 )
 
@@ -82,6 +83,19 @@ class TestBuildMesh:
     def test_adjacent_snap_squeezing_an_element(self):
         with pytest.raises(TooCoarse):
             build_mesh(make_params(alpha=0.3, beta=0.33), 8)
+
+    @pytest.mark.parametrize("n", [16.5, 4.0000001, np.float64(8.5), np.nan, np.inf, -np.inf])
+    def test_non_integral_element_count_is_refused(self, n):
+        """An element count that is no integer is the CLI's SchemaError
+        (exit 11), not a truncated mesh or a bare ValueError."""
+        with pytest.raises(SchemaError) as exc:
+            build_mesh(make_params(), n)
+        assert exc.value.exit_code == 11 and exc.value.path == "n_elements"
+
+    def test_integral_float_element_count(self):
+        mesh = build_mesh(make_params(), 16.0)
+        assert mesh.n_elements == 16 and type(mesh.n_elements) is int
+        assert np.array_equal(mesh.nodes, build_mesh(make_params(), 16).nodes)
 
 
 # ---------------------------------------------------------------------------

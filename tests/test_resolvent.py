@@ -18,6 +18,7 @@ from bresse.errors import (
     EmptyGrid,
     GridBeyondResolution,
     OutOfDomain,
+    SchemaError,
     SingularAtLambda,
     WindowTooSmall,
 )
@@ -299,7 +300,6 @@ class TestProfile:
         assert np.all(prof.norms > 0.0)
         assert np.all(prof.residuals <= 1e-10)
         assert np.all(prof.iters >= 1)
-        assert prof.mesh_size == 16
         assert prof.lambda_max == 16.0
 
     def test_grid_is_sorted_on_output(self, sys16):
@@ -327,10 +327,6 @@ class TestProfile:
         assert exc.value.lambda_max == 16.0
         msg = str(exc.value)
         assert "40.0" in msg and "16.0" in msg
-
-    def test_cap_scales_with_c_resolve(self, sys16):
-        prof = profile(sys16, [3.0, 20.0], c_resolve=2.0)
-        assert prof.lambda_max == 32.0
 
     def test_residual_is_backward_error_of_the_checked_solve(self):
         """At the n = 64 equal-speed peak the G-norm state residual is about
@@ -413,6 +409,21 @@ class TestProfile:
         prof = profile(make_system(32, k2=k2), np.geomspace(3.0, 30.0, 6))
         assert prof.iters.tolist() == iters
 
+    @pytest.mark.parametrize("seed", [-1, -400000, 1.5, np.nan, np.inf])
+    def test_seed_not_a_nonnegative_integer_is_refused(self, sys16, monkeypatch, seed):
+        """Such a seed is the CLI's SchemaError (exit 11), raised before the
+        Lanczos workspace is built."""
+        monkeypatch.setattr(resolvent, "block_diag", None)  # never reached
+        with pytest.raises(SchemaError) as exc:
+            profile(sys16, [3.0], seed=seed)
+        assert exc.value.exit_code == 11 and exc.value.path == "seed"
+        with pytest.raises(SchemaError):
+            resolvent_norm(sys16, 3.0, seed=seed)
+
+    def test_integral_float_seed(self, sys16):
+        """An integral float seed draws the integer's start vector."""
+        assert resolvent_norm(sys16, 7.0, seed=2.0) == resolvent_norm(sys16, 7.0, seed=2)
+
 
 # ---------------------------------------------------------------------------
 # growth-exponent fits
@@ -426,7 +437,6 @@ def synthetic_profile(exponent, count=12):
         norms=2.7 * lams**exponent,
         iters=np.ones(count, dtype=int),
         residuals=np.zeros(count),
-        mesh_size=64,
         lambda_max=30.0,
     )
 

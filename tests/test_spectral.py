@@ -16,7 +16,7 @@ from bresse.errors import (
     OutOfDomain,
     SchemaError,
 )
-from bresse.spectral import axis_scan, quadratic_eigs
+from bresse.spectral import quadratic_eigs
 
 from conftest import make_system, matrix_system
 
@@ -103,8 +103,6 @@ class TestQuadraticEigs:
         report = quadratic_eigs(sys, [1j, 4j, 8j])
         assert report.spectral_abscissa == report.eigenvalues.real.max()
         assert report.min_abs_real == np.abs(report.eigenvalues.real).min()
-        gap = abs(report.closest_to_axis.real)
-        assert gap == report.min_abs_real
         assert report.mesh_size == 24
 
     def test_empty_shift_list(self):
@@ -142,8 +140,6 @@ class TestQuadraticEigs:
         with pytest.raises(OutOfDomain, match="must be finite") as exc:
             quadratic_eigs(make_system(16), [2j, shift])
         assert exc.value.exit_code == 15
-        with pytest.raises(OutOfDomain):
-            axis_scan(make_system(16), [2.0, np.nan])
 
     @pytest.mark.parametrize("per_shift", [0, -1])
     def test_per_shift_below_one_is_refused_before_the_eigensolve(self, monkeypatch, per_shift):
@@ -151,8 +147,6 @@ class TestQuadraticEigs:
         with pytest.raises(NonPositiveParameter) as exc:
             quadratic_eigs(make_system(16), [2j], per_shift=per_shift)
         assert exc.value.name == "per_shift"
-        with pytest.raises(NonPositiveParameter):
-            axis_scan(make_system(16), [2.0], per_shift=per_shift)
 
     @pytest.mark.parametrize("per_shift", [2.5, 1.0000001, np.float64(3.5), np.nan, np.inf])
     def test_non_integral_per_shift_is_refused_before_the_eigensolve(self, monkeypatch, per_shift):
@@ -216,7 +210,7 @@ class TestSpectrumStructure:
         assert report.spectral_abscissa < 0.0
 
     def test_undamped_spectrum_on_the_axis(self):
-        report = axis_scan(make_system(16, d0=0.0), np.arange(1.0, 9.0))
+        report = quadratic_eigs(make_system(16, d0=0.0), 1j * np.arange(1.0, 9.0))
         assert report.eigenvalues.size >= 10
         for s in report.eigenvalues:
             assert abs(s.real) <= 1e-8 * (1.0 + abs(s))
@@ -227,19 +221,17 @@ class TestSpectrumStructure:
         assert np.min(np.abs(report.eigenvalues)) > 0.1
 
     def test_axis_scan_order_invariance(self):
+        """The report does not depend on the order of the shifts i*mu."""
         sys = make_system(16)
-        r1 = axis_scan(sys, [1.0, 3.0, 5.0])
-        r2 = axis_scan(sys, [5.0, 1.0, 3.0])
+        r1 = quadratic_eigs(sys, [1j, 3j, 5j])
+        r2 = quadratic_eigs(sys, [5j, 1j, 3j])
         assert np.array_equal(r1.eigenvalues, r2.eigenvalues)
-
-    def test_axis_scan_empty_grid(self):
-        with pytest.raises(EmptyGrid):
-            axis_scan(make_system(16), [])
+        assert np.array_equal(r1.residuals, r2.residuals)
 
     def test_small_damping_increment_moves_modes_slightly(self):
         """Slightly stronger damping keeps modes stable and decaying."""
-        base = axis_scan(make_system(32), [2.0, 4.0, 6.0])
-        bumped = axis_scan(make_system(32, d0=1.01), [2.0, 4.0, 6.0])
+        base = quadratic_eigs(make_system(32), [2j, 4j, 6j])
+        bumped = quadratic_eigs(make_system(32, d0=1.01), [2j, 4j, 6j])
         assert np.all(bumped.eigenvalues.real < 0.0)
         for s in base.eigenvalues:
             moved = np.min(np.abs(bumped.eigenvalues - s))
@@ -251,10 +243,10 @@ class TestSpectrumStructure:
         Polynomial (non-exponential) decay shows up at the discrete level
         as a spectral abscissa that creeps toward zero with refinement.
         """
-        mu = [2.0, 4.0, 6.0, 8.0, 10.0]
+        shifts = [2j, 4j, 6j, 8j, 10j]
         gaps = []
         for n in (32, 64, 128):
-            report = axis_scan(make_system(n), mu, per_shift=8)
+            report = quadratic_eigs(make_system(n), shifts, per_shift=8)
             assert report.spectral_abscissa < 0.0
             gaps.append(report.spectral_abscissa)
         assert gaps[0] < gaps[1] < gaps[2] < 0.0
