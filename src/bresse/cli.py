@@ -310,7 +310,7 @@ def _run_spectrum(cfg, timings):
     shifts = [1j * mu for mu in sorted(sc.mu_grid)]  # a scan of the imaginary axis
     report = _timed(timings, "axis_scan", quadratic_eigs, sys_, shifts, sc.per_shift)
     pairs = zip(report.eigenvalues, report.residuals)
-    rows = [(s.real, s.imag, r, report.mesh_size) for s, r in pairs]
+    rows = [(s.real, s.imag, r, sys_.mesh.n_elements) for s, r in pairs]
     summary = {
         "spectral_abscissa": report.spectral_abscissa,
         "min_abs_real": report.min_abs_real,

@@ -8,19 +8,20 @@ degree-of-freedom set; with interior dofs only, the stiffness matrix K and
 mass matrix M are positive definite and the energy metric G = diag(K, M)
 realizes the continuous energy norm.
 
-Every dof is numbered node-major, 3*node + field (see DofMap): states,
-bands and dense matrices share that one order.  M, C and K are stored once,
-as lower symmetric bands (bandwidth 5), built from the per-field
-tridiagonals of vectorized element sums.  The bands are the stored form
-and feed the banded Cholesky factors (dpbtrf) of M, once at assembly, and
-of the midpoint matrix.  _full_band mirrors a lower band into the one full
-layout that is LAPACK's general band storage and scipy's dia data, from
-which each CSR of M, C and K is converted on first use: every product goes
-through those, O(nnz) each.  The quadratic pencil P(s) = s^2 M + s C + K,
-which both the spectrum and the resolvent ask about, is formed, factored
-(banded LU, zgbtrf), solved and applied in one place, _Pencil.  The dense
-matrices are expanded from the CSRs on demand for the dense consumers (the
-companion eigensolve, the tests).
+Every dof is numbered node-major, 3*node + field for the fields (phi,
+psi, w) = (0, 1, 2).  A state U = (q, v) is one flat array: q = U[:N],
+then v = U[N:], N = n_dofs.  M, C and K are stored once, as lower
+symmetric bands (bandwidth 5), built from the per-field tridiagonals of
+vectorized element sums.  The bands are the stored form and feed the
+banded Cholesky factors (dpbtrf) of M, once at assembly, and of the
+midpoint matrix.  _full_band mirrors a lower band into the one full layout
+that is LAPACK's general band storage and scipy's dia data, from which
+_band_csr converts the CSRs of M, C, K and G on first use: every product
+goes through those, O(nnz) each.  The quadratic pencil P(s) = s^2 M + s C
++ K, which both the spectrum and the resolvent ask about, is formed,
+factored (banded LU, zgbtrf), solved and applied in one place, _Pencil.
+The dense matrices are expanded from the CSRs on demand for the dense
+consumers (the companion eigensolve, the tests).
 """
 
 from dataclasses import dataclass
@@ -42,11 +43,8 @@ from .errors import (
 from .model import ModelParams
 
 __all__ = [
-    "FIELDS",
     "Mesh",
-    "DofMap",
     "AssembledSystem",
-    "StateVector",
     "EnergyComponents",
     "build_mesh",
     "assemble",
@@ -57,8 +55,6 @@ __all__ = [
     "domain_norm",
     "project_initial_data",
 ]
-
-FIELDS = ("phi", "psi", "w")
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,44 +75,22 @@ class Mesh:
         return np.diff(self.nodes)
 
 
-class DofMap:
-    """Node-major layout of the interior dofs.
-
-    Interior node i (in mesh order) holds dofs 3*i + k for the fields
-    phi, psi, w (k = 0, 1, 2).
-    """
-
-    def __init__(self, n_nodes: int):
-        self.n_interior = n_nodes - 2
-
-    @property
-    def size(self) -> int:
-        return 3 * self.n_interior
-
-    def field_slice(self, field: str) -> slice:
-        return slice(FIELDS.index(field), None, 3)
-
-
-@dataclass(frozen=True, eq=False)
-class StateVector:
-    """Discrete state U = (q, v): displacement and velocity blocks.
-
-    Each block holds the interior nodal values of (phi, psi, w) in dof_map
-    order, node by node; entries may be real or complex.
-    """
-
-    q: np.ndarray
-    v: np.ndarray
-
-    def copy(self) -> "StateVector":
-        return StateVector(self.q.copy(), self.v.copy())
-
-
 @dataclass(frozen=True)
 class EnergyComponents:
     kinetic: float
     potential: float
     total: float
+
+
+def _integer(name: str, value, expected: str = "an integer") -> int:
+    """int(value) for an integer or an integral float; SchemaError(name,
+    expected) otherwise, NaN, Inf and integers beyond the float range too."""
+    try:
+        if float(value).is_integer():
+            return int(value)
+    except OverflowError:
+        pass
+    raise SchemaError(name, expected)
 
 
 def build_mesh(p: ModelParams, n_elements: int) -> Mesh:
@@ -127,11 +101,9 @@ def build_mesh(p: ModelParams, n_elements: int) -> Mesh:
     the damping interval cannot contain a complete element (including when
     n_elements < 4 or an interface point sits closer to a boundary than
     half an element), and SchemaError, before any work, when n_elements is
-    not an integer (an integral float is taken as one).
+    not an integer (see _integer).
     """
-    if not float(n_elements).is_integer():  # NaN and Inf included
-        raise SchemaError("n_elements", "an integer")
-    n = int(n_elements)
+    n = _integer("n_elements", n_elements)
     if n < 4:
         raise TooCoarse(f"need at least 4 elements, got {n}")
     h = p.L / n
@@ -244,9 +216,13 @@ def _full_band(lower: np.ndarray) -> np.ndarray:
     return full
 
 
-def _band_csr(band: np.ndarray) -> csr_array:
-    """Read-only CSR of the symmetric matrix with lower band `band`,
-    holding only the nonzeros, each row's in column order."""
+def _band_csr(*bands: np.ndarray) -> csr_array:
+    """Read-only CSR of the block diagonal of the symmetric matrices with
+    lower bands `bands`, holding only the nonzeros, each row's in column
+    order.  The bands are concatenated along their columns: the padding of
+    each band past its own matrix is zero, so it couples no two blocks,
+    and eliminate_zeros drops it."""
+    band = np.concatenate(bands, axis=1)
     kd, n = band.shape[0] - 1, band.shape[1]
     A = dia_array((_full_band(band), np.arange(kd, -kd - 1, -1)), shape=(n, n)).tocsr()
     A.eliminate_zeros()
@@ -290,19 +266,18 @@ class AssembledSystem:
     input to the LAPACK factors, and each is checked finite at assembly
     (OutOfDomain otherwise).  M_csr, C_csr and K_csr are read-only CSRs of
     the same matrices with the bands' zeros dropped (see _band_csr), derived
-    on first use; every product goes through them.  M, C and K are the
-    dense matrices expanded from the CSRs on each access, for dense
-    algorithms and checks; all share the dof order of dof_map.  The energy
-    metric on states (q, v) is G = diag(K, M), applied block by block here;
-    resolvent._Lanczos forms it once, as one stacked complex CSR.  The
-    read-only banded Cholesky factor of M, computed at assembly, applies
-    M^{-1} through solve_m.
+    on first use; every product goes through them.  G_csr is the read-only
+    CSR of the energy metric G = diag(K, M) on flat states (q, v), built
+    the same way from K_band and M_band.  M, C and K are the dense matrices
+    expanded from the CSRs on each access, for dense algorithms and
+    checks; all share the node-major dof order.  The read-only banded
+    Cholesky factor of M, computed at assembly, applies M^{-1} through
+    solve_m.
     """
 
     def __init__(self, params: ModelParams, mesh: Mesh):
         self.params = params
         self.mesh = mesh
-        self.dof_map = DofMap(mesh.nodes.size)
         with np.errstate(over="ignore", invalid="ignore"):  # checked just below
             self.M_band, self.C_band, self.K_band = _assemble_bands(params, mesh)
         for name, band in zip("MCK", (self.M_band, self.C_band, self.K_band)):
@@ -315,7 +290,7 @@ class AssembledSystem:
 
     @property
     def n_dofs(self) -> int:
-        return self.dof_map.size
+        return 3 * (self.mesh.nodes.size - 2)
 
     @cached_property
     def M_csr(self) -> csr_array:
@@ -328,6 +303,10 @@ class AssembledSystem:
     @cached_property
     def K_csr(self) -> csr_array:
         return _band_csr(self.K_band)
+
+    @cached_property
+    def G_csr(self) -> csr_array:
+        return _band_csr(self.K_band, self.M_band)
 
     @property
     def M(self) -> np.ndarray:
@@ -417,30 +396,32 @@ def assemble(p: ModelParams, mesh: Mesh) -> AssembledSystem:
     return AssembledSystem(p, mesh)
 
 
-def _check_dims(sys: AssembledSystem, U: StateVector):
-    n = sys.n_dofs
-    if U.q.shape != (n,) or U.v.shape != (n,):
+def _check_dims(sys: AssembledSystem, U: np.ndarray):
+    """DimensionMismatch unless U is a flat state of shape (2 n_dofs,)."""
+    if np.shape(U) != (2 * sys.n_dofs,):
         raise DimensionMismatch(
-            f"state blocks {U.q.shape}/{U.v.shape} do not match {n} dofs"
+            f"state of shape {np.shape(U)} does not match 2 x {sys.n_dofs} dofs"
         )
 
 
-def apply_generator(sys: AssembledSystem, U: StateVector) -> StateVector:
+def apply_generator(sys: AssembledSystem, U: np.ndarray) -> np.ndarray:
     """Discrete generator: (q, v) -> (v, -M^{-1}(K q + C v))."""
     _check_dims(sys, U)
-    accel = -sys.solve_m(sys.K_csr @ U.q + sys.C_csr @ U.v)
-    return StateVector(U.v.copy(), accel)
+    q, v = np.split(U, 2)
+    return np.concatenate((v, -sys.solve_m(sys.K_csr @ q + sys.C_csr @ v)))
 
 
-def energy(sys: AssembledSystem, U: StateVector) -> EnergyComponents:
-    """Kinetic/potential split of the energy.
+def energy(sys: AssembledSystem, U: np.ndarray) -> EnergyComponents:
+    """Kinetic/potential split of the energy, from one product with G.
 
     For complex states the real parts are taken; all quadratic forms here
     are real-valued on Hermitian arguments anyway.
     """
     _check_dims(sys, U)
-    kinetic = 0.5 * np.vdot(U.v, sys.M_csr @ U.v).real
-    potential = 0.5 * np.vdot(U.q, sys.K_csr @ U.q).real
+    n = sys.n_dofs
+    GU = sys.G_csr @ U
+    kinetic = 0.5 * np.vdot(U[n:], GU[n:]).real
+    potential = 0.5 * np.vdot(U[:n], GU[:n]).real
     return EnergyComponents(
         kinetic=kinetic,
         potential=potential,
@@ -448,34 +429,36 @@ def energy(sys: AssembledSystem, U: StateVector) -> EnergyComponents:
     )
 
 
-def inner_product_H(sys: AssembledSystem, U: StateVector, V: StateVector) -> complex:
-    """Energy inner product (U, V) = V* G U with G = diag(K, M)."""
+def inner_product_H(sys: AssembledSystem, U: np.ndarray, V: np.ndarray) -> complex:
+    """Energy inner product (U, V) = V* G U with G = diag(K, M), as two
+    block sums, the K block's first: one sum over all 2N entries rounds
+    differently."""
     _check_dims(sys, U)
     _check_dims(sys, V)
-    return complex(
-        np.vdot(V.q, sys.K_csr @ U.q) + np.vdot(V.v, sys.M_csr @ U.v)
-    )
+    n = sys.n_dofs
+    GU = sys.G_csr @ U
+    return complex(np.vdot(V[:n], GU[:n]) + np.vdot(V[n:], GU[n:]))
 
 
-def g_norm_sq(sys: AssembledSystem, U: StateVector) -> float:
+def g_norm_sq(sys: AssembledSystem, U: np.ndarray) -> float:
     """Squared energy norm ||U||_G^2 (twice the total energy)."""
     return inner_product_H(sys, U, U).real
 
 
-def domain_norm(sys: AssembledSystem, U: StateVector) -> float:
+def domain_norm(sys: AssembledSystem, U: np.ndarray) -> float:
     """Graph norm squared ||U||_G^2 + ||A_h U||_G^2."""
     AU = apply_generator(sys, U)
     return g_norm_sq(sys, U) + g_norm_sq(sys, AU)
 
 
-def project_initial_data(sys: AssembledSystem, fields) -> StateVector:
+def project_initial_data(sys: AssembledSystem, fields) -> np.ndarray:
     """Nodal interpolation of closed-form initial data on sys.mesh.
 
     fields = (phi0, psi0, w0, phi1, psi1, w1): the first three fill the
-    displacement block, the last three the velocity block.  Every function
-    must vanish at both ends (|f| <= 1e-12 at x=0 and x=L), matching the
-    clamped boundary conditions, and be finite at every interior node
-    (OutOfDomain otherwise).
+    displacements q, the last three the velocities v of the flat state
+    (q, v).  Every function must vanish at both ends (|f| <= 1e-12 at x=0
+    and x=L), matching the clamped boundary conditions, and be finite at
+    every interior node (OutOfDomain otherwise).
     """
     if len(fields) != 6:
         raise DimensionMismatch(f"expected 6 field functions, got {len(fields)}")
@@ -493,4 +476,4 @@ def project_initial_data(sys: AssembledSystem, fields) -> StateVector:
         raise OutOfDomain(
             f"initial field #{int(np.argmax(bad))} is not finite at every interior node"
         )
-    return StateVector(values[:, :3].ravel(), values[:, 3:].ravel())
+    return np.concatenate((values[:, :3].ravel(), values[:, 3:].ravel()))

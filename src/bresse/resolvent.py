@@ -29,9 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dstevd, zgbcon
-from scipy.sparse import block_diag
 
-from .discretization import AssembledSystem, StateVector, _check_dims, _Pencil
+from .discretization import AssembledSystem, _check_dims, _integer, _Pencil
 from .errors import (
     EmptyGrid,
     GridBeyondResolution,
@@ -92,9 +91,9 @@ class _Resolvent:
     """Factored resolvent at one real lambda, with forward/adjoint solves.
 
     pencil is P(lambda) = P(i lambda) with its banded LU (_Pencil).  A NaN
-    or infinite lambda is OutOfDomain.  apply and apply_adjoint work on
-    flat complex states x = (q, v) of length 2N and write into a given
-    buffer; solve and solve_adjoint wrap them for StateVectors.
+    or infinite lambda is OutOfDomain.  apply and apply_adjoint read a
+    flat state x = (q, v) of length 2N and write into a given complex
+    buffer of that length; neither checks the shape.
     """
 
     def __init__(self, sys: AssembledSystem, lam: float):
@@ -152,33 +151,6 @@ class _Resolvent:
         _flip(out)
         return backward
 
-    def solve(self, F: StateVector) -> tuple[StateVector, float]:
-        """(U, backward error of its P solve), U = R(i lam) F (see apply)."""
-        out = np.empty(2 * self.sys.n_dofs, dtype=complex)
-        backward = self.apply(_flat(self.sys, F), out)
-        return _state(out), backward
-
-    def solve_adjoint(self, Y: StateVector) -> tuple[StateVector, float]:
-        """(R(i lam)* Y, backward error of its P solve) (see apply_adjoint)."""
-        out = np.empty(2 * self.sys.n_dofs, dtype=complex)
-        backward = self.apply_adjoint(_flat(self.sys, Y), out)
-        return _state(out), backward
-
-
-def _flat(sys: AssembledSystem, U: StateVector) -> np.ndarray:
-    """A complex copy of U as one flat array (q, v); DimensionMismatch
-    unless both blocks have sys.n_dofs entries."""
-    _check_dims(sys, U)
-    n = sys.n_dofs
-    x = np.empty(2 * n, dtype=complex)
-    x[:n], x[n:] = U.q, U.v
-    return x
-
-
-def _state(x: np.ndarray) -> StateVector:
-    n = x.size // 2
-    return StateVector(x[:n], x[n:])
-
 
 def _flip(x: np.ndarray):
     """x <- J conj(x) in place, J = diag(I, -I) on a flat state."""
@@ -187,7 +159,7 @@ def _flip(x: np.ndarray):
     np.negative(v, out=v)
 
 
-def resolvent_solve(sys: AssembledSystem, lam: float, F: StateVector) -> StateVector:
+def resolvent_solve(sys: AssembledSystem, lam: float, F: np.ndarray) -> np.ndarray:
     """Solve (i*lam - A_h) U = F with a backward-stable P(lam) solve.
 
     Raises OutOfDomain for a NaN or infinite lam, and SingularAtLambda
@@ -195,10 +167,12 @@ def resolvent_solve(sys: AssembledSystem, lam: float, F: StateVector) -> StateVe
     undamped system): the 1-norm reciprocal condition number of P(lam) is
     at most dim * eps.  It raises too when the P solve leaves a residual
     above dim * eps * (||P||_1 ||q||_1 + ||rhs||_1), the rounding level of
-    the residual itself.  DimensionMismatch when a block of F does not
-    have sys.n_dofs entries.
+    the residual itself.  DimensionMismatch, before any work, unless F is
+    a flat state of shape (2 sys.n_dofs,).  Returns U complex.
     """
-    U, _ = _Resolvent(sys, lam).solve(F)
+    _check_dims(sys, F)
+    U = np.empty(2 * sys.n_dofs, dtype=complex)
+    _Resolvent(sys, lam).apply(F, U)
     return U
 
 
@@ -211,19 +185,20 @@ class _Lanczos:
     conjugates of its G-images, GVc, so the G inner products with a state
     are one row product; both are sized to the step cap (plus the row that
     takes each step's new vector) and reused by every lambda, which reads
-    only the rows it wrote itself.  G = blkdiag(K, M) is one CSR, whose
-    product gives K q and M v at once.  SchemaError unless seed is an
-    integer >= 0 (an integral float is taken as one).
+    only the rows it wrote itself.  G is the system's G_csr = diag(K, M)
+    with complex entries, so that no product casts the real ones again;
+    one product gives K q and M v at once.  SchemaError unless seed is an
+    integer >= 0 (see discretization._integer).
     """
 
     def __init__(self, sys: AssembledSystem, seed: int = 0):
-        if not float(seed).is_integer() or seed < 0:  # NaN and Inf included
+        seed = _integer("seed", seed, "an integer >= 0")
+        if seed < 0:
             raise SchemaError("seed", "an integer >= 0")
         self.sys = sys
         n = sys.n_dofs
-        # complex entries, so that no product casts the real ones again
-        self.G = block_diag((sys.K_csr, sys.M_csr), format="csr").astype(complex)
-        rng = np.random.default_rng(_START_SEED + int(seed))
+        self.G = sys.G_csr.astype(complex)
+        rng = np.random.default_rng(_START_SEED + seed)
 
         def draw():  # drawn field by field, so each seed keeps its start vector
             return rng.standard_normal((3, n // 3)).T.ravel()

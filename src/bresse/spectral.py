@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eig_banded, eigvals
 
-from .discretization import AssembledSystem, _Pencil
-from .errors import EmptyGrid, NoConvergence, NonPositiveParameter, OutOfDomain, SchemaError
+from .discretization import AssembledSystem, _integer, _Pencil
+from .errors import EmptyGrid, NoConvergence, NonPositiveParameter, OutOfDomain
 
 __all__ = ["SpectrumReport", "quadratic_eigs"]
 
@@ -46,7 +46,6 @@ class SpectrumReport:
     residuals: np.ndarray
     spectral_abscissa: float
     min_abs_real: float
-    mesh_size: int
     k_norm: float
 
 
@@ -108,9 +107,7 @@ def quadratic_eigs(
         raise EmptyGrid("no shifts supplied")
     if not all(map(cmath.isfinite, shifts)):
         raise OutOfDomain(f"every shift must be finite, got {shifts!r}")
-    if not float(per_shift).is_integer():  # NaN and Inf included
-        raise SchemaError("per_shift", "an integer")
-    if per_shift < 1:
+    if _integer("per_shift", per_shift) < 1:
         raise NonPositiveParameter("per_shift", per_shift)
     per_shift = int(per_shift)
     n = sys.n_dofs
@@ -152,7 +149,6 @@ def quadratic_eigs(
         residuals=residuals,
         spectral_abscissa=float(re.max()),
         min_abs_real=float(np.abs(re).min()),
-        mesh_size=sys.mesh.n_elements,
         k_norm=k_norm,
     )
 

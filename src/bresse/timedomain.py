@@ -12,26 +12,26 @@ step and every dt (the scheme is unconditionally stable here).  That
 identity is what turns the dissipation law into a unit test instead of an
 approximation.
 
-Only the midpoint factor is derived from the system's bands.  A step of
-simulate costs one banded Cholesky solve and one product with the CSR
-blkdiag(M, K, C), stacked once per trajectory from the system's CSRs, on
-[v_{n+1} | q_{n+1} | v_bar]: M v_{n+1} and K q_{n+1} give the energy and
-are carried to the next step's right-hand side, and C v_bar, with
-v_bar = (v_n + v_{n+1}) / 2, gives the balance term.
+A step of simulate costs one banded Cholesky solve and one product with
+the CSR diag(K, M, C), built once per trajectory from the system's bands,
+on [q_{n+1} | v_{n+1} | v_bar], whose first 2N entries are the flat state
+(q, v): K q_{n+1} and M v_{n+1} give the energy and are carried to the
+next step's right-hand side, and C v_bar, with v_bar = (v_n + v_{n+1}) /
+2, gives the balance term.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import block_diag
 
 from .discretization import (
     AssembledSystem,
-    StateVector,
     _band_cholesky,
+    _band_csr,
     _band_solve,
     _check_dims,
+    _integer,
     domain_norm,
     project_initial_data,
 )
@@ -41,7 +41,6 @@ from .errors import (
     NonPositiveParameter,
     NonpositiveEnergy,
     OutOfDomain,
-    SchemaError,
     WindowTooSmall,
 )
 from .model import classify_speeds
@@ -115,15 +114,16 @@ def _midpoint_factor(sys: AssembledSystem, dt: float):
     return _band_cholesky(W, f"the midpoint matrix at dt={dt!r}")
 
 
-def step_midpoint(sys: AssembledSystem, U: StateVector, dt: float) -> StateVector:
+def step_midpoint(sys: AssembledSystem, U: np.ndarray, dt: float) -> np.ndarray:
     """One implicit-midpoint step of U_t = A_h U.  It factors the midpoint
     matrix on every call; simulate factors it once per trajectory."""
     if not dt > 0:
         raise NonPositiveParameter("dt", dt)
     _check_dims(sys, U)
+    q, v = np.split(U, 2)
     factor = _midpoint_factor(sys, dt)
-    v_mid = _band_solve(factor, sys.M_csr @ U.v - (0.5 * dt) * (sys.K_csr @ U.q))
-    return StateVector(U.q + dt * v_mid, 2.0 * v_mid - U.v)
+    v_mid = _band_solve(factor, sys.M_csr @ v - (0.5 * dt) * (sys.K_csr @ q))
+    return np.concatenate((q + dt * v_mid, 2.0 * v_mid - v))
 
 
 def _validate_sim_config(cfg: SimConfig) -> int:
@@ -138,28 +138,26 @@ def _validate_sim_config(cfg: SimConfig) -> int:
         raise BadInterval(
             f"t_final={cfg.t_final!r} must be at least 10*dt={10.0 * cfg.dt!r}"
         )
-    stride = cfg.sample_stride
-    if not float(stride).is_integer():  # NaN and Inf included
-        raise SchemaError("sample_stride", "an integer")
+    stride = _integer("sample_stride", cfg.sample_stride)
     if stride < 1:
-        raise NonPositiveParameter("sample_stride", stride)
-    return int(stride)
+        raise NonPositiveParameter("sample_stride", cfg.sample_stride)
+    return stride
 
 
-def simulate(sys: AssembledSystem, U0: StateVector, cfg: SimConfig) -> EnergySeries:
+def simulate(sys: AssembledSystem, U0: np.ndarray, cfg: SimConfig) -> EnergySeries:
     """Integrate with the midpoint rule, recording the energy budget.
 
     Per-step dissipation residuals verify the exact balance; the sampled
     series (every sample_stride steps plus the final step) is what decay
     fitting and the CSV output consume.  A step costs one banded Cholesky
-    solve and one CSR product with blkdiag(M, K, C) on the buffer
-    [v_{n+1} | q_{n+1} | v_bar], which has the dtype of U0, so complex
+    solve and one CSR product with diag(K, M, C) on the buffer
+    [q_{n+1} | v_{n+1} | v_bar], which has the dtype of U0, so complex
     data integrates too; the initial energy comes from that product on
-    [v_0 | q_0 | 0].  Raises SchemaError for a non-integral
-    sample_stride, OutOfDomain for a NaN or Inf dt or t_final, for a step
-    count too large to record and when U0 has a NaN or Inf entry or an
-    energy that overflows, and FactorizationFailed when a later energy is
-    not finite.
+    [U0 | 0].  Raises SchemaError for a non-integral sample_stride,
+    DimensionMismatch unless U0 has shape (2 sys.n_dofs,), OutOfDomain
+    for a NaN or Inf dt or t_final, for a step count too large to record
+    and when U0 has a NaN or Inf entry or an energy that overflows, and
+    FactorizationFailed when a later energy is not finite.
     """
     stride = _validate_sim_config(cfg)
     dt = cfg.dt
@@ -172,13 +170,13 @@ def simulate(sys: AssembledSystem, U0: StateVector, cfg: SimConfig) -> EnergySer
 
     dom0 = domain_norm(sys, U0)
     n = sys.n_dofs
-    stacked = block_diag((sys.M_csr, sys.K_csr, sys.C_csr), format="csr")
-    X = np.zeros(3 * n, dtype=np.result_type(U0.q, U0.v, float))
-    v, q, v_bar = X[:n], X[n : 2 * n], X[2 * n :]
-    v[:], q[:] = U0.v, U0.q
-    Y = stacked @ X  # [M v | K q | C v_bar]
-    kinetic = 0.5 * np.vdot(v, Y[:n]).real
-    potential = 0.5 * np.vdot(q, Y[n : 2 * n]).real
+    stacked = _band_csr(sys.K_band, sys.M_band, sys.C_band)
+    X = np.zeros(3 * n, dtype=np.result_type(U0, float))
+    X[: 2 * n] = U0
+    q, v, v_bar = X[:n], X[n : 2 * n], X[2 * n :]
+    Y = stacked @ X  # [K q | M v | C v_bar]
+    kinetic = 0.5 * np.vdot(v, Y[n : 2 * n]).real
+    potential = 0.5 * np.vdot(q, Y[:n]).real
     e0 = E = kinetic + potential
     if not math.isfinite(e0):  # a NaN or Inf entry of U0 always reaches e0
         raise OutOfDomain("initial state has a non-finite entry or energy")
@@ -192,14 +190,14 @@ def simulate(sys: AssembledSystem, U0: StateVector, cfg: SimConfig) -> EnergySer
 
     window_max = 0.0
     for step in range(1, n_steps + 1):
-        v_mid = _band_solve(factor, Y[:n] - (0.5 * dt) * Y[n : 2 * n])
+        v_mid = _band_solve(factor, Y[n : 2 * n] - (0.5 * dt) * Y[:n])
         q += dt * v_mid
         v_next = 2.0 * v_mid - v
         v_bar[:] = 0.5 * (v + v_next)
         v[:] = v_next
         Y = stacked @ X
-        kinetic = 0.5 * np.vdot(v, Y[:n]).real
-        potential = 0.5 * np.vdot(q, Y[n : 2 * n]).real
+        kinetic = 0.5 * np.vdot(v, Y[n : 2 * n]).real
+        potential = 0.5 * np.vdot(q, Y[:n]).real
         E_next = kinetic + potential
         if not math.isfinite(E_next):
             raise FactorizationFailed(f"energy is not finite after step {step}")

@@ -126,11 +126,11 @@ def dense_lower_band(A, kd):
     return band
 
 
-def matrix_system(M, C, K, mesh):
+def matrix_system(M, C, K):
     """A bare system of dense symmetric M, C, K, for the spectral layer.
 
     It holds the dense matrices, their lower bands as wide as the widest
-    of them, solve_m by a dense solve, n_dofs and the given mesh.
+    of them, solve_m by a dense solve and n_dofs.
     """
     kd = max(int(np.abs(np.subtract(*np.nonzero(A))).max()) for A in (M, C, K))
     return types.SimpleNamespace(
@@ -140,14 +140,12 @@ def matrix_system(M, C, K, mesh):
         K_band=dense_lower_band(K, kd),
         n_dofs=M.shape[0],
         solve_m=lambda rhs: np.linalg.solve(M, rhs),
-        mesh=mesh,
     )
 
 
 def random_state(sys, rng, complex_valued=False):
-    """Random state vector sized for the given system."""
-    from bresse.discretization import StateVector
-
+    """Random flat state (q, v) of shape (2 n_dofs,) for the given system,
+    q drawn before v."""
     n = sys.n_dofs
     if complex_valued:
         q = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -155,7 +153,7 @@ def random_state(sys, rng, complex_valued=False):
     else:
         q = rng.standard_normal(n)
         v = rng.standard_normal(n)
-    return StateVector(q, v)
+    return np.concatenate((q, v))
 
 
 class MidpointModalOracle:
@@ -181,7 +179,7 @@ class MidpointModalOracle:
         self.cond = float(np.linalg.cond(self.V))
 
     def _coefficients(self, U0):
-        return np.linalg.solve(self.V, np.concatenate([U0.q, U0.v]))
+        return np.linalg.solve(self.V, U0)
 
     def _energies(self, Z):
         # 0.5 (q^H K q + v^H M v) for each column of stacked states Z
@@ -209,5 +207,5 @@ class MidpointModalOracle:
         parts = (weight * c[upper]) * self.V[:, upper]
         pair_energy = self._energies(parts.real)
         k = int(np.argmax(pair_energy))
-        total = self._energies(np.concatenate([U0.q, U0.v])[:, None])[0]
+        total = self._energies(U0[:, None])[0]
         return complex(self.s[upper][k]), float(pair_energy[k] / total)

@@ -9,7 +9,6 @@ them to make a failing check pass.
 import dataclasses
 import json
 import time
-import types
 
 import numpy as np
 import pytest
@@ -18,7 +17,6 @@ from scipy.linalg import block_diag, cho_factor, eig
 from bresse import cli
 from bresse.model import classify_speeds
 from bresse.discretization import (
-    StateVector,
     apply_generator,
     g_norm_sq,
     inner_product_H,
@@ -60,7 +58,8 @@ class TestAcceptance:
                 U = random_state(sys, rng, complex_valued=True)
                 AU = apply_generator(sys, U)
                 ip = inner_product_H(sys, AU, U)
-                diss = np.vdot(U.v, sys.C @ U.v).real
+                v = U[sys.n_dofs :]
+                diss = np.vdot(v, sys.C @ v).real
                 rel = abs(ip.real + diss) / max(1.0, abs(ip), diss)
                 worst = max(worst, rel)
                 assert ip.real <= 1e-12 * max(1.0, abs(ip))
@@ -96,7 +95,7 @@ class TestAcceptance:
             F = random_state(sys, rng, complex_valued=True)
             U = resolvent_solve(sys, 0.0, F)
             AU = apply_generator(sys, U)
-            r = StateVector(-AU.q - F.q, -AU.v - F.v)
+            r = -AU - F
             rel = np.sqrt(g_norm_sq(sys, r) / g_norm_sq(sys, F))
             worst = max(worst, rel)
         ok = worst <= 1e-10
@@ -332,7 +331,6 @@ class TestAcceptance:
             (h / 6.0) * mass,
             (d0 / h) * tri,
             (1.0 / h) * tri,
-            types.SimpleNamespace(n_elements=n),
         )
         mu = np.sort(np.linalg.eigvals(np.linalg.solve(wave.M, wave.K)).real)
         roots = []

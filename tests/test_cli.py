@@ -321,6 +321,7 @@ class TestCommands:
         assert header == ["re", "im", "residual", "mesh_n"]
         assert len(rows) >= 4
         assert all(float(r[0]) < 0.0 for r in rows)
+        assert {r[3] for r in rows} == {"16"}  # the config's mesh_n
         summary = json.loads((tmp_path / "out" / "spectrum_summary.json").read_text())
         assert summary["spectral_abscissa"] < 0.0
         assert summary["min_abs_real"] > 0.0

@@ -10,7 +10,6 @@ from scipy.linalg import block_diag, cholesky_banded, eig, eigh
 
 from bresse import discretization
 from bresse.discretization import (
-    StateVector,
     _field_matrices,
     apply_generator,
     assemble,
@@ -29,6 +28,9 @@ from bresse.errors import (
     SchemaError,
     TooCoarse,
 )
+from bresse.resolvent import resolvent_norm, resolvent_solve
+from bresse.spectral import quadratic_eigs
+from bresse.timedomain import SimConfig, simulate, step_midpoint
 
 from conftest import (
     full_band_dense,
@@ -200,8 +202,19 @@ class TestAssembledMatrices:
             assert got[kd + rows - cols, cols].tobytes() == A[rows, cols].tobytes()
             assert np.all(got[~inside] == 0)
 
+    @pytest.mark.parametrize("n, overrides", SYSTEMS)
+    def test_metric_csr_is_the_block_diagonal(self, n, overrides):
+        """G_csr is diag(K, M) bit for bit, stores no zero (the band
+        padding between the blocks included) and each row's columns in
+        increasing order."""
+        sys = make_system(n, **overrides)
+        G = block_diag(sys.K, sys.M)
+        assert np.array_equal(sys.G_csr.toarray(), G)
+        assert sys.G_csr.nnz == np.count_nonzero(G)
+        assert sys.G_csr.has_sorted_indices
+
     def test_csr_is_read_only(self, sys16):
-        for csr in (sys16.M_csr, sys16.C_csr, sys16.K_csr):
+        for csr in (sys16.M_csr, sys16.C_csr, sys16.K_csr, sys16.G_csr):
             for array in (csr.data, csr.indices, csr.indptr):
                 assert not array.flags.writeable
                 with pytest.raises(ValueError):
@@ -220,7 +233,7 @@ class TestAssembledMatrices:
     def test_csrs_are_derived_on_first_use(self):
         """assemble builds no CSR; the first access builds each once."""
         sys = make_system(16)
-        assert not {"M_csr", "C_csr", "K_csr"} & vars(sys).keys()
+        assert not {"M_csr", "C_csr", "K_csr", "G_csr"} & vars(sys).keys()
         first = sys.K_csr
         assert sys.K_csr is first
         assert "K_csr" in vars(sys) and "M_csr" not in vars(sys)
@@ -272,19 +285,17 @@ class TestAssembledMatrices:
         outside [alpha_index, beta_index] have exactly zero rows/columns.
         """
         mesh = sys32.mesh
-        dm = sys32.dof_map
         m = mesh.nodes.size - 2
         damped = set(range(mesh.alpha_index, mesh.beta_index + 1))
         active = []
-        for block, sl in (("phi", dm.field_slice("phi")), ("w", dm.field_slice("w"))):
+        for field in (0, 2):  # phi, w
             for pos in range(m):
                 if (pos + 1) in damped:
-                    active.append(sl.start + 3 * pos)
+                    active.append(field + 3 * pos)
         inactive = sorted(set(range(sys32.n_dofs)) - set(active))
         assert np.max(np.abs(sys32.C[inactive, :])) == 0.0
         assert np.max(np.abs(sys32.C[:, inactive])) == 0.0
-        psi = dm.field_slice("psi")
-        assert np.max(np.abs(sys32.C[psi, :])) == 0.0
+        assert np.max(np.abs(sys32.C[1::3, :])) == 0.0  # psi
 
     def test_damping_scales_linearly(self):
         c1 = make_system(16, d0=1.0).C
@@ -297,8 +308,7 @@ class TestAssembledMatrices:
     def test_small_curvature_decouples_longitudinal_motion(self):
         """As l -> 0 the coupling blocks scale away with l."""
         sys = make_system(16, l=1e-12)
-        dm = sys.dof_map
-        phi, psi, w = (dm.field_slice(f) for f in ("phi", "psi", "w"))
+        phi, psi, w = (slice(k, None, 3) for k in range(3))
         assert np.max(np.abs(sys.K[phi, w])) <= 1e-11
         assert np.max(np.abs(sys.K[psi, w])) <= 1e-11
         assert np.max(np.abs(sys.C[phi, :])) <= 1e-11
@@ -457,36 +467,32 @@ class TestPencil:
 
 class TestGenerator:
     def test_zero_state_maps_to_zero(self, sys16):
-        z = np.zeros(sys16.n_dofs)
-        AU = apply_generator(sys16, StateVector(z, z))
-        assert np.all(AU.q == 0.0) and np.all(AU.v == 0.0)
+        AU = apply_generator(sys16, np.zeros(2 * sys16.n_dofs))
+        assert AU.shape == (2 * sys16.n_dofs,) and np.all(AU == 0.0)
 
     def test_first_block_is_velocity(self, sys16):
         rng = np.random.default_rng(11)
         U = random_state(sys16, rng)
         AU = apply_generator(sys16, U)
-        assert np.array_equal(AU.q, U.v)
+        n = sys16.n_dofs
+        assert np.array_equal(AU[:n], U[n:])
 
     def test_velocity_equation(self, sys16):
         """M * accel + K q + C v = 0 up to roundoff."""
         rng = np.random.default_rng(12)
         U = random_state(sys16, rng)
         AU = apply_generator(sys16, U)
-        res = sys16.M @ AU.v + sys16.K @ U.q + sys16.C @ U.v
-        scale = np.linalg.norm(sys16.K @ U.q)
+        n = sys16.n_dofs
+        res = sys16.M @ AU[n:] + sys16.K @ U[:n] + sys16.C @ U[n:]
+        scale = np.linalg.norm(sys16.K @ U[:n])
         assert np.linalg.norm(res) <= 1e-12 * scale
 
     def test_rest_state_accelerates_against_stiffness(self, sys16):
         rng = np.random.default_rng(13)
         q = rng.standard_normal(sys16.n_dofs)
-        AU = apply_generator(sys16, StateVector(q, np.zeros_like(q)))
+        AU = apply_generator(sys16, np.concatenate((q, np.zeros_like(q))))
         expected = -sys16.solve_m(sys16.K @ q)
-        assert_allclose(AU.v, expected, rtol=1e-12)
-
-    def test_dimension_mismatch(self, sys16):
-        bad = StateVector(np.zeros(4), np.zeros(4))
-        with pytest.raises(DimensionMismatch):
-            apply_generator(sys16, bad)
+        assert_allclose(AU[sys16.n_dofs :], expected, rtol=1e-12)
 
     def test_dissipativity_identity(self):
         """Re(A U, U)_G = -v* C v for random complex states, three meshes."""
@@ -497,7 +503,8 @@ class TestGenerator:
                 U = random_state(sys, rng, complex_valued=True)
                 AU = apply_generator(sys, U)
                 ip = inner_product_H(sys, AU, U)
-                diss = np.vdot(U.v, sys.C @ U.v).real
+                v = U[sys.n_dofs :]
+                diss = np.vdot(v, sys.C @ v).real
                 rel = abs(ip.real + diss) / max(1.0, abs(ip), diss)
                 assert rel <= 1e-12
 
@@ -519,8 +526,9 @@ class TestEnergyMetric:
         rng = np.random.default_rng(31)
         U = random_state(sys16, rng)
         comps = energy(sys16, U)
-        kin = 0.5 * U.v @ sys16.M @ U.v
-        pot = 0.5 * U.q @ sys16.K @ U.q
+        q, v = np.split(U, 2)
+        kin = 0.5 * v @ sys16.M @ v
+        pot = 0.5 * q @ sys16.K @ q
         assert_allclose(comps.kinetic, kin, rtol=1e-13)
         assert_allclose(comps.potential, pot, rtol=1e-13)
         assert_allclose(comps.total, kin + pot, rtol=1e-13)
@@ -542,10 +550,7 @@ class TestEnergyMetric:
         rng = np.random.default_rng(34)
         U = random_state(sys16, rng, complex_valued=True)
         assert g_norm_sq(sys16, U) > 0.0
-        z = StateVector(
-            np.zeros(sys16.n_dofs, complex), np.zeros(sys16.n_dofs, complex)
-        )
-        assert g_norm_sq(sys16, z) == 0.0
+        assert g_norm_sq(sys16, np.zeros(2 * sys16.n_dofs, complex)) == 0.0
 
     def test_norm_equivalence_constants_stable_under_refinement(self):
         """Equivalence constants against the flat Sobolev metric drift <20%.
@@ -571,8 +576,7 @@ class TestEnergyMetric:
         rng = np.random.default_rng(35)
         U = random_state(sys16, rng)
         assert domain_norm(sys16, U) >= g_norm_sq(sys16, U)
-        z = StateVector(np.zeros(sys16.n_dofs), np.zeros(sys16.n_dofs))
-        assert domain_norm(sys16, z) == 0.0
+        assert domain_norm(sys16, np.zeros(2 * sys16.n_dofs)) == 0.0
 
     def test_domain_norm_on_eigenvectors(self):
         """On an eigenvector, graph norm = (1 + |s|^2) * energy norm."""
@@ -586,7 +590,7 @@ class TestEnergyMetric:
         order = np.argsort(np.abs(vals))
         for k in order[:6]:
             s = vals[k]
-            U = StateVector(vecs[:n, k], vecs[n:, k])
+            U = vecs[:, k]
             lhs = domain_norm(sys, U)
             rhs = (1.0 + abs(s) ** 2) * g_norm_sq(sys, U)
             assert abs(lhs - rhs) <= 1e-10 * rhs
@@ -610,29 +614,29 @@ class TestProjectInitialData:
         )
         U = project_initial_data(sys16, fields)
         xi = mesh.nodes[1:-1]
-        dm = sys16.dof_map
-        assert_allclose(U.q[dm.field_slice("phi")], np.sin(np.pi * xi), rtol=1e-14)
-        assert_allclose(U.q[dm.field_slice("w")], xi * (1.0 - xi), rtol=1e-14)
-        assert np.all(U.q[dm.field_slice("psi")] == 0.0)
-        assert_allclose(
-            U.v[dm.field_slice("psi")], np.sin(2.0 * np.pi * xi), rtol=1e-13
-        )
+        n = sys16.n_dofs
+        assert_allclose(U[0:n:3], np.sin(np.pi * xi), rtol=1e-14)
+        assert_allclose(U[2:n:3], xi * (1.0 - xi), rtol=1e-14)
+        assert np.all(U[1:n:3] == 0.0)
+        assert_allclose(U[n + 1 :: 3], np.sin(2.0 * np.pi * xi), rtol=1e-13)
 
     def test_dofs_are_node_major(self, sys16):
-        """Field k of interior node i is dof 3*i + k in both blocks."""
+        """Field k of interior node i is dof 3*i + k in both blocks: entry
+        3*i + k of the state, and entry N + 3*i + k."""
         fields = tuple((lambda x, c=c: c * x * (1.0 - x)) for c in range(1, 7))
         U = project_initial_data(sys16, fields)
+        n = sys16.n_dofs
         xi = sys16.mesh.nodes[1:-1]
+        assert U.shape == (2 * n,) and n == 3 * xi.size
         for i, x in enumerate(xi):
             for k in range(3):
-                assert U.q[3 * i + k] == fields[k](x)
-                assert U.v[3 * i + k] == fields[3 + k](x)
-        assert sys16.dof_map.field_slice("psi") == slice(1, None, 3)
+                assert U[3 * i + k] == fields[k](x)
+                assert U[n + 3 * i + k] == fields[3 + k](x)
 
     def test_zero_data(self, sys16):
         zero = lambda x: 0.0
         U = project_initial_data(sys16, (zero,) * 6)
-        assert np.all(U.q == 0.0) and np.all(U.v == 0.0)
+        assert U.shape == (2 * sys16.n_dofs,) and np.all(U == 0.0)
 
     def test_boundary_violation(self, sys16):
         fields = [lambda x: 0.0] * 6
@@ -674,3 +678,55 @@ class TestEnergyConvergence:
             errs.append(abs(energy(sys, U).total - exact))
         orders = [math.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
         assert min(orders) >= 1.9
+
+
+# ---------------------------------------------------------------------------
+# input checks shared by the layers
+# ---------------------------------------------------------------------------
+
+
+STATE_TAKERS = {
+    "apply_generator": apply_generator,
+    "energy": energy,
+    "inner_product_H-U": lambda sys, U: inner_product_H(sys, U, np.zeros(2 * sys.n_dofs)),
+    "inner_product_H-V": lambda sys, V: inner_product_H(sys, np.zeros(2 * sys.n_dofs), V),
+    "g_norm_sq": g_norm_sq,
+    "domain_norm": domain_norm,
+    "step_midpoint": lambda sys, U: step_midpoint(sys, U, 0.01),
+    "simulate": lambda sys, U: simulate(sys, U, SimConfig(dt=0.01, t_final=1.0)),
+    "resolvent_solve": lambda sys, U: resolvent_solve(sys, 3.0, U),
+}
+
+
+@pytest.mark.parametrize("shape", ["2N-1", "2N+1", "(2,N)"])
+@pytest.mark.parametrize("function", STATE_TAKERS)
+def test_mis_sized_state_is_refused(sys16, function, shape):
+    """Every public function that takes a state refuses any shape but
+    (2N,) with DimensionMismatch (exit 24): one entry short, one over, and
+    the right entries stacked as two rows."""
+    n = sys16.n_dofs
+    U = np.ones({"2N-1": (2 * n - 1,), "2N+1": (2 * n + 1,), "(2,N)": (2, n)}[shape])
+    with pytest.raises(DimensionMismatch) as exc:
+        STATE_TAKERS[function](sys16, U)
+    assert exc.value.exit_code == 24
+
+
+INTEGER_SETTINGS = {
+    "n_elements": lambda sys, x: build_mesh(make_params(), x),
+    "per_shift": lambda sys, x: quadratic_eigs(sys, [2j], per_shift=x),
+    "sample_stride": lambda sys, x: simulate(
+        sys, np.zeros(2 * sys.n_dofs), SimConfig(dt=0.01, t_final=1.0, sample_stride=x)
+    ),
+    "seed": lambda sys, x: resolvent_norm(sys, 3.0, seed=x),
+}
+
+
+@pytest.mark.parametrize("value", [10**400, -(10**400)])
+@pytest.mark.parametrize("key", INTEGER_SETTINGS)
+def test_integer_beyond_float_range_is_schema_error(sys16, key, value):
+    """An integer setting too large for a float is the CLI's SchemaError
+    (exit 11) at every caller of the one integer check, not a bare
+    OverflowError; each caller's own tests cover fractions, NaN and Inf."""
+    with pytest.raises(SchemaError) as exc:
+        INTEGER_SETTINGS[key](sys16, value)
+    assert exc.value.exit_code == 11 and exc.value.path == key

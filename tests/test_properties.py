@@ -71,7 +71,8 @@ def test_generator_is_dissipative(sys, seed):
     """Re(A U, U)_G = -v^H C v to 1e-12, measured as in criterion 1."""
     U = random_state(sys, np.random.default_rng(seed), complex_valued=True)
     ip = inner_product_H(sys, apply_generator(sys, U), U)
-    diss = np.vdot(U.v, sys.C @ U.v).real
+    v = U[sys.n_dofs :]
+    diss = np.vdot(v, sys.C @ v).real
     assert abs(ip.real + diss) / max(1.0, abs(ip), diss) <= 1e-12
 
 
@@ -81,7 +82,7 @@ def test_one_step_energy_balance(sys, dt, seed):
     """E1 - E0 = -dt v_mid^T C v_mid to 1e-10 of E0."""
     U0 = random_state(sys, np.random.default_rng(seed))
     U1 = step_midpoint(sys, U0, dt)
-    v_mid = 0.5 * (U0.v + U1.v)
+    v_mid = 0.5 * (U0 + U1)[sys.n_dofs :]
     e0 = energy(sys, U0).total
     balance = energy(sys, U1).total - e0 + dt * (v_mid @ sys.C @ v_mid)
     assert abs(balance) <= 1e-10 * e0
@@ -98,7 +99,9 @@ def test_resolvent_adjoint_is_consistent(sys, frac, seed):
     op = _Resolvent(sys, frac * lambda_cap(sys))
     rng = np.random.default_rng(seed)
     x, y = (random_state(sys, rng, complex_valued=True) for _ in range(2))
-    rx, _ = op.solve(x)
+    rx, ry = np.empty_like(x), np.empty_like(y)
+    op.apply(x, rx)
+    op.apply_adjoint(y.copy(), ry)  # it overwrites its input
     lhs = inner_product_H(sys, rx, y)
-    rhs = inner_product_H(sys, x, op.solve_adjoint(y)[0])
+    rhs = inner_product_H(sys, x, ry)
     assert abs(lhs - rhs) <= 1e-10 * np.sqrt(g_norm_sq(sys, rx) * g_norm_sq(sys, y))
