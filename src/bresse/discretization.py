@@ -16,12 +16,13 @@ vectorized element sums.  The bands are the stored form and feed the
 banded Cholesky factors (dpbtrf) of M, once at assembly, and of the
 midpoint matrix.  _full_band mirrors a lower band into the one full layout
 that is LAPACK's general band storage and scipy's dia data, from which
-_band_csr converts the CSRs of M, C, K and G on first use: every product
-goes through those, O(nnz) each.  The quadratic pencil P(s) = s^2 M + s C
-+ K, which both the spectrum and the resolvent ask about, is formed,
-factored (banded LU, zgbtrf), solved and applied in one place, _Pencil.
-The dense matrices are expanded from the CSRs on demand for the dense
-consumers (the companion eigensolve, the tests).
+_band_csr converts the one CSR of a system, diag(K, M, C), on first use:
+every product goes through it or its leading rows G = diag(K, M), O(nnz)
+each.  The quadratic pencil P(s) = s^2 M + s C + K, which both the
+spectrum and the resolvent ask about, is formed, factored (banded LU,
+zgbtrf), solved and applied in one place, _Pencil.  The dense matrices
+are expanded from the bands on demand for the dense consumers (the
+companion eigensolve, the tests).
 """
 
 from dataclasses import dataclass
@@ -100,14 +101,18 @@ def build_mesh(p: ModelParams, n_elements: int) -> Mesh:
     widths stay within a factor 2 of L/n_elements.  Raises TooCoarse when
     the damping interval cannot contain a complete element (including when
     n_elements < 4 or an interface point sits closer to a boundary than
-    half an element), and SchemaError, before any work, when n_elements is
-    not an integer (see _integer).
+    half an element), SchemaError, before any work, when n_elements is
+    not an integer (see _integer), and OutOfDomain when its nodes cannot
+    be allocated.
     """
     n = _integer("n_elements", n_elements)
     if n < 4:
         raise TooCoarse(f"need at least 4 elements, got {n}")
     h = p.L / n
-    nodes = np.linspace(0.0, p.L, n + 1)
+    try:
+        nodes = np.linspace(0.0, p.L, n + 1)
+    except (ValueError, MemoryError):
+        raise OutOfDomain(f"n_elements={n:.3e} asks for more nodes than can be allocated") from None
 
     def snap_index(value, lo, hi):
         if value == 0.0:
@@ -264,15 +269,15 @@ class AssembledSystem:
     M_band, C_band and K_band are read-only lower bands, shape (6, N), of
     M, C, K (see _node_major_band); they are the stored form and the only
     input to the LAPACK factors, and each is checked finite at assembly
-    (OutOfDomain otherwise).  M_csr, C_csr and K_csr are read-only CSRs of
-    the same matrices with the bands' zeros dropped (see _band_csr), derived
-    on first use; every product goes through them.  G_csr is the read-only
-    CSR of the energy metric G = diag(K, M) on flat states (q, v), built
-    the same way from K_band and M_band.  M, C and K are the dense matrices
-    expanded from the CSRs on each access, for dense algorithms and
-    checks; all share the node-major dof order.  The read-only banded
-    Cholesky factor of M, computed at assembly, applies M^{-1} through
-    solve_m.
+    (OutOfDomain otherwise).  KMC_csr is the one read-only CSR of diag(K,
+    M, C) with the bands' zeros dropped (see _band_csr), derived on first
+    use: it maps [a | b | c] to [K a | M b | C c], and every product goes
+    through it.  G_csr, its leading 2N rows, is the energy metric G =
+    diag(K, M) on flat states (q, v); it shares KMC_csr's arrays, so it
+    costs no copy.  M, C and K are the dense matrices expanded from the
+    bands on each access, for dense algorithms and checks; all share the
+    node-major dof order.  The read-only banded Cholesky factor of M,
+    computed at assembly, applies M^{-1} through solve_m.
     """
 
     def __init__(self, params: ModelParams, mesh: Mesh):
@@ -293,32 +298,26 @@ class AssembledSystem:
         return 3 * (self.mesh.nodes.size - 2)
 
     @cached_property
-    def M_csr(self) -> csr_array:
-        return _band_csr(self.M_band)
-
-    @cached_property
-    def C_csr(self) -> csr_array:
-        return _band_csr(self.C_band)
-
-    @cached_property
-    def K_csr(self) -> csr_array:
-        return _band_csr(self.K_band)
+    def KMC_csr(self) -> csr_array:
+        return _band_csr(self.K_band, self.M_band, self.C_band)
 
     @cached_property
     def G_csr(self) -> csr_array:
-        return _band_csr(self.K_band, self.M_band)
+        A, n = self.KMC_csr, 2 * self.n_dofs
+        end = A.indptr[n]
+        return csr_array((A.data[:end], A.indices[:end], A.indptr[: n + 1]), shape=(n, n))
 
     @property
     def M(self) -> np.ndarray:
-        return self.M_csr.toarray()
+        return _band_csr(self.M_band).toarray()
 
     @property
     def C(self) -> np.ndarray:
-        return self.C_csr.toarray()
+        return _band_csr(self.C_band).toarray()
 
     @property
     def K(self) -> np.ndarray:
-        return self.K_csr.toarray()
+        return _band_csr(self.K_band).toarray()
 
     def solve_m(self, rhs: np.ndarray) -> np.ndarray:
         """M^{-1} rhs for a vector or (N, k) matrix rhs, real or complex."""
@@ -405,10 +404,12 @@ def _check_dims(sys: AssembledSystem, U: np.ndarray):
 
 
 def apply_generator(sys: AssembledSystem, U: np.ndarray) -> np.ndarray:
-    """Discrete generator: (q, v) -> (v, -M^{-1}(K q + C v))."""
+    """Discrete generator: (q, v) -> (v, -M^{-1}(K q + C v)), with K q
+    and C v from one KMC_csr product on (q, v, v)."""
     _check_dims(sys, U)
-    q, v = np.split(U, 2)
-    return np.concatenate((v, -sys.solve_m(sys.K_csr @ q + sys.C_csr @ v)))
+    n = sys.n_dofs
+    Y = sys.KMC_csr @ np.concatenate((U, U[n:]))
+    return np.concatenate((U[n:], -sys.solve_m(Y[:n] + Y[2 * n :])))
 
 
 def energy(sys: AssembledSystem, U: np.ndarray) -> EnergyComponents:

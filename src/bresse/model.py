@@ -1,4 +1,4 @@
-"""Physical parameters, damping profile, and wave-speed classification.
+"""Physical parameters, their validation, and wave-speed classification.
 
 The beam carries three coupled fields (vertical displacement, shear angle,
 longitudinal displacement) on (0, L) with clamped ends.  Viscoelastic
@@ -8,7 +8,7 @@ on the subinterval (alpha, beta).
 
 from dataclasses import dataclass
 
-from .errors import BadInterval, NonPositiveParameter, OutOfDomain
+from .errors import BadInterval, NonPositiveParameter
 
 __all__ = [
     "ModelParams",
@@ -16,7 +16,6 @@ __all__ = [
     "EQUAL_SPEEDS",
     "UNEQUAL_SPEEDS",
     "validate_params",
-    "damping_at",
     "classify_speeds",
 ]
 
@@ -86,20 +85,6 @@ def validate_params(p: ModelParams) -> ModelParams:
             f"alpha={p.alpha!r}, beta={p.beta!r}, L={p.L!r}"
         )
     return p
-
-
-def damping_at(p: ModelParams, x: float) -> float:
-    """Pointwise damping coefficient d(x).
-
-    Returns d0 strictly inside (alpha, beta) and 0 elsewhere; the endpoints
-    alpha and beta themselves return 0 (measure-zero closure convention,
-    invisible to the element-wise constant quadrature used downstream).
-    """
-    if not 0.0 <= x <= p.L:
-        raise OutOfDomain(f"x={x!r} outside [0, {p.L!r}]")
-    if p.alpha < x < p.beta:
-        return p.d0
-    return 0.0
 
 
 def classify_speeds(p: ModelParams) -> SpeedClass:

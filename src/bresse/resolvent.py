@@ -15,9 +15,9 @@ conj(J y)): the adjoint is one more solve with the same LU of P(lambda).
 
 P(lambda) is the system's quadratic pencil at s = i lambda, banded and
 LU-factored once per lambda by discretization._Pencil, which the spectrum
-certifies on too.  The right-hand side's products with M and C go through
-the system's CSRs, like every other product.  Every solve's backward error
-is tested on the spot.
+certifies on too.  The right-hand side M (g + i lambda f) + C f comes
+from one product with the system's KMC_csr = diag(K, M, C), like every
+other product.  Every solve's backward error is tested on the spot.
 
 Profiles are capped at lambda_max = 1 / h, h the largest element width:
 P1 elements cannot represent modes beyond O(1/h), and fitting past the cap
@@ -117,7 +117,8 @@ class _Resolvent:
 
     def apply(self, x: np.ndarray, out: np.ndarray) -> float:
         """out <- R(i lam) x for a flat state x = (f, g); returns the
-        backward error of its P solve.
+        backward error of its P solve.  The right-hand side sums rows N:2N
+        and 2N: of one KMC_csr product on (f, g + i lam f, f).
 
         The backward error is ||rhs - P q||_1 / (||P||_1 ||q||_1 +
         ||rhs||_1), and the solve passes when it is at most dim * eps: the
@@ -128,7 +129,8 @@ class _Resolvent:
         n = self.sys.n_dofs
         f, g = x[:n], x[n:]
         rhs, q, res = self._work
-        np.add(self.sys.M_csr @ (g + self.il * f), self.sys.C_csr @ f, out=rhs)
+        Y = self.sys.KMC_csr @ np.concatenate((f, g + self.il * f, f))
+        np.add(Y[n : 2 * n], Y[2 * n :], out=rhs)
         q[:] = self.pencil.solve(rhs)
         res[:] = self.pencil.residual(q, rhs)
         rhs_norm, q_norm, err = np.abs(self._work, out=self._magnitudes).sum(axis=1)

@@ -13,11 +13,11 @@ identity is what turns the dissipation law into a unit test instead of an
 approximation.
 
 A step of simulate costs one banded Cholesky solve and one product with
-the CSR diag(K, M, C), built once per trajectory from the system's bands,
-on [q_{n+1} | v_{n+1} | v_bar], whose first 2N entries are the flat state
-(q, v): K q_{n+1} and M v_{n+1} give the energy and are carried to the
-next step's right-hand side, and C v_bar, with v_bar = (v_n + v_{n+1}) /
-2, gives the balance term.
+the system's KMC_csr = diag(K, M, C) on [q_{n+1} | v_{n+1} | v_bar],
+whose first 2N entries are the flat state (q, v): K q_{n+1} and M v_{n+1}
+give the energy and are carried to the next step's right-hand side, and
+C v_bar, with v_bar = (v_n + v_{n+1}) / 2, gives the balance term.  The
+loop records every step; the samples are taken from that record after it.
 """
 
 import math
@@ -28,7 +28,6 @@ import numpy as np
 from .discretization import (
     AssembledSystem,
     _band_cholesky,
-    _band_csr,
     _band_solve,
     _check_dims,
     _integer,
@@ -116,13 +115,15 @@ def _midpoint_factor(sys: AssembledSystem, dt: float):
 
 def step_midpoint(sys: AssembledSystem, U: np.ndarray, dt: float) -> np.ndarray:
     """One implicit-midpoint step of U_t = A_h U.  It factors the midpoint
-    matrix on every call; simulate factors it once per trajectory."""
+    matrix on every call; simulate factors it once per trajectory.  K q
+    and M v come from one G_csr product."""
     if not dt > 0:
         raise NonPositiveParameter("dt", dt)
     _check_dims(sys, U)
     q, v = np.split(U, 2)
     factor = _midpoint_factor(sys, dt)
-    v_mid = _band_solve(factor, sys.M_csr @ v - (0.5 * dt) * (sys.K_csr @ q))
+    Kq, Mv = np.split(sys.G_csr @ U, 2)
+    v_mid = _band_solve(factor, Mv - (0.5 * dt) * Kq)
     return np.concatenate((q + dt * v_mid, 2.0 * v_mid - v))
 
 
@@ -150,77 +151,65 @@ def simulate(sys: AssembledSystem, U0: np.ndarray, cfg: SimConfig) -> EnergySeri
     Per-step dissipation residuals verify the exact balance; the sampled
     series (every sample_stride steps plus the final step) is what decay
     fitting and the CSV output consume.  A step costs one banded Cholesky
-    solve and one CSR product with diag(K, M, C) on the buffer
-    [q_{n+1} | v_{n+1} | v_bar], which has the dtype of U0, so complex
-    data integrates too; the initial energy comes from that product on
-    [U0 | 0].  Raises SchemaError for a non-integral sample_stride,
-    DimensionMismatch unless U0 has shape (2 sys.n_dofs,), OutOfDomain
-    for a NaN or Inf dt or t_final, for a step count too large to record
-    and when U0 has a NaN or Inf entry or an energy that overflows, and
-    FactorizationFailed when a later energy is not finite.
+    solve and one sys.KMC_csr product on the buffer [q_{n+1} | v_{n+1} |
+    v_bar], which has the dtype of U0, so complex data integrates too; the
+    initial energy comes from that product on [U0 | 0].  The loop records
+    the kinetic and potential energy and the balance residual of every
+    step in one (3, n_steps + 1) array, and the samples are taken from it
+    once the loop ends.  Raises SchemaError for a non-integral
+    sample_stride, DimensionMismatch unless U0 has shape (2 sys.n_dofs,),
+    OutOfDomain for a NaN or Inf dt or t_final, for a step count too large
+    to record and when U0 has a NaN or Inf entry or an energy that
+    overflows, and FactorizationFailed when a later energy is not finite.
     """
     stride = _validate_sim_config(cfg)
     dt = cfg.dt
     n_steps = max(1, int(round(cfg.t_final / dt)))
     try:
-        step_residuals = np.empty(n_steps)
+        record = np.empty((3, n_steps + 1))
     except (ValueError, MemoryError):
         raise OutOfDomain(f"t_final/dt asks for {n_steps:.3e} steps, too many to record") from None
+    kinetics, potentials, residuals = record
     eps = np.finfo(float).tiny
 
     dom0 = domain_norm(sys, U0)
     n = sys.n_dofs
-    stacked = _band_csr(sys.K_band, sys.M_band, sys.C_band)
+    KMC = sys.KMC_csr
     X = np.zeros(3 * n, dtype=np.result_type(U0, float))
     X[: 2 * n] = U0
     q, v, v_bar = X[:n], X[n : 2 * n], X[2 * n :]
-    Y = stacked @ X  # [K q | M v | C v_bar]
-    kinetic = 0.5 * np.vdot(v, Y[n : 2 * n]).real
-    potential = 0.5 * np.vdot(q, Y[:n]).real
+    Y = KMC @ X  # [K q | M v | C v_bar]
+    kinetic = kinetics[0] = 0.5 * np.vdot(v, Y[n : 2 * n]).real
+    potential = potentials[0] = 0.5 * np.vdot(q, Y[:n]).real
     e0 = E = kinetic + potential
     if not math.isfinite(e0):  # a NaN or Inf entry of U0 always reaches e0
         raise OutOfDomain("initial state has a non-finite entry or energy")
     factor = _midpoint_factor(sys, dt)
 
-    times = [0.0]
-    energies = [E]
-    kinetics = [kinetic]
-    potentials = [potential]
-    sample_residuals = [0.0]
-
-    window_max = 0.0
     for step in range(1, n_steps + 1):
         v_mid = _band_solve(factor, Y[n : 2 * n] - (0.5 * dt) * Y[:n])
         q += dt * v_mid
         v_next = 2.0 * v_mid - v
         v_bar[:] = 0.5 * (v + v_next)
         v[:] = v_next
-        Y = stacked @ X
-        kinetic = 0.5 * np.vdot(v, Y[n : 2 * n]).real
-        potential = 0.5 * np.vdot(q, Y[:n]).real
+        Y = KMC @ X
+        kinetic = kinetics[step] = 0.5 * np.vdot(v, Y[n : 2 * n]).real
+        potential = potentials[step] = 0.5 * np.vdot(q, Y[:n]).real
         E_next = kinetic + potential
         if not math.isfinite(E_next):
             raise FactorizationFailed(f"energy is not finite after step {step}")
         dissipated = dt * float(np.vdot(v_bar, Y[2 * n :]).real)
-        r = abs(E_next - E + dissipated) / (e0 + eps)
-        step_residuals[step - 1] = r
-        window_max = max(window_max, r)
+        residuals[step] = abs(E_next - E + dissipated) / (e0 + eps)
         E = E_next
-        if step % stride == 0 or step == n_steps:
-            times.append(step * dt)
-            energies.append(E)
-            kinetics.append(kinetic)
-            potentials.append(potential)
-            sample_residuals.append(window_max)
-            window_max = 0.0
 
+    samples = np.append(np.arange(0, n_steps, stride), n_steps)
     return EnergySeries(
-        times=np.array(times),
-        energies=np.array(energies),
-        kinetics=np.array(kinetics),
-        potentials=np.array(potentials),
-        sample_residuals=np.array(sample_residuals),
-        dissipation_residuals=step_residuals,
+        times=samples * dt,
+        energies=kinetics[samples] + potentials[samples],
+        kinetics=kinetics[samples],
+        potentials=potentials[samples],
+        sample_residuals=np.append(0.0, np.maximum.reduceat(residuals[1:], samples[:-1])),
+        dissipation_residuals=residuals[1:],
         initial_domain_norm=dom0,
     )
 
@@ -285,12 +274,15 @@ def decay_analysis(sys: AssembledSystem, cfg: SimConfig):
     the DecayFit of the default datum on cfg.fit_window, and the scaling
     constant C_obs = max E(t) t^gamma / ||U0||^2_D(A) over the family and
     the fit window, with gamma the predicted decay exponent of the regime.
-    Raises BadInterval, before any trajectory, unless 0 < lo < hi <= t_final
-    for cfg.fit_window = (lo, hi).  The default datum is fitted before the
-    other two run, so a window that fit_decay refuses (WindowTooSmall,
-    NonpositiveEnergy) fails after one trajectory; a fitted window holds
-    samples of every trajectory, which share one time grid.
+    Raises BadInterval, before any trajectory, unless cfg.fit_window is a
+    pair (lo, hi) with 0 < lo < hi <= t_final.  The default datum is
+    fitted before the other two run, so a window that fit_decay refuses
+    (WindowTooSmall, NonpositiveEnergy) fails after one trajectory; a
+    fitted window holds samples of every trajectory, which share one time
+    grid.
     """
+    if len(cfg.fit_window) != 2:
+        raise BadInterval(f"fit_window={cfg.fit_window!r} must be a pair (lo, hi)")
     lo, hi = cfg.fit_window
     if not (0.0 < lo < hi <= cfg.t_final):
         raise BadInterval(

@@ -214,6 +214,14 @@ class TestMainExitCodes:
         assert cli.main(["validate", "--config", str(path)]) == 15
         assert "K has a non-finite entry" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mesh_n", [10**15, 10**19])
+    def test_mesh_too_large_to_allocate(self, tmp_path, capsys, mesh_n):
+        """A mesh whose nodes no array can hold (7.1 PiB of them, or more
+        than numpy can index) is out of domain, not a numpy traceback."""
+        path = write_config(tmp_path, mesh_n=mesh_n)
+        assert cli.main(["validate", "--config", str(path)]) == 15
+        assert f"n_elements={mesh_n:.3e}" in capsys.readouterr().err
+
     def test_negative_seed_override(self, tmp_path):
         path = write_config(tmp_path)
         assert cli.main(["validate", "--config", str(path), "--seed", "-3"]) == 11

@@ -157,29 +157,35 @@ class TestAssembledMatrices:
         assert bandwidth(C) <= 5 and bandwidth(K) <= 5
 
     def test_band_products_of_complex_vectors(self, sys16):
-        """CSR products of a complex vector equal the dense products."""
+        """Each block of a KMC_csr product of a complex vector equals the
+        dense product of its matrix."""
+        n = sys16.n_dofs
         rng = np.random.default_rng(5)
-        z = rng.standard_normal(sys16.n_dofs) + 1j * rng.standard_normal(sys16.n_dofs)
-        for csr, dense in ((sys16.M_csr, sys16.M), (sys16.C_csr, sys16.C),
-                           (sys16.K_csr, sys16.K)):
-            ref = dense @ z
-            err = np.linalg.norm(csr @ z - ref) / np.linalg.norm(ref)
+        z = rng.standard_normal(3 * n) + 1j * rng.standard_normal(3 * n)
+        got = sys16.KMC_csr @ z
+        for k, dense in enumerate((sys16.K, sys16.M, sys16.C)):
+            block = slice(k * n, (k + 1) * n)
+            ref = dense @ z[block]
+            err = np.linalg.norm(got[block] - ref) / np.linalg.norm(ref)
             assert err <= 1e-14
 
     @pytest.mark.parametrize("n, overrides", SYSTEMS)
     def test_csr_equals_the_band(self, n, overrides):
-        """Each CSR is the symmetric matrix of its band bit for bit, and
-        stores no zero and each row's columns in increasing order."""
+        """KMC_csr is block_diag(K, M, C) of the symmetric matrices of the
+        bands bit for bit, and stores no zero (the band padding between
+        the blocks included) and each row's columns in increasing order."""
         sys = make_system(n, **overrides)
-        for csr, band in ((sys.M_csr, sys.M_band), (sys.C_csr, sys.C_band),
-                          (sys.K_csr, sys.K_band)):
+        blocks = []
+        for band in (sys.K_band, sys.M_band, sys.C_band):
             lower = lower_band_dense(band)
-            full = lower + np.tril(lower, -1).T
-            assert np.array_equal(csr.toarray(), full)
-            assert csr.nnz == np.count_nonzero(full)
-            assert csr.has_sorted_indices
-            for start, stop in zip(csr.indptr[:-1], csr.indptr[1:]):
-                assert np.all(np.diff(csr.indices[start:stop]) > 0)
+            blocks.append(lower + np.tril(lower, -1).T)
+        full = block_diag(*blocks)
+        csr = sys.KMC_csr
+        assert np.array_equal(csr.toarray(), full)
+        assert csr.nnz == np.count_nonzero(full)
+        assert csr.has_sorted_indices
+        for start, stop in zip(csr.indptr[:-1], csr.indptr[1:]):
+            assert np.all(np.diff(csr.indices[start:stop]) > 0)
 
     @pytest.mark.parametrize("n, overrides", SYSTEMS)
     def test_full_band_is_the_mirrored_band(self, n, overrides):
@@ -206,15 +212,18 @@ class TestAssembledMatrices:
     def test_metric_csr_is_the_block_diagonal(self, n, overrides):
         """G_csr is diag(K, M) bit for bit, stores no zero (the band
         padding between the blocks included) and each row's columns in
-        increasing order."""
+        increasing order; it is the leading 2N rows of KMC_csr and shares
+        its data, indices and indptr."""
         sys = make_system(n, **overrides)
         G = block_diag(sys.K, sys.M)
         assert np.array_equal(sys.G_csr.toarray(), G)
         assert sys.G_csr.nnz == np.count_nonzero(G)
         assert sys.G_csr.has_sorted_indices
+        for name in ("data", "indices", "indptr"):
+            assert np.shares_memory(getattr(sys.G_csr, name), getattr(sys.KMC_csr, name))
 
     def test_csr_is_read_only(self, sys16):
-        for csr in (sys16.M_csr, sys16.C_csr, sys16.K_csr, sys16.G_csr):
+        for csr in (sys16.KMC_csr, sys16.G_csr):
             for array in (csr.data, csr.indices, csr.indptr):
                 assert not array.flags.writeable
                 with pytest.raises(ValueError):
@@ -224,19 +233,20 @@ class TestAssembledMatrices:
         """A real CSR times a complex vector equals its products with the
         real and imaginary parts, bit for bit."""
         rng = np.random.default_rng(6)
-        z = rng.standard_normal(sys16.n_dofs) + 1j * rng.standard_normal(sys16.n_dofs)
-        for csr in (sys16.M_csr, sys16.C_csr, sys16.K_csr):
-            got = csr @ z
-            assert np.array_equal(got.real, csr @ z.real)
-            assert np.array_equal(got.imag, csr @ z.imag)
+        z = rng.standard_normal(3 * sys16.n_dofs) + 1j * rng.standard_normal(3 * sys16.n_dofs)
+        got = sys16.KMC_csr @ z
+        assert np.array_equal(got.real, sys16.KMC_csr @ z.real)
+        assert np.array_equal(got.imag, sys16.KMC_csr @ z.imag)
 
     def test_csrs_are_derived_on_first_use(self):
-        """assemble builds no CSR; the first access builds each once."""
+        """assemble builds neither operator; the first access builds each
+        once, and G_csr only on its own first access."""
         sys = make_system(16)
-        assert not {"M_csr", "C_csr", "K_csr", "G_csr"} & vars(sys).keys()
-        first = sys.K_csr
-        assert sys.K_csr is first
-        assert "K_csr" in vars(sys) and "M_csr" not in vars(sys)
+        assert not {"KMC_csr", "G_csr"} & vars(sys).keys()
+        first = sys.KMC_csr
+        assert sys.KMC_csr is first
+        assert "KMC_csr" in vars(sys) and "G_csr" not in vars(sys)
+        assert sys.G_csr is sys.G_csr
 
     def test_indefinite_mass_raises(self, monkeypatch):
         """assemble refuses a mass matrix without a Cholesky factor."""

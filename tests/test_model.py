@@ -1,17 +1,15 @@
-"""Parameter validation, damping coefficient, and wave-speed classification."""
+"""Parameter validation and wave-speed classification."""
 
 import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
-from bresse.errors import BadInterval, NonPositiveParameter, OutOfDomain
+from bresse.errors import BadInterval, NonPositiveParameter
 from bresse.model import (
     EQUAL_SPEEDS,
     UNEQUAL_SPEEDS,
     classify_speeds,
-    damping_at,
     validate_params,
 )
 
@@ -60,44 +58,6 @@ class TestValidateParams:
         """l = 0 would decouple the system; strict positivity excludes it."""
         with pytest.raises(NonPositiveParameter):
             validate_params(make_params(l=0.0))
-
-
-# ---------------------------------------------------------------------------
-# damping coefficient
-# ---------------------------------------------------------------------------
-
-
-class TestDampingAt:
-    def test_inside_and_outside(self):
-        p = make_params()
-        assert damping_at(p, 0.5) == 1.0
-        assert damping_at(p, 0.1) == 0.0
-        assert damping_at(p, 0.9) == 0.0
-
-    def test_open_interval_endpoints(self):
-        """The damped region is open, so alpha and beta themselves give 0."""
-        p = make_params()
-        assert damping_at(p, 0.25) == 0.0
-        assert damping_at(p, 0.75) == 0.0
-
-    def test_outside_beam_raises(self):
-        p = make_params()
-        with pytest.raises(OutOfDomain):
-            damping_at(p, -0.1)
-        with pytest.raises(OutOfDomain):
-            damping_at(p, 1.1)
-
-    def test_beam_endpoints_allowed(self):
-        p = make_params()
-        assert damping_at(p, 0.0) == 0.0
-        assert damping_at(p, 1.0) == 0.0
-
-    def test_integral_matches_interval_length(self):
-        """Integrating d(x) over the beam recovers d0 * (beta - alpha)."""
-        p = make_params(d0=2.5, alpha=0.3, beta=0.8)
-        val, _ = quad(lambda x: damping_at(p, x), 0.0, p.L, points=[p.alpha, p.beta])
-        expected = p.d0 * (p.beta - p.alpha)
-        assert abs(val - expected) <= 1e-12 * expected
 
 
 # ---------------------------------------------------------------------------

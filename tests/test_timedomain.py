@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from bresse import discretization
 from bresse.discretization import energy, project_initial_data
 from bresse.errors import (
     BadInterval,
@@ -59,6 +60,7 @@ def reference_series(sys, U0, cfg):
     dt, stride = cfg.dt, cfg.sample_stride
     n_steps = int(round(cfg.t_final / dt))
     eps = np.finfo(float).tiny
+    C = discretization._band_csr(sys.C_band)
     comp = energy(sys, U0)
     e0 = comp.total
     rows = [(0.0, comp.total, comp.kinetic, comp.potential, 0.0)]
@@ -68,7 +70,7 @@ def reference_series(sys, U0, cfg):
         U_next = step_midpoint(sys, U, dt)
         comp_next = energy(sys, U_next)
         v_mid = 0.5 * (U + U_next)[sys.n_dofs :]
-        dissipated = dt * float(np.vdot(v_mid, sys.C_csr @ v_mid).real)
+        dissipated = dt * float(np.vdot(v_mid, C @ v_mid).real)
         r = abs(comp_next.total - comp.total + dissipated) / (e0 + eps)
         residuals.append(r)
         window_max = max(window_max, r)
@@ -146,6 +148,16 @@ class TestSimConfig:
         with pytest.raises(BadInterval, match="fit_window"):
             decay_analysis(sys16, cfg)
 
+    @pytest.mark.parametrize("window", [(10.0,), (1.0, 2.0, 3.0)])
+    def test_fit_window_not_a_pair(self, sys16, monkeypatch, window):
+        """A window that is no pair is BadInterval (exit 13), before the
+        first trajectory, not a bare ValueError from unpacking it."""
+        cfg = SimConfig(dt=0.01, t_final=20.0, fit_window=window)
+        monkeypatch.setattr(timedomain, "simulate", None)  # never reached
+        with pytest.raises(BadInterval, match="must be a pair") as exc:
+            decay_analysis(sys16, cfg)
+        assert exc.value.exit_code == 13
+
     def test_fit_window_without_samples(self, sys16, monkeypatch):
         """A window inside the horizon that holds no sample fails the fit
         with WindowTooSmall (exit 26) after the first trajectory alone."""
@@ -217,10 +229,19 @@ class TestStepMidpoint:
 
 
 class TestSimulate:
-    def test_matches_step_by_step_reference(self, sys16):
-        """The fused loop reproduces step_midpoint + energy bit for bit."""
-        cfg = SimConfig(dt=0.05, t_final=2.0, sample_stride=3, fit_window=(0.5, 2.0))
-        assert round(cfg.t_final / cfg.dt) % cfg.sample_stride != 0
+    @pytest.mark.parametrize("t_final, stride", [
+        (2.0, 1), (2.0, 3), (2.0, 40), (2.0, 45), (0.05, 1), (0.05, 4),
+    ], ids=["stride1", "stride3", "stride_n", "stride_n_plus_5", "one_step",
+            "one_step_stride4"])
+    def test_matches_step_by_step_reference(self, sys16, monkeypatch, t_final, stride):
+        """The fused loop and its after-loop sampling reproduce
+        step_midpoint + energy bit for bit: every step, a stride that
+        leaves a short last window (40 steps by 3), one sample at the end
+        (stride 40 or 45), and a single step, which only a run past the
+        t_final >= 10 dt check can take."""
+        cfg = SimConfig(dt=0.05, t_final=t_final, sample_stride=stride, fit_window=(0.5, 2.0))
+        if t_final < 10 * cfg.dt:
+            monkeypatch.setattr(timedomain, "_validate_sim_config", lambda cfg: cfg.sample_stride)
         U0 = default_state(sys16)
         series = simulate(sys16, U0, cfg)
         got = (series.times, series.energies, series.kinetics, series.potentials,
@@ -270,6 +291,22 @@ class TestSimulate:
         cfg = SimConfig(dt=0.05, t_final=20.0, fit_window=(1.0, 20.0))
         decay_analysis(sys16, cfg)
         assert len(calls) == 3
+
+    def test_one_csr_per_system(self, monkeypatch):
+        """decay_analysis converts bands to a CSR once per system, for
+        KMC_csr; three trajectories and the initial norms reuse it."""
+        calls = []
+        original = discretization._band_csr
+
+        def counting(*bands):
+            calls.append(len(bands))
+            return original(*bands)
+
+        monkeypatch.setattr(discretization, "_band_csr", counting)
+        cfg = SimConfig(dt=0.05, t_final=20.0, fit_window=(1.0, 20.0))
+        for k2 in (1.0, 2.0):
+            decay_analysis(make_system(16, k2=k2), cfg)
+        assert calls == [3, 3]
 
     def test_balance_residuals_every_step(self, sys16):
         cfg = SimConfig(dt=1.0 / 32.0, t_final=5.0, sample_stride=4,
