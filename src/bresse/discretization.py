@@ -21,8 +21,7 @@ every product goes through it or its leading rows G = diag(K, M), O(nnz)
 each.  The quadratic pencil P(s) = s^2 M + s C + K, which both the
 spectrum and the resolvent ask about, is formed, factored (banded LU,
 zgbtrf), solved and applied in one place, _Pencil.  The dense matrices
-are expanded from the bands on demand for the dense consumers (the
-companion eigensolve, the tests).
+are expanded from the bands on demand, for dense checks and the tests.
 """
 
 from dataclasses import dataclass
@@ -237,6 +236,13 @@ def _band_csr(*bands: np.ndarray) -> csr_array:
     return A
 
 
+def _leading_block(A: csr_array, n: int) -> csr_array:
+    """The leading n x n block of a block-diagonal CSR A whose blocks do
+    not straddle row n: its first n rows, sharing A's arrays (no copy)."""
+    end = A.indptr[n]
+    return csr_array((A.data[:end], A.indices[:end], A.indptr[: n + 1]), shape=(n, n))
+
+
 def _band_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve with a lower band Cholesky factor for a vector or (N, k) matrix
     rhs, real or complex (part by part, so the real factor is never cast to
@@ -303,9 +309,7 @@ class AssembledSystem:
 
     @cached_property
     def G_csr(self) -> csr_array:
-        A, n = self.KMC_csr, 2 * self.n_dofs
-        end = A.indptr[n]
-        return csr_array((A.data[:end], A.indices[:end], A.indptr[: n + 1]), shape=(n, n))
+        return _leading_block(self.KMC_csr, 2 * self.n_dofs)
 
     @property
     def M(self) -> np.ndarray:

@@ -17,7 +17,8 @@ P(lambda) is the system's quadratic pencil at s = i lambda, banded and
 LU-factored once per lambda by discretization._Pencil, which the spectrum
 certifies on too.  The right-hand side M (g + i lambda f) + C f comes
 from one product with the system's KMC_csr = diag(K, M, C), like every
-other product.  Every solve's backward error is tested on the spot.
+other product; a profile casts that CSR to complex once, for all its
+lambdas.  Every solve's backward error is tested on the spot.
 
 Profiles are capped at lambda_max = 1 / h, h the largest element width:
 P1 elements cannot represent modes beyond O(1/h), and fitting past the cap
@@ -29,8 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dstevd, zgbcon
+from scipy.sparse import csr_array
 
-from .discretization import AssembledSystem, _check_dims, _integer, _Pencil
+from .discretization import AssembledSystem, _check_dims, _integer, _leading_block, _Pencil
 from .errors import (
     EmptyGrid,
     GridBeyondResolution,
@@ -90,14 +92,17 @@ class GrowthFit:
 class _Resolvent:
     """Factored resolvent at one real lambda, with forward/adjoint solves.
 
-    pencil is P(lambda) = P(i lambda) with its banded LU (_Pencil).  A NaN
-    or infinite lambda is OutOfDomain.  apply and apply_adjoint read a
+    pencil is P(lambda) = P(i lambda) with its banded LU (_Pencil).  KMC
+    is the system's diag(K, M, C) as a CSR, from the caller: real for one
+    solve, complex for a profile, so that no product casts it again.  A
+    NaN or infinite lambda is OutOfDomain.  apply and apply_adjoint read a
     flat state x = (q, v) of length 2N and write into a given complex
     buffer of that length; neither checks the shape.
     """
 
-    def __init__(self, sys: AssembledSystem, lam: float):
+    def __init__(self, sys: AssembledSystem, lam: float, KMC: csr_array):
         self.sys = sys
+        self.KMC = KMC
         self.lam = float(lam)
         if not math.isfinite(self.lam):
             raise OutOfDomain(f"lambda={self.lam!r} must be finite")
@@ -118,7 +123,7 @@ class _Resolvent:
     def apply(self, x: np.ndarray, out: np.ndarray) -> float:
         """out <- R(i lam) x for a flat state x = (f, g); returns the
         backward error of its P solve.  The right-hand side sums rows N:2N
-        and 2N: of one KMC_csr product on (f, g + i lam f, f).
+        and 2N: of one KMC product on (f, g + i lam f, f).
 
         The backward error is ||rhs - P q||_1 / (||P||_1 ||q||_1 +
         ||rhs||_1), and the solve passes when it is at most dim * eps: the
@@ -129,7 +134,7 @@ class _Resolvent:
         n = self.sys.n_dofs
         f, g = x[:n], x[n:]
         rhs, q, res = self._work
-        Y = self.sys.KMC_csr @ np.concatenate((f, g + self.il * f, f))
+        Y = self.KMC @ np.concatenate((f, g + self.il * f, f))
         np.add(Y[n : 2 * n], Y[2 * n :], out=rhs)
         q[:] = self.pencil.solve(rhs)
         res[:] = self.pencil.residual(q, rhs)
@@ -174,7 +179,7 @@ def resolvent_solve(sys: AssembledSystem, lam: float, F: np.ndarray) -> np.ndarr
     """
     _check_dims(sys, F)
     U = np.empty(2 * sys.n_dofs, dtype=complex)
-    _Resolvent(sys, lam).apply(F, U)
+    _Resolvent(sys, lam, sys.KMC_csr).apply(F, U)
     return U
 
 
@@ -187,9 +192,10 @@ class _Lanczos:
     conjugates of its G-images, GVc, so the G inner products with a state
     are one row product; both are sized to the step cap (plus the row that
     takes each step's new vector) and reused by every lambda, which reads
-    only the rows it wrote itself.  G is the system's G_csr = diag(K, M)
-    with complex entries, so that no product casts the real ones again;
-    one product gives K q and M v at once.  SchemaError unless seed is an
+    only the rows it wrote itself.  KMC is the system's KMC_csr with
+    complex entries, so that no product casts the real ones again, and G
+    = diag(K, M) its leading 2N rows, sharing its arrays as G_csr does;
+    one G product gives K q and M v at once.  SchemaError unless seed is an
     integer >= 0 (see discretization._integer).
     """
 
@@ -199,7 +205,8 @@ class _Lanczos:
             raise SchemaError("seed", "an integer >= 0")
         self.sys = sys
         n = sys.n_dofs
-        self.G = sys.G_csr.astype(complex)
+        self.KMC = sys.KMC_csr.astype(complex)
+        self.G = _leading_block(self.KMC, 2 * n)
         rng = np.random.default_rng(_START_SEED + seed)
 
         def draw():  # drawn field by field, so each seed keeps its start vector
@@ -225,7 +232,7 @@ class _Lanczos:
         Kato-Temple bound on its error) and r <= _RITZ_RESIDUAL * theta_1;
         the norm is sqrt(theta_1).  NoConvergence past _LANCZOS_CAP steps.
         """
-        op = _Resolvent(self.sys, lam)
+        op = _Resolvent(self.sys, lam, self.KMC)
         V, GVc, y, alpha, beta = self.V, self.GVc, self.y, self.alpha, self.beta
         worst = 0.0
         for k in range(_LANCZOS_CAP):

@@ -6,10 +6,14 @@ variables as the standard companion eigenproblem
     Z y = s y,    Z = [[0, I], [-M^{-1} K, -M^{-1} C]],    y = (x, s x),
 
 with M^{-1} applied by the system's solve_m, through the banded factor of
-M taken at assembly.  One dense eigensolve of Z, eigenvalues only, gives
-the whole discrete spectrum; each shift then selects, by index, the
+M taken at assembly.  When the mirror x -> L - x, (phi, psi, w) -> (phi,
+-psi, -w), maps M, C and K onto themselves bit for bit (constant
+coefficients, a damping interval symmetric about L/2 and mesh nodes
+that mirror exactly), Z splits into an even and an odd block of about N
+each; otherwise the one block is Z itself.  One dense eigensolve per block, eigenvalues only, gives the
+whole discrete spectrum; each shift then selects, by index, the
 eigenvalues nearest to it, so eigenvalues closer together than any
-tolerance stay distinct.
+tolerance stay distinct, within a block or across the two.
 
 Each selected eigenvalue s is certified on the quadratic pencil itself,
 never on the companion problem alone: two steps of inverse iteration with
@@ -23,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eig_banded, eigvals
+from scipy.sparse import csr_array
 
 from .discretization import AssembledSystem, _integer, _Pencil
 from .errors import EmptyGrid, NoConvergence, NonPositiveParameter, OutOfDomain
@@ -71,14 +76,65 @@ def _inverse_residual(sys: AssembledSystem, s: complex, start: np.ndarray) -> fl
     return float(np.linalg.norm(pencil.residual(x, np.zeros_like(x))))
 
 
-def _companion_eig(sys: AssembledSystem) -> np.ndarray:
-    """All eigenvalues of the pencil, from the dense companion matrix."""
+def _parity_blocks(sys: AssembledSystem) -> list:
+    """Invariant subspaces of the mirror x -> L - x, as (cols, partner, sign).
+
+    The mirror maps dof 3 j + f to 3 (m - 1 - j) + f, m = N / 3 nodes,
+    with sign +1 for phi and -1 for psi and w.  When it maps M, C and K
+    onto themselves bit for bit (P3 KMC_csr P3^T == KMC_csr, P3 that
+    signed permutation on each of the CSR's three slots), the pencil
+    splits into an even and an odd block: vectors x with x[partner] =
+    sign * x[cols], cols being the left-half dofs and the self-mirrored
+    dofs of that parity (their own partners, with sign 1).  Otherwise the
+    one block is the identity.
+    """
     n = sys.n_dofs
-    Z = np.zeros((2 * n, 2 * n))
-    Z[:n, n:] = np.eye(n)
-    Z[n:, :n] = -sys.solve_m(sys.K)
-    Z[n:, n:] = -sys.solve_m(sys.C)
-    return eigvals(Z)
+    dofs = np.arange(n)
+    identity = [(dofs, dofs, np.ones(n))]
+    if n % 3:
+        return identity
+    node, field = np.divmod(dofs, 3)
+    mirror = 3 * (n // 3 - 1 - node) + field
+    sign = np.where(field == 0, 1.0, -1.0)
+    slots = np.concatenate((mirror, n + mirror, 2 * n + mirror))
+    P3 = csr_array((np.tile(sign, 3), (np.arange(3 * n), slots)))
+    KMC = sys.KMC_csr
+    if (P3 @ KMC @ P3.T != KMC).nnz:
+        return identity
+    left, own = dofs[dofs < mirror], dofs[dofs == mirror]
+    blocks = []
+    for parity in (1.0, -1.0):
+        own_p = own[sign[own] == parity]
+        cols = np.concatenate((left, own_p))
+        partner = np.concatenate((mirror[left], own_p))
+        blocks.append((cols, partner, np.concatenate((parity * sign[left], np.ones(own_p.size)))))
+    return blocks
+
+
+def _companion_eig(sys: AssembledSystem) -> np.ndarray:
+    """All eigenvalues of the pencil, one dense companion eigensolve per
+    parity block (see _parity_blocks), concatenated block by block.
+
+    A block with basis B (N x k: B[cols] = I, B[partner] = sign) is
+    invariant under M^{-1} K and M^{-1} C, so X = M^{-1} [K B | C B],
+    read at the rows cols, gives its companion [[0, I], [-X_K, -X_C]].
+    [K B | C B] comes from one KMC_csr product and M^{-1} from one
+    solve_m; the identity block reproduces the full companion exactly.
+    """
+    n = sys.n_dofs
+    w = []
+    for cols, partner, sign in _parity_blocks(sys):
+        k = cols.size
+        E = np.zeros((3 * n, k))  # B in the slots of K and C, 0 in M's
+        E[partner, np.arange(k)] = sign
+        E[cols, np.arange(k)] = 1.0
+        E[2 * n :] = E[:n]
+        Y = sys.KMC_csr @ E
+        Z = np.zeros((2 * k, 2 * k))
+        Z[:k, k:] = np.eye(k)
+        Z[k:] = -sys.solve_m(np.hstack((Y[:n], Y[2 * n :])))[cols]
+        w.append(eigvals(Z))
+    return np.concatenate(w)
 
 
 def quadratic_eigs(
@@ -88,19 +144,19 @@ def quadratic_eigs(
 ) -> SpectrumReport:
     """Eigenvalues of the quadratic pencil nearest each shift.
 
-    The full spectrum comes from one dense companion eigensolve,
-    eigenvalues only.  Each shift selects the indices of its per_shift
-    nearest eigenvalues (stable sort on distance), and each selected
-    eigenvalue is certified once, by inverse iteration on the banded
-    pencil from one fixed seeded start: it counts when its quadratic
-    residual is <= _RESIDUAL_TOL * ||K||_2.  Raises, before the eigensolve,
-    OutOfDomain for a NaN or infinite shift, SchemaError for a
-    non-integral per_shift (an integral float is taken as an int) and
-    NonPositiveParameter when per_shift < 1, and after it NoConvergence
-    when a shift has no certified pair among its selection.  The conjugate
-    partner of a certified eigenvalue is added by index, since a real
-    companion matrix's eigenvalues come in exact conjugate pairs, and the
-    result is sorted by (Re, Im).
+    The full spectrum comes from one dense companion eigensolve per
+    parity block (_companion_eig), eigenvalues only.  Each shift selects
+    the indices of its per_shift nearest eigenvalues (stable sort on
+    distance), and each selected eigenvalue is certified once, by inverse
+    iteration on the banded pencil from one fixed seeded start: it counts
+    when its quadratic residual is <= _RESIDUAL_TOL * ||K||_2.  Raises,
+    before the eigensolve, OutOfDomain for a NaN or infinite shift,
+    SchemaError for a non-integral per_shift (an integral float is taken
+    as an int) and NonPositiveParameter when per_shift < 1, and after it
+    NoConvergence when a shift has no certified pair among its
+    selection.  The conjugate partner of a certified eigenvalue is added
+    by index, since a real companion block's eigenvalues come in exact,
+    adjacent conjugate pairs, and the result is sorted by (Re, Im).
     """
     shifts = [complex(s) for s in shifts]
     if not shifts:

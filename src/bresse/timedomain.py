@@ -164,7 +164,7 @@ def simulate(sys: AssembledSystem, U0: np.ndarray, cfg: SimConfig) -> EnergySeri
     """
     stride = _validate_sim_config(cfg)
     dt = cfg.dt
-    n_steps = max(1, int(round(cfg.t_final / dt)))
+    n_steps = int(round(cfg.t_final / dt))
     try:
         record = np.empty((3, n_steps + 1))
     except (ValueError, MemoryError):

@@ -11,7 +11,7 @@ import pytest
 from scipy.linalg import eig
 
 from bresse.model import ModelParams
-from bresse.discretization import _field_matrices, assemble, build_mesh
+from bresse.discretization import _band_csr, _field_matrices, assemble, build_mesh
 
 
 def make_params(**overrides):
@@ -130,14 +130,15 @@ def matrix_system(M, C, K):
     """A bare system of dense symmetric M, C, K, for the spectral layer.
 
     It holds the dense matrices, their lower bands as wide as the widest
-    of them, solve_m by a dense solve and n_dofs.
+    of them, the CSR of diag(K, M, C) from those bands, solve_m by a
+    dense solve and n_dofs.
     """
     kd = max(int(np.abs(np.subtract(*np.nonzero(A))).max()) for A in (M, C, K))
+    M_band, C_band, K_band = (dense_lower_band(A, kd) for A in (M, C, K))
     return types.SimpleNamespace(
         M=M, C=C, K=K,
-        M_band=dense_lower_band(M, kd),
-        C_band=dense_lower_band(C, kd),
-        K_band=dense_lower_band(K, kd),
+        M_band=M_band, C_band=C_band, K_band=K_band,
+        KMC_csr=_band_csr(K_band, M_band, C_band),
         n_dofs=M.shape[0],
         solve_m=lambda rhs: np.linalg.solve(M, rhs),
     )

@@ -96,7 +96,7 @@ def test_resolvent_adjoint_is_consistent(sys, frac, seed):
     R is the resolvent at lam = frac * lambda_max and R* its adjoint in the
     energy metric G, the pair on which resolvent_norm runs Lanczos.
     """
-    op = _Resolvent(sys, frac * lambda_cap(sys))
+    op = _Resolvent(sys, frac * lambda_cap(sys), sys.KMC_csr)
     rng = np.random.default_rng(seed)
     x, y = (random_state(sys, rng, complex_valued=True) for _ in range(2))
     rx, ry = np.empty_like(x), np.empty_like(y)

@@ -110,7 +110,7 @@ class TestBandedPencil:
 
     @pytest.mark.parametrize("lam", [3.0, 7.5, 20.0])
     def test_band_is_the_pencil(self, sys16, lam):
-        op = resolvent._Resolvent(sys16, lam)
+        op = resolvent._Resolvent(sys16, lam, sys16.KMC_csr)
         P = self.dense_pencil(sys16, lam)
         assert np.array_equal(full_band_dense(op.pencil.band), P)
         assert abs(op.pencil.norm1 - np.linalg.norm(P, 1)) <= 1e-14 * np.linalg.norm(P, 1)
@@ -122,7 +122,7 @@ class TestBandedPencil:
         sys = make_system(16, k2=k2)
         F = random_state(sys, np.random.default_rng(45), complex_valued=True)
         U = np.empty_like(F)
-        resolvent._Resolvent(sys, lam).apply(F, U)
+        resolvent._Resolvent(sys, lam, sys.KMC_csr).apply(F, U)
         (f, g), (Uq, Uv) = np.split(F, 2), np.split(U, 2)
         P = -lam * lam * sys.M + 1j * lam * sys.C + sys.K
         q = np.linalg.solve(P, sys.M @ (g + 1j * lam * f) + sys.C @ f)
@@ -369,6 +369,28 @@ class TestProfile:
             rows[...] = np.nan
         assert lanczos.norm(7.0) == fresh
 
+    def test_one_complex_csr_per_profile(self, sys16, monkeypatch):
+        """The workspace casts KMC_csr to complex once; its G is that CSR's
+        leading 2N rows, sharing its arrays, and every lambda's resolvent
+        multiplies with the same complex CSR."""
+        lanczos = resolvent._Lanczos(sys16, 0)
+        assert lanczos.KMC.dtype == complex
+        assert np.array_equal(lanczos.KMC.toarray(), sys16.KMC_csr.toarray())
+        assert np.array_equal(lanczos.G.toarray(), sys16.G_csr.toarray())
+        for name in ("data", "indices", "indptr"):
+            assert np.shares_memory(getattr(lanczos.G, name), getattr(lanczos.KMC, name))
+        operators = []
+        real = resolvent._Resolvent
+
+        def recording(sys, lam, KMC):
+            operators.append(KMC)
+            return real(sys, lam, KMC)
+
+        monkeypatch.setattr(resolvent, "_Resolvent", recording)
+        lanczos.norm(3.0)
+        lanczos.norm(7.0)
+        assert len(operators) == 2 and all(op is lanczos.KMC for op in operators)
+
     def test_deterministic(self, sys16):
         grid = [3.0, 6.0, 12.0]
         p1 = profile(sys16, grid)
@@ -401,7 +423,7 @@ class TestProfile:
         assert exc.value.exit_code == 11 and exc.value.path == "seed"
         with pytest.raises(SchemaError):
             resolvent_norm(sys, 3.0, seed=seed)
-        assert "G_csr" not in vars(sys)  # the workspace's metric was never formed
+        assert not {"KMC_csr", "G_csr"} & vars(sys).keys()  # the workspace's CSR was never formed
 
     def test_integral_float_seed(self, sys16):
         """An integral float seed draws the integer's start vector."""

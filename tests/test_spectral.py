@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from scipy.linalg import block_diag, eig
+from scipy.linalg import block_diag, eig, eigvals
 from scipy.linalg.lapack import zgbtrf
 
 from bresse import discretization, spectral
@@ -27,6 +27,17 @@ def companion_eigenvalues(sys):
     Z[n:, :n] = -np.linalg.solve(sys.M, sys.K)
     Z[n:, n:] = -np.linalg.solve(sys.M, sys.C)
     return eig(Z, right=False)
+
+
+def full_companion_eigvals(sys):
+    """eigvals of the one 2N x 2N companion matrix, built from the dense K
+    and C and the system's solve_m, with no parity split."""
+    n = sys.n_dofs
+    Z = np.zeros((2 * n, 2 * n))
+    Z[:n, n:] = np.eye(n)
+    Z[n:, :n] = -sys.solve_m(sys.K)
+    Z[n:, n:] = -sys.solve_m(sys.C)
+    return eigvals(Z)
 
 
 def wave_chain(n, rho1=1.0, k3=1.0, d0=0.1, L=1.0):
@@ -247,3 +258,103 @@ class TestSpectrumStructure:
             assert report.spectral_abscissa < 0.0
             gaps.append(report.spectral_abscissa)
         assert gaps[0] < gaps[1] < gaps[2] < 0.0
+
+
+# ---------------------------------------------------------------------------
+# mirror-parity blocks of the companion eigensolve
+# ---------------------------------------------------------------------------
+
+
+class TestParityBlocks:
+    @pytest.mark.parametrize(
+        "n, overrides, sizes",
+        [(16, {}, [22, 23]), (64, {}, [94, 95]), (64, {"k2": 2.0}, [94, 95])],
+    )
+    def test_symmetric_system_splits_into_two_blocks(self, n, overrides, sizes):
+        """The example config (and its unequal-speed twin) splits into an
+        even and an odd block whose sizes sum to N, and their eigenvalues
+        match the dense companion's one to one within 1e-10 relative."""
+        sys = make_system(n, **overrides)
+        blocks = spectral._parity_blocks(sys)
+        assert [cols.size for cols, _, _ in blocks] == sizes
+        assert sum(sizes) == sys.n_dofs
+        w = spectral._companion_eig(sys)
+        dense = companion_eigenvalues(sys)
+        nearest = np.argmin(np.abs(w[:, None] - dense[None, :]), axis=1)
+        assert np.unique(nearest).size == dense.size == w.size
+        assert np.max(np.abs(w - dense[nearest]) / np.abs(dense[nearest])) <= 1e-10
+
+    def test_blocks_pair_each_dof_with_its_mirror(self):
+        """Each block pairs the left-half dofs with their mirrors, with the
+        field's sign (phi +1, psi and w -1) in the even block and its
+        negative in the odd one, and keeps the middle node's dofs of its
+        own parity; together the blocks cover every dof."""
+        sys = make_system(16)
+        m = sys.n_dofs // 3
+        field_sign = np.array([1.0, -1.0, -1.0])
+        covered = []
+        for parity, (cols, partner, sign) in zip((1.0, -1.0), spectral._parity_blocks(sys)):
+            mirrored = partner != cols
+            assert np.array_equal(partner[mirrored], 3 * (m - 1 - cols[mirrored] // 3) + cols[mirrored] % 3)
+            assert np.array_equal(sign[mirrored], parity * field_sign[cols[mirrored] % 3])
+            own = cols[~mirrored]
+            assert np.all(own // 3 == m // 2) and np.all(field_sign[own % 3] == parity)
+            assert np.all(sign[~mirrored] == 1.0)
+            covered.append(np.concatenate((cols, partner)))
+        assert np.array_equal(np.unique(np.concatenate(covered)), np.arange(sys.n_dofs))
+
+    @pytest.mark.parametrize("im", [41.5, 44.8, 55.0])
+    def test_close_pair_across_blocks_is_reported_whole(self, sys64, im):
+        """The closest pairs below Im s = 60 at n = 64 lie 0.024 to 0.027
+        apart, one member in each parity block; a shift between them
+        reports both."""
+        w = spectral._companion_eig(sys64)
+        sizes = [2 * cols.size for cols, _, _ in spectral._parity_blocks(sys64)]
+        block = np.repeat(np.arange(len(sizes)), sizes)  # block of each eigenvalue
+        pair = np.argsort(np.abs(w - 1j * im), kind="stable")[:2]
+        assert np.abs(w[pair[0]] - w[pair[1]]) < 0.03
+        assert sorted(block[pair].tolist()) == [0, 1]
+        report = quadratic_eigs(sys64, [w[pair].mean()], per_shift=2)
+        for s in w[pair]:
+            assert np.min(np.abs(report.eigenvalues - s)) <= 1e-12 * abs(s)
+
+    def test_asymmetric_interval_takes_one_block(self):
+        sys = make_system(64, alpha=0.2, beta=0.7)
+        assert len(spectral._parity_blocks(sys)) == 1
+        assert spectral._companion_eig(sys).tobytes() == full_companion_eigvals(sys).tobytes()
+
+    def test_one_ulp_in_the_mass_band_takes_one_block(self, monkeypatch):
+        """One diagonal entry of M one ulp up, at node 3, breaks the mirror;
+        the factor of M is taken from the nudged band."""
+        bands = discretization._assemble_bands
+
+        def nudged(p, mesh):
+            M, C, K = bands(p, mesh)
+            M = M.copy(order="F")
+            M[0, 10] = np.nextafter(M[0, 10], np.inf)
+            return M, C, K
+
+        monkeypatch.setattr(discretization, "_assemble_bands", nudged)
+        sys = make_system(64)
+        assert len(spectral._parity_blocks(sys)) == 1
+        assert spectral._companion_eig(sys).tobytes() == full_companion_eigvals(sys).tobytes()
+
+    @pytest.mark.parametrize("n", [16, 17])
+    def test_matrix_system_takes_one_block(self, n):
+        """A bare chain is no beam: at N = 15 the beam's mirror does not map
+        its matrices onto themselves, and N = 16 is no multiple of 3."""
+        sys, _ = wave_chain(n)
+        blocks = spectral._parity_blocks(sys)
+        assert len(blocks) == 1
+        assert np.array_equal(blocks[0][0], np.arange(n - 1))
+        assert spectral._companion_eig(sys).tobytes() == full_companion_eigvals(sys).tobytes()
+
+    def test_wide_bands_take_one_block(self):
+        """A chain whose two end dofs are coupled: N = 15, bands 15 rows deep."""
+        chain, _ = wave_chain(16)
+        K = chain.K.copy()
+        K[0, -1] = K[-1, 0] = 0.5 * K[0, 1]  # K stays diagonally dominant
+        wide = matrix_system(chain.M, chain.C, K)
+        assert wide.K_band.shape == (15, 15)
+        assert len(spectral._parity_blocks(wide)) == 1
+        assert spectral._companion_eig(wide).tobytes() == full_companion_eigvals(wide).tobytes()
