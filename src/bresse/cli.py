@@ -308,7 +308,7 @@ def _run_spectrum(cfg, timings):
     sys_ = _build(cfg, cfg.params)
     sc = cfg.spectrum
     shifts = [1j * mu for mu in sorted(sc.mu_grid)]  # a scan of the imaginary axis
-    report = _timed(timings, "axis_scan", quadratic_eigs, sys_, shifts, sc.per_shift)
+    report = _timed(timings, "quadratic_eigs", quadratic_eigs, sys_, shifts, sc.per_shift)
     pairs = zip(report.eigenvalues, report.residuals)
     rows = [(s.real, s.imag, r, sys_.mesh.n_elements) for s, r in pairs]
     summary = {
@@ -354,7 +354,7 @@ def _run_decay_fit(cfg, timings):
         timings, "decay_analysis", decay_analysis, sys_, _sim_config(cfg, sys_)
     )
     summary = {
-        "gamma_hat": fit.gamma_hat,
+        "gamma_hat": -fit.slope,
         "window": list(fit.window),
         "r_squared": fit.r_squared,
         "domain_norm0": series[0].initial_domain_norm,
@@ -387,7 +387,7 @@ def _run_dichotomy(cfg, timings):
                 "regime": tag,
                 "slope": growth.slope,
                 "r_squared_resolvent": growth.r_squared,
-                "gamma_hat": decay.gamma_hat,
+                "gamma_hat": -decay.slope,
                 "r_squared_decay": decay.r_squared,
                 "predicted_resolvent_exponent": speed.predicted_resolvent_exponent,
                 "predicted_decay_exponent": speed.predicted_decay_exponent,

@@ -34,6 +34,7 @@ from scipy.sparse import csr_array
 
 from .discretization import AssembledSystem, _check_dims, _integer, _leading_block, _Pencil
 from .errors import (
+    DimensionMismatch,
     EmptyGrid,
     GridBeyondResolution,
     NoConvergence,
@@ -42,11 +43,10 @@ from .errors import (
     SingularAtLambda,
     WindowTooSmall,
 )
-from .timedomain import _loglog_fit
+from .timedomain import PowerLawFit, _loglog_fit
 
 __all__ = [
     "ResolventProfile",
-    "GrowthFit",
     "resolvent_solve",
     "resolvent_norm",
     "lambda_cap",
@@ -77,16 +77,6 @@ class ResolventProfile:
     iters: np.ndarray
     residuals: np.ndarray
     lambda_max: float
-
-
-@dataclass(frozen=True)
-class GrowthFit:
-    """Least-squares growth line of log(norm) against log(lambda)."""
-
-    slope: float
-    intercept: float
-    window: tuple
-    r_squared: float
 
 
 class _Resolvent:
@@ -285,9 +275,12 @@ def profile(sys: AssembledSystem, lambda_grid, seed: int = 0) -> ResolventProfil
     """Map resolvent_norm over a positive grid, sorted, capped at lambda_max.
 
     Every lambda runs Lanczos from the same seeded start vector; seed is
-    checked as in resolvent_norm.
+    checked as in resolvent_norm.  A scalar grid is one point; a grid of
+    any other shape than (k,) is DimensionMismatch, before any work.
     """
     grid = np.atleast_1d(np.asarray(lambda_grid, dtype=float))
+    if grid.ndim != 1:
+        raise DimensionMismatch(f"lambda grid of shape {grid.shape} is not one-dimensional")
     if grid.size == 0:
         raise EmptyGrid("lambda grid is empty")
     if not np.all(grid > 0):  # NaN included
@@ -317,8 +310,8 @@ def default_fit_window(prof: ResolventProfile) -> tuple:
     return (max(3.0, prof.lambda_max / 10.0), prof.lambda_max)
 
 
-def fit_growth_exponent(prof: ResolventProfile, window=None) -> GrowthFit:
-    """Least-squares slope of log(norm) vs log(lambda) inside the window.
+def fit_growth_exponent(prof: ResolventProfile, window=None) -> PowerLawFit:
+    """Least-squares PowerLawFit of log(norm) vs log(lambda) inside the window.
 
     The stored window is the effective one (smallest and largest grid
     points actually used), so it always lies within the profile range.
@@ -334,7 +327,4 @@ def fit_growth_exponent(prof: ResolventProfile, window=None) -> GrowthFit:
         raise WindowTooSmall(
             f"only {int(mask.sum())} grid points in window [{lo}, {hi}]; need 5"
         )
-    slope, intercept, r2, eff = _loglog_fit(prof.lambdas[mask], prof.norms[mask])
-    return GrowthFit(
-        slope=float(slope), intercept=float(intercept), window=eff, r_squared=r2
-    )
+    return _loglog_fit(prof.lambdas[mask], prof.norms[mask])

@@ -30,7 +30,7 @@ from scipy.linalg import eig_banded, eigvals
 from scipy.sparse import csr_array
 
 from .discretization import AssembledSystem, _integer, _Pencil
-from .errors import EmptyGrid, NoConvergence, NonPositiveParameter, OutOfDomain
+from .errors import DimensionMismatch, EmptyGrid, NoConvergence, NonPositiveParameter, OutOfDomain
 
 __all__ = ["SpectrumReport", "quadratic_eigs"]
 
@@ -150,7 +150,8 @@ def quadratic_eigs(
     distance), and each selected eigenvalue is certified once, by inverse
     iteration on the banded pencil from one fixed seeded start: it counts
     when its quadratic residual is <= _RESIDUAL_TOL * ||K||_2.  Raises,
-    before the eigensolve, OutOfDomain for a NaN or infinite shift,
+    before the eigensolve, DimensionMismatch unless shifts is
+    one-dimensional, OutOfDomain for a NaN or infinite shift,
     SchemaError for a non-integral per_shift (an integral float is taken
     as an int) and NonPositiveParameter when per_shift < 1, and after it
     NoConvergence when a shift has no certified pair among its
@@ -158,7 +159,10 @@ def quadratic_eigs(
     by index, since a real companion block's eigenvalues come in exact,
     adjacent conjugate pairs, and the result is sorted by (Re, Im).
     """
-    shifts = [complex(s) for s in shifts]
+    shifts = np.asarray(shifts, dtype=complex)
+    if shifts.ndim != 1:
+        raise DimensionMismatch(f"shift list of shape {shifts.shape} is not one-dimensional")
+    shifts = shifts.tolist()
     if not shifts:
         raise EmptyGrid("no shifts supplied")
     if not all(map(cmath.isfinite, shifts)):

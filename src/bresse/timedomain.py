@@ -47,7 +47,7 @@ from .model import classify_speeds
 __all__ = [
     "SimConfig",
     "EnergySeries",
-    "DecayFit",
+    "PowerLawFit",
     "step_midpoint",
     "simulate",
     "fit_decay",
@@ -94,16 +94,6 @@ class EnergySeries:
     sample_residuals: np.ndarray
     dissipation_residuals: np.ndarray
     initial_domain_norm: float
-
-
-@dataclass(frozen=True)
-class DecayFit:
-    """Power-law fit E(t) ~ c_hat * t^(-gamma_hat) on a log-log window."""
-
-    gamma_hat: float
-    c_hat: float
-    window: tuple
-    r_squared: float
 
 
 def _midpoint_factor(sys: AssembledSystem, dt: float):
@@ -214,8 +204,38 @@ def simulate(sys: AssembledSystem, U0: np.ndarray, cfg: SimConfig) -> EnergySeri
     )
 
 
-def fit_decay(series: EnergySeries, window) -> DecayFit:
-    """Fit E(t) ~ c t^(-gamma) by least squares on (log t, log E).
+@dataclass(frozen=True)
+class PowerLawFit:
+    """Least-squares line log(y) = slope * log(x) + intercept, with the
+    effective window: the (smallest, largest) x actually used."""
+
+    slope: float
+    intercept: float
+    window: tuple
+    r_squared: float
+
+
+def _loglog_fit(x_data: np.ndarray, y_data: np.ndarray) -> PowerLawFit:
+    """Least-squares PowerLawFit of log(y) against log(x) over the given
+    samples.  Shared by the decay and the resolvent-growth fits."""
+    x = np.log(x_data)
+    y = np.log(y_data)
+    slope, intercept = np.polyfit(x, y, 1)
+    fitted = slope * x + intercept
+    ss_res = float(np.sum((y - fitted) ** 2))
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    r2 = 1.0 if ss_tot == 0.0 else max(0.0, min(1.0, 1.0 - ss_res / ss_tot))
+    return PowerLawFit(
+        slope=float(slope),
+        intercept=float(intercept),
+        window=(float(x_data.min()), float(x_data.max())),
+        r_squared=r2,
+    )
+
+
+def fit_decay(series: EnergySeries, window) -> PowerLawFit:
+    """Fit E(t) ~ c t^(-gamma) by least squares on (log t, log E): the
+    PowerLawFit has gamma = -slope and c = exp(intercept).
 
     Samples below 1e-8 * E_0 are dropped (exponential-tail
     contamination); at least 10 samples must remain.  Raises
@@ -241,37 +261,14 @@ def fit_decay(series: EnergySeries, window) -> DecayFit:
         raise WindowTooSmall(
             f"only {count} usable samples in window [{lo}, {hi}]; need 10"
         )
-    slope, intercept, r2, eff = _loglog_fit(t[mask], E[mask])
-    return DecayFit(
-        gamma_hat=float(-slope),
-        c_hat=float(math.exp(intercept)),
-        window=eff,
-        r_squared=r2,
-    )
-
-
-def _loglog_fit(x_data: np.ndarray, y_data: np.ndarray):
-    """Least-squares line of log(y) against log(x) over the given samples.
-
-    Returns (slope, intercept, r_squared, window), where window is the
-    (smallest, largest) x actually used.  Shared by the decay and the
-    resolvent-growth fits.
-    """
-    x = np.log(x_data)
-    y = np.log(y_data)
-    slope, intercept = np.polyfit(x, y, 1)
-    fitted = slope * x + intercept
-    ss_res = float(np.sum((y - fitted) ** 2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else max(0.0, min(1.0, 1.0 - ss_res / ss_tot))
-    return slope, intercept, r2, (float(x_data.min()), float(x_data.max()))
+    return _loglog_fit(t[mask], E[mask])
 
 
 def decay_analysis(sys: AssembledSystem, cfg: SimConfig):
     """Simulate every member of initial_data_family and fit the first.
 
     Returns (series, fit, c_obs): the three EnergySeries in family order,
-    the DecayFit of the default datum on cfg.fit_window, and the scaling
+    the PowerLawFit of the default datum on cfg.fit_window, and the scaling
     constant C_obs = max E(t) t^gamma / ||U0||^2_D(A) over the family and
     the fit window, with gamma the predicted decay exponent of the regime.
     Raises BadInterval, before any trajectory, unless cfg.fit_window is a

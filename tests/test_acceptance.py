@@ -35,6 +35,8 @@ from bresse.timedomain import (
 
 from conftest import (
     MidpointModalOracle,
+    dense_resolvent_norm,
+    energy_generator,
     make_system,
     matrix_system,
     node_major,
@@ -153,24 +155,44 @@ class TestAcceptance:
         assert ok
 
     def test_c6_resolvent_growth_ordering(self):
-        """Fitted growth slopes respect the regime bounds and ordering."""
-        slopes = {}
+        """Profiled norms match a dense oracle; fitted slopes respect the bounds.
+
+        The theorem's O(lambda^2) and O(lambda^4) are upper bounds as lambda
+        -> infinity, so they imply no ordering of two slopes fitted on a
+        finite window; the ordering is reported, not asserted.  What the
+        method does promise is every norm of the profile: Lanczos accepts a
+        squared norm within about 1e-12 of the true one, so 1e-9 relative
+        leaves the dense oracle's own rounding room.
+        """
+        rel_bound = 1e-9
+        slopes, worst = {}, {}
         for tag, k2 in (("equal", 1.0), ("unequal", 2.0)):
             sys = make_system(64, k2=k2)
             cap = lambda_cap(sys)
             grid = np.logspace(np.log10(3.0), np.log10(cap), 25)
             prof = profile(sys, grid)
+            At = energy_generator(sys)
+            exact = np.array([dense_resolvent_norm(At, lam) for lam in prof.lambdas])
+            rel = np.abs(prof.norms - exact) / exact
+            j = int(np.argmax(rel))
+            worst[tag] = (float(rel[j]), float(prof.lambdas[j]), exact[j], prof.norms[j])
             slopes[tag] = fit_growth_exponent(prof).slope
-        ok = (
-            slopes["equal"] <= 2.5
-            and slopes["unequal"] <= 4.5
-            and slopes["unequal"] > slopes["equal"]
-        )
+        max_rel, w_tag = max((v[0], tag) for tag, v in worst.items())
+        ok = max_rel <= rel_bound and slopes["equal"] <= 2.5 and slopes["unequal"] <= 4.5
         report(6, "resolvent growth dichotomy", ok,
+               f"max relative norm error vs dense oracle {max_rel:.2e} "
+               f"(bound {rel_bound:.0e}) over 2 x 25 frequencies; "
                f"slope(equal) {slopes['equal']:.4f} <= 2.5, "
                f"slope(unequal) {slopes['unequal']:.4f} <= 4.5, "
-               f"ordering unequal > equal")
-        assert ok
+               f"ordering unequal > equal "
+               f"{slopes['unequal'] > slopes['equal']} (reported only)")
+        _, lam, expected, measured = worst[w_tag]
+        assert max_rel <= rel_bound, (
+            f"{w_tag}-speed profile at lambda={lam!r}: dense norm {expected:.17g}, "
+            f"Lanczos norm {measured:.17g}, relative error {max_rel:.3e} exceeds "
+            f"the bound {rel_bound:.0e}"
+        )
+        assert slopes["equal"] <= 2.5 and slopes["unequal"] <= 4.5, slopes
 
     def test_c7_decay_rate_dichotomy(self):
         """Sampled energies and fitted decay exponents match a modal oracle.
@@ -226,7 +248,7 @@ class TestAcceptance:
                         dataclasses.replace(series, energies=expected),
                         cfg.fit_window)
                     pair, share = oracle.dominant_pair(U0)
-            stats[tag] = dict(gamma=fit.gamma_hat, oracle=fit_oracle.gamma_hat,
+            stats[tag] = dict(gamma=-fit.slope, oracle=-fit_oracle.slope,
                               theory=gamma_theory, c_obs=c, pair=pair,
                               share=share, cond=oracle.cond)
 

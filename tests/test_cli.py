@@ -435,7 +435,7 @@ class TestCommands:
 # command -> (RunReport.outputs names in write order, timing keys in order)
 OUTPUT_CONTRACT = {
     "validate": (["validate_summary.json"], ["build", "total"]),
-    "spectrum": (["spectrum.csv", "spectrum_summary.json"], ["axis_scan", "total"]),
+    "spectrum": (["spectrum.csv", "spectrum_summary.json"], ["quadratic_eigs", "total"]),
     "resolvent": (["resolvent.csv", "resolvent_summary.json"], ["profile", "total"]),
     "simulate": (["energy.csv", "simulate_summary.json"], ["simulate", "total"]),
     "decay-fit": (["energy.csv", "decay_summary.json"], ["decay_analysis", "total"]),

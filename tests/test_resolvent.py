@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.linalg import block_diag, eig
+from scipy.linalg import eig
 from scipy.linalg.lapack import zgbtrf, zgbtrs
 
 from bresse import discretization, resolvent
@@ -13,6 +13,7 @@ from bresse.discretization import (
     g_norm_sq,
 )
 from bresse.errors import (
+    DimensionMismatch,
     EmptyGrid,
     GridBeyondResolution,
     OutOfDomain,
@@ -30,32 +31,14 @@ from bresse.resolvent import (
     resolvent_solve,
 )
 
-from conftest import full_band_dense, make_system, random_state
-
-
-def dense_generator(sys):
-    n = sys.n_dofs
-    return np.block([
-        [np.zeros((n, n)), np.eye(n)],
-        [-np.linalg.solve(sys.M, sys.K), -np.linalg.solve(sys.M, sys.C)],
-    ])
-
-
-def energy_generator(sys):
-    """L^T A L^-T with G = diag(K, M) = L L^T: the generator in coordinates
-    where the G-norm is the 2-norm, all dense."""
-    L = block_diag(np.linalg.cholesky(sys.K), np.linalg.cholesky(sys.M))
-    return L.T @ np.linalg.solve(L, dense_generator(sys).T).T
-
-
-def dense_resolvent_norm(At, lam):
-    """||R(lam)||_G = 1 / sigma_min(i lam - At), At from energy_generator.
-
-    Taken as the 2-norm of the LU inverse: the SVD of i lam - At is only
-    normwise backward stable, and at the n = 64 peaks, where sigma_min
-    falls to 2.6e-10 ||At||_2, its sigma_min was up to 9.1e-9 off.
-    """
-    return float(np.linalg.norm(np.linalg.inv(1j * lam * np.eye(At.shape[0]) - At), 2))
+from conftest import (
+    dense_generator,
+    dense_resolvent_norm,
+    energy_generator,
+    full_band_dense,
+    make_system,
+    random_state,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +407,20 @@ class TestProfile:
         with pytest.raises(SchemaError):
             resolvent_norm(sys, 3.0, seed=seed)
         assert not {"KMC_csr", "G_csr"} & vars(sys).keys()  # the workspace's CSR was never formed
+
+    @pytest.mark.parametrize("grid", [[[3.0, 4.0], [5.0, 6.0]], [[3.0]], np.ones((2, 0))])
+    def test_grid_not_one_dimensional_is_refused(self, monkeypatch, grid):
+        """A grid of more than one dimension is DimensionMismatch (exit 24),
+        raised before the Lanczos workspace is built."""
+        monkeypatch.setattr(resolvent, "_Lanczos", None)  # never reached
+        with pytest.raises(DimensionMismatch, match="not one-dimensional") as exc:
+            profile(make_system(8), grid)
+        assert exc.value.exit_code == 24
+
+    def test_scalar_grid_is_one_point(self, sys16):
+        prof = profile(sys16, 7.0)
+        assert prof.lambdas.tolist() == [7.0]
+        assert prof.norms.tolist() == [resolvent_norm(sys16, 7.0)]
 
     def test_integral_float_seed(self, sys16):
         """An integral float seed draws the integer's start vector."""

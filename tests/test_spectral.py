@@ -8,6 +8,7 @@ from scipy.linalg.lapack import zgbtrf
 from bresse import discretization, spectral
 from bresse.discretization import AssembledSystem
 from bresse.errors import (
+    DimensionMismatch,
     EmptyGrid,
     NoConvergence,
     NonPositiveParameter,
@@ -148,6 +149,14 @@ class TestQuadraticEigs:
         with pytest.raises(OutOfDomain, match="must be finite") as exc:
             quadratic_eigs(make_system(16), [2j, shift])
         assert exc.value.exit_code == 15
+
+    @pytest.mark.parametrize("shifts", [[[1j]], [[2j, 5j], [3j, 4j]], 2j, np.ones((1, 0))])
+    def test_shifts_not_one_dimensional_are_refused_before_the_eigensolve(self, monkeypatch, shifts):
+        """A scalar shift or a nested shift list is DimensionMismatch (exit 24)."""
+        monkeypatch.setattr(spectral, "_companion_eig", None)  # never reached
+        with pytest.raises(DimensionMismatch, match="not one-dimensional") as exc:
+            quadratic_eigs(make_system(8), shifts)
+        assert exc.value.exit_code == 24
 
     @pytest.mark.parametrize("per_shift", [0, -1])
     def test_per_shift_below_one_is_refused_before_the_eigensolve(self, monkeypatch, per_shift):

@@ -21,8 +21,8 @@ from bresse.errors import (
 )
 from bresse import timedomain
 from bresse.timedomain import (
-    DecayFit,
     EnergySeries,
+    PowerLawFit,
     SimConfig,
     decay_analysis,
     default_initial_data,
@@ -369,8 +369,9 @@ class TestFitDecay:
         t = np.linspace(1.0, 100.0, 400)
         series = series_from(t, 5.0 / t)
         fit = fit_decay(series, (10.0, 100.0))
-        assert abs(fit.gamma_hat - 1.0) <= 1e-10
-        assert abs(fit.c_hat - 5.0) <= 1e-8
+        assert isinstance(fit, PowerLawFit)
+        assert abs(fit.slope + 1.0) <= 1e-10
+        assert abs(math.exp(fit.intercept) - 5.0) <= 1e-8
         assert fit.r_squared == 1.0
         assert fit.window[0] >= 10.0 and fit.window[1] <= 100.0
 
@@ -380,14 +381,14 @@ class TestFitDecay:
         clean = 5.0 * t**-5.0
         series = series_from(t, np.maximum(clean, 4e-8))
         fit = fit_decay(series, (2.0, 100.0))
-        assert abs(fit.gamma_hat - 5.0) <= 1e-10
+        assert abs(fit.slope + 5.0) <= 1e-10
 
     def test_exponential_data_fits_poorly(self):
         """Exponential decay shows up as low r-squared, not a clean slope."""
         t = np.linspace(1.0, 35.0, 300)
         series = series_from(t, 3.0 * np.exp(-0.5 * t))
         fit = fit_decay(series, (5.0, 35.0))
-        assert fit.gamma_hat > 0.0
+        assert fit.slope < 0.0
         assert fit.r_squared < 0.99
 
     def test_zero_energy_in_window(self):
@@ -415,7 +416,7 @@ class TestFitDecay:
                 cfg = SimConfig(dt=0.5 * h, t_final=100.0, sample_stride=16,
                                 fit_window=(10.0, 100.0))
                 series = simulate(sys, default_state(sys), cfg)
-                gammas.append(fit_decay(series, cfg.fit_window).gamma_hat)
+                gammas.append(-fit_decay(series, cfg.fit_window).slope)
             assert gammas[1] >= gammas[0] - 0.1
 
 
