@@ -63,7 +63,7 @@ from .errors import BresseError, OutputError, ParseError, SchemaError
 from .model import ModelParams, classify_speeds, validate_params
 from .resolvent import fit_growth_exponent, lambda_cap, profile
 from .spectral import quadratic_eigs
-from .timedomain import SimConfig, decay_analysis, default_initial_data, simulate
+from .timedomain import SimConfig, decay_analysis, initial_data_family, simulate
 
 __all__ = [
     "ExperimentConfig",
@@ -335,7 +335,7 @@ def _run_resolvent(cfg, timings):
 def _run_simulate(cfg, timings):
     sys_ = _build(cfg, cfg.params)
     sim_cfg = _sim_config(cfg, sys_)
-    U0 = project_initial_data(sys_, default_initial_data(cfg.params.L))
+    U0 = project_initial_data(sys_, initial_data_family(cfg.params.L)[0])
     series = _timed(timings, "simulate", simulate, sys_, U0, sim_cfg)
     summary = {
         "dt": sim_cfg.dt,

@@ -45,11 +45,9 @@ from .model import ModelParams
 __all__ = [
     "Mesh",
     "AssembledSystem",
-    "EnergyComponents",
     "build_mesh",
     "assemble",
     "apply_generator",
-    "energy",
     "inner_product_H",
     "g_norm_sq",
     "domain_norm",
@@ -73,13 +71,6 @@ class Mesh:
     @property
     def widths(self) -> np.ndarray:
         return np.diff(self.nodes)
-
-
-@dataclass(frozen=True)
-class EnergyComponents:
-    kinetic: float
-    potential: float
-    total: float
 
 
 def _integer(name: str, value, expected: str = "an integer") -> int:
@@ -416,24 +407,6 @@ def apply_generator(sys: AssembledSystem, U: np.ndarray) -> np.ndarray:
     return np.concatenate((U[n:], -sys.solve_m(Y[:n] + Y[2 * n :])))
 
 
-def energy(sys: AssembledSystem, U: np.ndarray) -> EnergyComponents:
-    """Kinetic/potential split of the energy, from one product with G.
-
-    For complex states the real parts are taken; all quadratic forms here
-    are real-valued on Hermitian arguments anyway.
-    """
-    _check_dims(sys, U)
-    n = sys.n_dofs
-    GU = sys.G_csr @ U
-    kinetic = 0.5 * np.vdot(U[n:], GU[n:]).real
-    potential = 0.5 * np.vdot(U[:n], GU[:n]).real
-    return EnergyComponents(
-        kinetic=kinetic,
-        potential=potential,
-        total=kinetic + potential,
-    )
-
-
 def inner_product_H(sys: AssembledSystem, U: np.ndarray, V: np.ndarray) -> complex:
     """Energy inner product (U, V) = V* G U with G = diag(K, M), as two
     block sums, the K block's first: one sum over all 2N entries rounds
@@ -461,16 +434,16 @@ def project_initial_data(sys: AssembledSystem, fields) -> np.ndarray:
 
     fields = (phi0, psi0, w0, phi1, psi1, w1): the first three fill the
     displacements q, the last three the velocities v of the flat state
-    (q, v).  Every function must vanish at both ends (|f| <= 1e-12 at x=0
-    and x=L), matching the clamped boundary conditions, and be finite at
-    every interior node (OutOfDomain otherwise).
+    (q, v).  Every function must vanish at both clamped ends, |f| <= 1e-12
+    at x=0 and x=L (IncompatibleBoundary otherwise, NaN included), and be
+    finite at every interior node (OutOfDomain otherwise).
     """
     if len(fields) != 6:
         raise DimensionMismatch(f"expected 6 field functions, got {len(fields)}")
     nodes = sys.mesh.nodes
     L = nodes[-1]
     for i, f in enumerate(fields):
-        if abs(f(0.0)) > 1e-12 or abs(f(L)) > 1e-12:
+        if not (abs(f(0.0)) <= 1e-12 and abs(f(L)) <= 1e-12):
             raise IncompatibleBoundary(
                 f"initial field #{i} does not vanish at the clamped ends"
             )

@@ -48,7 +48,6 @@ from .timedomain import PowerLawFit, _loglog_fit
 __all__ = [
     "ResolventProfile",
     "resolvent_solve",
-    "resolvent_norm",
     "lambda_cap",
     "profile",
     "fit_growth_exponent",
@@ -69,7 +68,7 @@ class ResolventProfile:
     ||rhs||_1) over every forward and adjoint P(lambda) solve behind that
     norm; each solve tests its own and passes only at most dim * eps.
     Each norm lies below the true one, its square by about 1e-12 relative
-    at most (see resolvent_norm).
+    at most, and depends only on its lambda and the seed (see profile).
     """
 
     lambdas: np.ndarray
@@ -253,37 +252,30 @@ class _Lanczos:
         )
 
 
-def resolvent_norm(sys: AssembledSystem, lam: float, seed: int = 0) -> float:
-    """Operator norm ||(i*lam - A_h)^{-1}||_G by Lanczos on R* R.
-
-    The largest Ritz value is accepted when its residual r meets r^2 <=
-    1e-12 theta_1 (theta_1 - theta_2) and r <= 1e-6 theta_1, so the
-    squared norm is within about 1e-12 relative of the true one, from
-    below.  NoConvergence past 50 Lanczos steps; seed, an integer >= 0
-    (SchemaError otherwise), picks the start vector.
-    """
-    norm, _, _ = _Lanczos(sys, seed).norm(lam)
-    return norm
-
-
 def lambda_cap(sys: AssembledSystem) -> float:
     """Largest frequency the mesh resolves: 1 / max element width."""
     return 1.0 / float(sys.mesh.widths.max())
 
 
 def profile(sys: AssembledSystem, lambda_grid, seed: int = 0) -> ResolventProfile:
-    """Map resolvent_norm over a positive grid, sorted, capped at lambda_max.
+    """||(i*lam - A_h)^{-1}||_G by Lanczos on R* R over a positive grid,
+    sorted, capped at lambda_max.
 
-    Every lambda runs Lanczos from the same seeded start vector; seed is
-    checked as in resolvent_norm.  A scalar grid is one point; a grid of
-    any other shape than (k,) is DimensionMismatch, before any work.
+    Each squared norm lies within about 1e-12 relative of the true one,
+    from below (see _Lanczos.norm); NoConvergence past 50 steps.  Every
+    lambda starts from the one vector that seed, an integer >= 0
+    (SchemaError otherwise), picks.  A scalar grid is one point; any other
+    shape than (k,) is DimensionMismatch, and a NaN, infinite or
+    nonpositive lambda OutOfDomain, before any work.
     """
     grid = np.atleast_1d(np.asarray(lambda_grid, dtype=float))
     if grid.ndim != 1:
         raise DimensionMismatch(f"lambda grid of shape {grid.shape} is not one-dimensional")
     if grid.size == 0:
         raise EmptyGrid("lambda grid is empty")
-    if not np.all(grid > 0):  # NaN included
+    if not np.all(np.isfinite(grid)):
+        raise OutOfDomain("every lambda of the grid must be finite")
+    if not np.all(grid > 0):
         raise OutOfDomain("lambda grid must be strictly positive")
     grid = np.sort(grid)
     cap = lambda_cap(sys)

@@ -52,7 +52,6 @@ __all__ = [
     "simulate",
     "fit_decay",
     "decay_analysis",
-    "default_initial_data",
     "initial_data_family",
 ]
 
@@ -298,10 +297,11 @@ def decay_analysis(sys: AssembledSystem, cfg: SimConfig):
     return series, fit, c_obs
 
 
-def default_initial_data(L: float):
-    """Smooth default data: excites all three fields, zero velocities."""
+def initial_data_family(L: float):
+    """Three distinct smooth initial conditions for scaling-law checks;
+    the first is what simulate runs in the CLI and decay_analysis fits."""
     zero = lambda x: 0.0
-    return (
+    first = (
         lambda x: math.sin(math.pi * x / L),
         lambda x: math.sin(2.0 * math.pi * x / L),
         lambda x: math.sin(math.pi * x / L),
@@ -309,11 +309,6 @@ def default_initial_data(L: float):
         zero,
         zero,
     )
-
-
-def initial_data_family(L: float):
-    """Three distinct smooth initial conditions for scaling-law checks."""
-    zero = lambda x: 0.0
     second = (
         lambda x: math.sin(2.0 * math.pi * x / L),
         lambda x: math.sin(math.pi * x / L),
@@ -330,4 +325,4 @@ def initial_data_family(L: float):
         zero,
         zero,
     )
-    return [default_initial_data(L), second, third]
+    return [first, second, third]

@@ -27,7 +27,6 @@ from bresse.spectral import quadratic_eigs
 from bresse.timedomain import (
     SimConfig,
     decay_analysis,
-    default_initial_data,
     fit_decay,
     initial_data_family,
     simulate,
@@ -134,14 +133,14 @@ class TestAcceptance:
         """Per-step balance at 1e-10; undamped conservation on [0, 10]."""
         sys = make_system(64)
         dt = 1.0 / 128.0
-        U0 = project_initial_data(sys, default_initial_data(1.0))
+        U0 = project_initial_data(sys, initial_data_family(1.0)[0])
         cfg = SimConfig(dt=dt, t_final=20.0, sample_stride=16,
                         fit_window=(10.0, 20.0))
         series = simulate(sys, U0, cfg)
         max_balance = series.dissipation_residuals.max()
 
         free = make_system(64, d0=0.0)
-        U0f = project_initial_data(free, default_initial_data(1.0))
+        U0f = project_initial_data(free, initial_data_family(1.0)[0])
         cfgf = SimConfig(dt=dt, t_final=10.0, sample_stride=16,
                          fit_window=(1.0, 10.0))
         cons = simulate(free, U0f, cfgf)

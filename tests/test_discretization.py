@@ -15,7 +15,6 @@ from bresse.discretization import (
     assemble,
     build_mesh,
     domain_norm,
-    energy,
     g_norm_sq,
     inner_product_H,
     project_initial_data,
@@ -28,7 +27,7 @@ from bresse.errors import (
     SchemaError,
     TooCoarse,
 )
-from bresse.resolvent import resolvent_norm, resolvent_solve
+from bresse.resolvent import profile, resolvent_solve
 from bresse.spectral import quadratic_eigs
 from bresse.timedomain import SimConfig, simulate, step_midpoint
 
@@ -533,20 +532,24 @@ class TestGenerator:
 
 class TestEnergyMetric:
     def test_energy_matches_quadratic_forms(self, sys16):
+        """simulate's initial kinetic and potential energies are the dense
+        quadratic forms of M and K."""
         rng = np.random.default_rng(31)
         U = random_state(sys16, rng)
-        comps = energy(sys16, U)
+        series = simulate(sys16, U, SimConfig(dt=0.01, t_final=1.0))
         q, v = np.split(U, 2)
         kin = 0.5 * v @ sys16.M @ v
         pot = 0.5 * q @ sys16.K @ q
-        assert_allclose(comps.kinetic, kin, rtol=1e-13)
-        assert_allclose(comps.potential, pot, rtol=1e-13)
-        assert_allclose(comps.total, kin + pot, rtol=1e-13)
+        assert_allclose(series.kinetics[0], kin, rtol=1e-13)
+        assert_allclose(series.potentials[0], pot, rtol=1e-13)
+        assert_allclose(series.energies[0], kin + pot, rtol=1e-13)
 
     def test_g_norm_is_twice_the_energy(self, sys16):
         rng = np.random.default_rng(32)
         U = random_state(sys16, rng)
-        assert_allclose(g_norm_sq(sys16, U), 2.0 * energy(sys16, U).total, rtol=1e-13)
+        q, v = np.split(U, 2)
+        energy = 0.5 * (v @ sys16.M @ v + q @ sys16.K @ q)
+        assert_allclose(g_norm_sq(sys16, U), 2.0 * energy, rtol=1e-13)
 
     def test_inner_product_hermitian(self, sys16):
         rng = np.random.default_rng(33)
@@ -648,11 +651,19 @@ class TestProjectInitialData:
         U = project_initial_data(sys16, (zero,) * 6)
         assert U.shape == (2 * sys16.n_dofs,) and np.all(U == 0.0)
 
-    def test_boundary_violation(self, sys16):
+    @pytest.mark.parametrize("field", [
+        lambda x: math.cos(math.pi * x),
+        lambda x: float("nan") if x == 0.0 else 0.0,
+        lambda x: float("nan") if x == 1.0 else 0.0,
+    ], ids=["nonzero", "NaN at 0", "NaN at L"])
+    def test_boundary_violation(self, sys16, field):
+        """A field that is not zero at a clamped end, NaN there included,
+        is IncompatibleBoundary (exit 14)."""
         fields = [lambda x: 0.0] * 6
-        fields[2] = lambda x: math.cos(math.pi * x)
-        with pytest.raises(IncompatibleBoundary):
+        fields[2] = field
+        with pytest.raises(IncompatibleBoundary) as exc:
             project_initial_data(sys16, tuple(fields))
+        assert exc.value.exit_code == 14
 
     def test_wrong_field_count(self, sys16):
         with pytest.raises(DimensionMismatch):
@@ -685,7 +696,7 @@ class TestEnergyConvergence:
         for n in (8, 16, 32, 64):
             sys = make_system(n)
             U = project_initial_data(sys, fields)
-            errs.append(abs(energy(sys, U).total - exact))
+            errs.append(abs(0.5 * g_norm_sq(sys, U) - exact))
         orders = [math.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
         assert min(orders) >= 1.9
 
@@ -697,7 +708,6 @@ class TestEnergyConvergence:
 
 STATE_TAKERS = {
     "apply_generator": apply_generator,
-    "energy": energy,
     "inner_product_H-U": lambda sys, U: inner_product_H(sys, U, np.zeros(2 * sys.n_dofs)),
     "inner_product_H-V": lambda sys, V: inner_product_H(sys, np.zeros(2 * sys.n_dofs), V),
     "g_norm_sq": g_norm_sq,
@@ -727,7 +737,7 @@ INTEGER_SETTINGS = {
     "sample_stride": lambda sys, x: simulate(
         sys, np.zeros(2 * sys.n_dofs), SimConfig(dt=0.01, t_final=1.0, sample_stride=x)
     ),
-    "seed": lambda sys, x: resolvent_norm(sys, 3.0, seed=x),
+    "seed": lambda sys, x: profile(sys, 3.0, seed=x),
 }
 
 

@@ -27,7 +27,6 @@ from bresse.resolvent import (
     fit_growth_exponent,
     lambda_cap,
     profile,
-    resolvent_norm,
     resolvent_solve,
 )
 
@@ -115,13 +114,14 @@ class TestBandedPencil:
     @pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf])
     def test_non_finite_frequency_is_out_of_domain(self, sys16, lam):
         """A NaN or infinite lambda is bad input (exit 15), refused before
-        P(lambda) is formed, for a solve and for a norm."""
+        P(lambda) is formed, for a solve and for a profile."""
         F = random_state(sys16, np.random.default_rng(47))
         with pytest.raises(OutOfDomain, match="must be finite") as exc:
             resolvent_solve(sys16, lam, F)
         assert exc.value.exit_code == 15
-        with pytest.raises(OutOfDomain, match="must be finite"):
-            resolvent_norm(sys16, lam)
+        with pytest.raises(OutOfDomain, match="must be finite") as exc:
+            profile(sys16, lam)
+        assert exc.value.exit_code == 15
 
     def test_zero_pivot_raises(self, sys16, monkeypatch):
         def zero_pivot(ab, kl, ku, **kwargs):
@@ -145,7 +145,7 @@ class TestResolventNorm:
         spectrum = eig(dense_generator(sys), right=False)
         lam = 2.0
         dist = np.min(np.abs(1j * lam - spectrum))
-        norm = resolvent_norm(sys, lam)
+        norm = profile(sys, lam).norms[0]
         assert abs(norm - 1.0 / dist) <= 1e-9 / dist
 
     def test_undamped_eigenfrequency_raises(self, sys16_undamped):
@@ -156,11 +156,11 @@ class TestResolventNorm:
         any Lanczos step, since a norm there would measure only roundoff.
         """
         with pytest.raises(SingularAtLambda, match="reciprocal condition number"):
-            resolvent_norm(sys16_undamped, 3.1081249323692366)
+            profile(sys16_undamped, 3.1081249323692366)
 
     def test_norm_bounds_random_solves(self, sys16):
         """No right-hand side is amplified beyond the estimated norm."""
-        norm = resolvent_norm(sys16, 5.0)
+        norm = profile(sys16, 5.0).norms[0]
         rng = np.random.default_rng(44)
         for _ in range(20):
             F = random_state(sys16, rng, complex_valued=True)
@@ -170,23 +170,23 @@ class TestResolventNorm:
 
     def test_even_in_frequency(self, sys16):
         """The damped system is real, so the norm is even in lam."""
-        plus = resolvent_norm(sys16, 5.0)
-        minus = resolvent_norm(sys16, -5.0)
+        plus = profile(sys16, 5.0).norms[0]
+        minus = resolvent._Lanczos(sys16, 0).norm(-5.0)[0]
         assert abs(plus - minus) <= 1e-6 * plus
 
     def test_finite_at_zero(self, sys16):
-        norm = resolvent_norm(sys16, 0.0)
+        norm = resolvent._Lanczos(sys16, 0).norm(0.0)[0]
         assert np.isfinite(norm) and norm > 0.0
 
     def test_stable_under_refinement(self):
         """At a fixed moderate frequency the norm is mesh-converged."""
-        n64 = resolvent_norm(make_system(64), 5.0)
-        n128 = resolvent_norm(make_system(128), 5.0)
+        n64 = profile(make_system(64), 5.0).norms[0]
+        n128 = profile(make_system(128), 5.0).norms[0]
         assert abs(n128 - n64) / n64 < 0.05
 
     def test_deterministic(self, sys16):
-        a = resolvent_norm(sys16, 7.0)
-        b = resolvent_norm(sys16, 7.0)
+        a = profile(sys16, 7.0).norms[0]
+        b = profile(sys16, 7.0).norms[0]
         assert a == b
 
 
@@ -204,7 +204,7 @@ class TestNormAtPeaks:
         failures = []
         for lam in map(float, lams):
             try:
-                norm = resolvent_norm(sys, lam)
+                norm = profile(sys, lam).norms[0]
             except SingularAtLambda as exc:
                 failures.append(f"lambda {lam!r}: {exc}")
                 continue
@@ -341,7 +341,6 @@ class TestProfile:
         assert prof.norms.tolist() == [norm for norm, _, _ in alone]
         assert prof.iters.tolist() == [steps for _, steps, _ in alone]
         assert prof.residuals.tolist() == [worst for _, _, worst in alone]
-        assert prof.norms.tolist() == [resolvent_norm(sys, lam, seed=seed) for lam in grid]
         assert min(prof.iters) < max(prof.iters[: int(np.argmin(prof.iters))])
 
     def test_stale_workspace_rows_are_never_read(self, sys16):
@@ -404,8 +403,6 @@ class TestProfile:
         with pytest.raises(SchemaError) as exc:
             profile(sys, [3.0], seed=seed)
         assert exc.value.exit_code == 11 and exc.value.path == "seed"
-        with pytest.raises(SchemaError):
-            resolvent_norm(sys, 3.0, seed=seed)
         assert not {"KMC_csr", "G_csr"} & vars(sys).keys()  # the workspace's CSR was never formed
 
     @pytest.mark.parametrize("grid", [[[3.0, 4.0], [5.0, 6.0]], [[3.0]], np.ones((2, 0))])
@@ -420,11 +417,11 @@ class TestProfile:
     def test_scalar_grid_is_one_point(self, sys16):
         prof = profile(sys16, 7.0)
         assert prof.lambdas.tolist() == [7.0]
-        assert prof.norms.tolist() == [resolvent_norm(sys16, 7.0)]
+        assert prof.norms.tolist() == [resolvent._Lanczos(sys16, 0).norm(7.0)[0]]
 
     def test_integral_float_seed(self, sys16):
         """An integral float seed draws the integer's start vector."""
-        assert resolvent_norm(sys16, 7.0, seed=2.0) == resolvent_norm(sys16, 7.0, seed=2)
+        assert profile(sys16, 7.0, seed=2.0).norms[0] == profile(sys16, 7.0, seed=2).norms[0]
 
 
 # ---------------------------------------------------------------------------

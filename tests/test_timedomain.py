@@ -9,7 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from bresse import discretization
-from bresse.discretization import energy, project_initial_data
+from bresse.discretization import g_norm_sq, project_initial_data
 from bresse.errors import (
     BadInterval,
     FactorizationFailed,
@@ -25,7 +25,6 @@ from bresse.timedomain import (
     PowerLawFit,
     SimConfig,
     decay_analysis,
-    default_initial_data,
     fit_decay,
     initial_data_family,
     simulate,
@@ -36,7 +35,7 @@ from conftest import make_system, random_state
 
 
 def default_state(sys):
-    return project_initial_data(sys, default_initial_data(1.0))
+    return project_initial_data(sys, initial_data_family(1.0)[0])
 
 
 def series_from(times, energies, e0=None):
@@ -56,27 +55,36 @@ def series_from(times, energies, e0=None):
 
 
 def reference_series(sys, U0, cfg):
-    """simulate's series built step by step from step_midpoint and energy."""
+    """simulate's series built step by step from step_midpoint, with the
+    kinetic and potential energy of each state from one G_csr product."""
     dt, stride = cfg.dt, cfg.sample_stride
     n_steps = int(round(cfg.t_final / dt))
     eps = np.finfo(float).tiny
+    n = sys.n_dofs
     C = discretization._band_csr(sys.C_band)
-    comp = energy(sys, U0)
-    e0 = comp.total
-    rows = [(0.0, comp.total, comp.kinetic, comp.potential, 0.0)]
+
+    def energies(U):  # (total, kinetic, potential)
+        GU = sys.G_csr @ U
+        kinetic = 0.5 * np.vdot(U[n:], GU[n:]).real
+        potential = 0.5 * np.vdot(U[:n], GU[:n]).real
+        return kinetic + potential, kinetic, potential
+
+    comp = energies(U0)
+    e0 = comp[0]
+    rows = [(0.0, *comp, 0.0)]
     residuals = []
     U, window_max = U0, 0.0
     for step in range(1, n_steps + 1):
         U_next = step_midpoint(sys, U, dt)
-        comp_next = energy(sys, U_next)
-        v_mid = 0.5 * (U + U_next)[sys.n_dofs :]
+        comp_next = energies(U_next)
+        v_mid = 0.5 * (U + U_next)[n:]
         dissipated = dt * float(np.vdot(v_mid, C @ v_mid).real)
-        r = abs(comp_next.total - comp.total + dissipated) / (e0 + eps)
+        r = abs(comp_next[0] - comp[0] + dissipated) / (e0 + eps)
         residuals.append(r)
         window_max = max(window_max, r)
         U, comp = U_next, comp_next
         if step % stride == 0 or step == n_steps:
-            rows.append((step * dt, comp.total, comp.kinetic, comp.potential, window_max))
+            rows.append((step * dt, *comp, window_max))
             window_max = 0.0
     return [np.array(col) for col in zip(*rows)] + [np.array(residuals)]
 
@@ -200,9 +208,9 @@ class TestStepMidpoint:
         dt = 0.02
         U1 = step_midpoint(sys16, U0, dt)
         v_mid = 0.5 * (U0 + U1)[sys16.n_dofs :]
-        drop = energy(sys16, U1).total - energy(sys16, U0).total
+        drop = 0.5 * g_norm_sq(sys16, U1) - 0.5 * g_norm_sq(sys16, U0)
         dissipated = dt * v_mid @ sys16.C @ v_mid
-        assert abs(drop + dissipated) <= 1e-11 * energy(sys16, U0).total
+        assert abs(drop + dissipated) <= 1e-11 * 0.5 * g_norm_sq(sys16, U0)
 
     def test_zero_state_stays_zero(self, sys16):
         U1 = step_midpoint(sys16, np.zeros(2 * sys16.n_dofs), 0.05)
@@ -217,9 +225,9 @@ class TestStepMidpoint:
     def test_undamped_step_preserves_energy(self, sys16_undamped):
         rng = np.random.default_rng(53)
         U0 = random_state(sys16_undamped, rng)
-        e0 = energy(sys16_undamped, U0).total
+        e0 = 0.5 * g_norm_sq(sys16_undamped, U0)
         U1 = step_midpoint(sys16_undamped, U0, 0.03)
-        e1 = energy(sys16_undamped, U1).total
+        e1 = 0.5 * g_norm_sq(sys16_undamped, U1)
         assert abs(e1 - e0) <= 1e-12 * e0
 
 
@@ -235,7 +243,7 @@ class TestSimulate:
             "one_step_stride4"])
     def test_matches_step_by_step_reference(self, sys16, monkeypatch, t_final, stride):
         """The fused loop and its after-loop sampling reproduce
-        step_midpoint + energy bit for bit: every step, a stride that
+        step_midpoint and its G_csr energies bit for bit: every step, a stride that
         leaves a short last window (40 steps by 3), one sample at the end
         (stride 40 or 45), and a single step, which only a run past the
         t_final >= 10 dt check can take."""
@@ -447,14 +455,14 @@ class TestDecayAnalysis:
 
 class TestInitialData:
     def test_default_data_satisfies_boundary_conditions(self):
-        fields = default_initial_data(2.0)
+        fields = initial_data_family(2.0)[0]
         assert len(fields) == 6
         for f in fields:
             assert abs(f(0.0)) <= 1e-12
             assert abs(f(2.0)) <= 1e-12
 
     def test_default_data_shape(self):
-        fields = default_initial_data(1.0)
+        fields = initial_data_family(1.0)[0]
         assert_allclose(fields[0](0.5), 1.0, rtol=1e-12)
         assert_allclose(fields[1](0.25), 1.0, rtol=1e-12)
         assert fields[3](0.3) == 0.0
