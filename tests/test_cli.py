@@ -12,8 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.testing import assert_allclose
 
 from bresse import cli, errors, resolvent
+from bresse.discretization import g_norm_sq, project_initial_data
 from bresse.errors import (
     BadInterval,
     ConfigError,
@@ -21,6 +23,9 @@ from bresse.errors import (
     ParseError,
     SchemaError,
 )
+from bresse.timedomain import initial_data_family
+
+from conftest import make_system
 
 
 def base_config(out_dir, **overrides):
@@ -356,6 +361,26 @@ class TestCommands:
         summary = json.loads((tmp_path / "out" / "simulate_summary.json").read_text())
         assert summary["max_balance_residual"] <= 1e-10
         assert summary["energy_initial"] > summary["energy_final"]
+
+    @pytest.mark.parametrize("L", [1.0, 2.0])
+    def test_simulate_starts_from_the_first_family_member(self, tmp_path, L):
+        """simulate projects initial_data_family(L)[0] for the config's L:
+        its initial energy is that datum's 0.5 * g_norm_sq, kinetic zero,
+        and neither other member's."""
+        path = write_config(tmp_path, params={"L": L})
+        assert cli.main(["simulate", "--config", str(path)]) == 0
+        _, rows = read_csv(tmp_path / "out" / "energy.csv")
+        summary = json.loads((tmp_path / "out" / "simulate_summary.json").read_text())
+        sys_ = make_system(16, L=L)
+        first, *others = [
+            0.5 * g_norm_sq(sys_, project_initial_data(sys_, datum))
+            for datum in initial_data_family(L)
+        ]
+        assert_allclose(summary["energy_initial"], first, rtol=1e-13)
+        assert_allclose(float(rows[0][3]), first, rtol=1e-13)
+        assert float(rows[0][2]) == 0.0
+        for energy in others:
+            assert abs(energy - first) > 1e-6 * first
 
     def test_simulate_ignores_the_fit_window(self, tmp_path):
         """simulate fits nothing, so a horizon short of the default fit
