@@ -5,8 +5,9 @@ Usage:
 
 Commands: validate, spectrum, resolvent, simulate, decay-fit, dichotomy.
 
-The JSON config has a required "params" block (all ten model coefficients)
-and "mesh_n"; everything else is optional with documented defaults:
+The JSON config has a required "params" block (all ten model coefficients;
+a missing block reads as an empty one, so params.rho1 is reported missing,
+exit 11) and "mesh_n"; everything else is optional with documented defaults:
 
     {
       "params": {"rho1": 1, "rho2": 1, "k1": 1, "k2": 1, "k3": 1,
@@ -58,7 +59,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .discretization import assemble, build_mesh, project_initial_data
+from .discretization import _integer, assemble, build_mesh, project_initial_data
 from .errors import BresseError, OutputError, ParseError, SchemaError
 from .model import ModelParams, classify_speeds, validate_params
 from .resolvent import fit_growth_exponent, lambda_cap, profile
@@ -178,11 +179,10 @@ def _setting(value, path, kind, lower):
         return items
     value = _finite(value, path)
     if kind == "int":
-        if int(value) != value:
-            raise SchemaError(path, "an integer")
+        value = _integer(path, value)
         if lower is not None and value < lower:
             raise SchemaError(path, f"an integer >= {lower}")
-        return int(value)
+        return value
     if lower is not None and not value > lower:
         raise SchemaError(path, f"a number > {lower:g}")
     return float(value)
@@ -220,9 +220,8 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
         raise ParseError(f"config is not valid JSON: {exc}") from exc
     _schema_keys(raw, "config", {"params", *_BLOCKS, *(f.name for f in _TOP_KEYS)})
     raw = {**raw, **(overrides or {})}
-    if "params" not in raw:
-        raise SchemaError("config.params", "a required object")
-    params = validate_params(ModelParams(**_fill(raw["params"], "params", fields(ModelParams))))
+    params = _fill(raw.get("params", {}), "params", fields(ModelParams))
+    params = validate_params(ModelParams(**params))
     top = _fill(raw, "config", _TOP_KEYS)
     blocks = {
         name: cls(**_fill(raw.get(name, {}), name, fields(cls))) for name, cls in _BLOCKS.items()

@@ -40,7 +40,7 @@ from .errors import (
     SchemaError,
     TooCoarse,
 )
-from .model import ModelParams
+from .model import ModelParams, _check_interval
 
 __all__ = [
     "Mesh",
@@ -74,10 +74,11 @@ class Mesh:
 
 
 def _integer(name: str, value, expected: str = "an integer") -> int:
-    """int(value) for an integer or an integral float; SchemaError(name,
-    expected) otherwise, NaN, Inf and integers beyond the float range too."""
+    """int(value) for an integral int, float, numpy integer or numpy floating
+    value, never a bool; SchemaError(name, expected) for anything else."""
+    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
     try:
-        if float(value).is_integer():
+        if real and float(value).is_integer():
             return int(value)
     except OverflowError:
         pass
@@ -87,15 +88,16 @@ def _integer(name: str, value, expected: str = "an integer") -> int:
 def build_mesh(p: ModelParams, n_elements: int) -> Mesh:
     """Uniform mesh of (0, L) with alpha and beta snapped onto nodes.
 
-    Snapping moves one node by at most half an element width, so element
-    widths stay within a factor 2 of L/n_elements.  Raises TooCoarse when
-    the damping interval cannot contain a complete element (including when
-    n_elements < 4 or an interface point sits closer to a boundary than
-    half an element), SchemaError, before any work, when n_elements is
-    not an integer (see _integer), and OutOfDomain when its nodes cannot
-    be allocated.
+    Each point moves its nearest interior node, so element widths stay
+    within a factor 2 of h = L/n_elements.  Raises SchemaError, before any
+    work, when n_elements is not an integer (see _integer), BadInterval
+    unless 0 < alpha < beta < L (NaN included), TooCoarse when the damping
+    interval cannot contain a complete element (or n_elements < 4, or an
+    element would be narrower than h/2), and OutOfDomain when its nodes
+    cannot be allocated.
     """
     n = _integer("n_elements", n_elements)
+    _check_interval(p)
     if n < 4:
         raise TooCoarse(f"need at least 4 elements, got {n}")
     h = p.L / n
@@ -103,26 +105,14 @@ def build_mesh(p: ModelParams, n_elements: int) -> Mesh:
         nodes = np.linspace(0.0, p.L, n + 1)
     except (ValueError, MemoryError):
         raise OutOfDomain(f"n_elements={n:.3e} asks for more nodes than can be allocated") from None
-
-    def snap_index(value, lo, hi):
-        if value == 0.0:
-            return 0
-        if value == p.L:
-            return n
-        i = int(round(value / h))
-        return min(max(i, lo), hi)
-
-    ia = snap_index(p.alpha, 1, n - 1)
-    ib = snap_index(p.beta, 1, n - 1)
+    ia, ib = (min(max(round(value / h), 1), n - 1) for value in (p.alpha, p.beta))
     if ib <= ia:
         raise TooCoarse(
             f"interval ({p.alpha!r}, {p.beta!r}) holds no complete element "
             f"at n={n}"
         )
-    if ia > 0:
-        nodes[ia] = p.alpha
-    if ib < n:
-        nodes[ib] = p.beta
+    nodes[ia] = p.alpha
+    nodes[ib] = p.beta
     widths = np.diff(nodes)
     if widths.min() < 0.5 * h * (1.0 - 1e-12):
         raise TooCoarse(
@@ -434,24 +424,28 @@ def project_initial_data(sys: AssembledSystem, fields) -> np.ndarray:
 
     fields = (phi0, psi0, w0, phi1, psi1, w1): the first three fill the
     displacements q, the last three the velocities v of the flat state
-    (q, v).  Every function must vanish at both clamped ends, |f| <= 1e-12
-    at x=0 and x=L (IncompatibleBoundary otherwise, NaN included), and be
-    finite at every interior node (OutOfDomain otherwise).
+    (q, v).  Each field is evaluated once at every node, ends included,
+    and must give one real number there, an int or a float (OutOfDomain
+    otherwise), within 1e-12 of zero at both clamped ends
+    (IncompatibleBoundary otherwise, NaN included), and finite inside
+    (OutOfDomain otherwise).  Each refusal names the field's index.
     """
     if len(fields) != 6:
         raise DimensionMismatch(f"expected 6 field functions, got {len(fields)}")
     nodes = sys.mesh.nodes
-    L = nodes[-1]
-    for i, f in enumerate(fields):
-        if not (abs(f(0.0)) <= 1e-12 and abs(f(L)) <= 1e-12):
-            raise IncompatibleBoundary(
-                f"initial field #{i} does not vanish at the clamped ends"
-            )
-    # row i holds the six fields at interior node i; dof 3*i + k is column k
-    values = np.array([[f(x) for f in fields] for x in nodes[1:-1]], dtype=float)
-    bad = ~np.isfinite(values).all(axis=0)
-    if bad.any():
-        raise OutOfDomain(
-            f"initial field #{int(np.argmax(bad))} is not finite at every interior node"
-        )
-    return np.concatenate((values[:, :3].ravel(), values[:, 3:].ravel()))
+    values = np.empty((nodes.size, 6))  # row j holds the six fields at node j
+    for k, f in enumerate(fields):
+        column = [f(x) for x in nodes]
+        try:
+            column = np.array(column)
+        except ValueError:  # values of unequal shapes
+            column = None
+        if column is None or column.shape != nodes.shape or column.dtype.kind not in "iuf":
+            raise OutOfDomain(f"initial field #{k} does not give one real number per node")
+        if not (abs(column[0]) <= 1e-12 and abs(column[-1]) <= 1e-12):
+            raise IncompatibleBoundary(f"initial field #{k} does not vanish at the clamped ends")
+        if not np.isfinite(column).all():
+            raise OutOfDomain(f"initial field #{k} is not finite at every interior node")
+        values[:, k] = column
+    interior = values[1:-1]  # dof 3*i + k is column k of row i
+    return np.concatenate((interior[:, :3].ravel(), interior[:, 3:].ravel()))

@@ -79,6 +79,11 @@ def validate_params(p: ModelParams) -> ModelParams:
         value = getattr(p, name)
         if not value > 0:  # also rejects NaN
             raise NonPositiveParameter(name, value)
+    return _check_interval(p)
+
+
+def _check_interval(p: ModelParams) -> ModelParams:
+    """p, unless it breaks 0 < alpha < beta < L (NaN too): then BadInterval."""
     if not (0.0 < p.alpha < p.beta < p.L):
         raise BadInterval(
             f"damping interval must satisfy 0 < alpha < beta < L, got "

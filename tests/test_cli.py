@@ -227,6 +227,28 @@ class TestMainExitCodes:
         assert cli.main(["validate", "--config", str(path)]) == 15
         assert f"n_elements={mesh_n:.3e}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("block", ["params", "spectrum", "resolvent", "sim"])
+    def test_block_that_is_no_object(self, tmp_path, capsys, block):
+        path = write_config(tmp_path, **{block: [1.0]})
+        assert cli.main(["validate", "--config", str(path)]) == 11
+        assert f"config key '{block}': expected an object" in capsys.readouterr().err
+
+    def test_config_without_params(self, tmp_path, capsys):
+        """A missing params block reads as an empty one: its first
+        coefficient is reported missing."""
+        raw = base_config(tmp_path / "out")
+        del raw["params"]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert cli.main(["validate", "--config", str(path)]) == 11
+        assert "'params.rho1': expected a required number" in capsys.readouterr().err
+
+    def test_output_dir_that_is_a_file(self, tmp_path, capsys):
+        (tmp_path / "taken").write_text("")
+        path = write_config(tmp_path)
+        assert cli.main(["validate", "--config", str(path), "--out", str(tmp_path / "taken")]) == 30
+        assert "I/O failure" in capsys.readouterr().err
+
     def test_negative_seed_override(self, tmp_path):
         path = write_config(tmp_path)
         assert cli.main(["validate", "--config", str(path), "--seed", "-3"]) == 11
@@ -476,6 +498,14 @@ OUTPUT_CONTRACT = {
         ["profile_equal", "decay_equal", "profile_unequal", "decay_unequal", "total"],
     ),
 }
+
+
+def test_unknown_command_is_refused_before_any_output(tmp_path):
+    out = tmp_path / "out"
+    with pytest.raises(SchemaError) as exc:
+        cli.run("plot", cli.parse_config(json.dumps(base_config(out))))
+    assert exc.value.path == "command" and exc.value.exit_code == 11
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", cli.COMMANDS)

@@ -20,6 +20,7 @@ from bresse.discretization import (
     project_initial_data,
 )
 from bresse.errors import (
+    BadInterval,
     DimensionMismatch,
     FactorizationFailed,
     IncompatibleBoundary,
@@ -84,6 +85,17 @@ class TestBuildMesh:
     def test_adjacent_snap_squeezing_an_element(self):
         with pytest.raises(TooCoarse):
             build_mesh(make_params(alpha=0.3, beta=0.33), 8)
+
+    @pytest.mark.parametrize("interval", [
+        {"alpha": 0.0}, {"beta": 1.0}, {"alpha": math.nan},
+    ], ids=["alpha=0", "beta=L", "alpha=NaN"])
+    def test_interval_outside_the_open_beam_is_refused(self, interval):
+        """build_mesh runs validate_params' interval check: an interval
+        that breaks 0 < alpha < beta < L is BadInterval (exit 13), not a
+        mesh with an interface on a clamped end or a bare ValueError."""
+        with pytest.raises(BadInterval) as exc:
+            build_mesh(make_params(**interval), 8)
+        assert exc.value.exit_code == 13
 
     @pytest.mark.parametrize("n", [16.5, 4.0000001, np.float64(8.5), np.nan, np.inf, -np.inf])
     def test_non_integral_element_count_is_refused(self, n):
@@ -675,6 +687,31 @@ class TestProjectInitialData:
         with pytest.raises(OutOfDomain, match="#4"):
             project_initial_data(sys16, tuple(fields))
 
+    @pytest.mark.parametrize("field", [
+        lambda x: 0.0 if x in (0.0, 1.0) else 1j,
+        lambda x: "0.0",
+        lambda x: np.array([0.0, 0.0]),
+        lambda x: np.zeros(2) if x == 0.5 else 0.0,
+        lambda x: None,
+    ], ids=["complex inside", "string", "array", "one array inside", "None"])
+    def test_field_value_not_a_real_number(self, sys16, field):
+        """A field value that is no real number, at an end or inside, is
+        OutOfDomain (exit 15) naming the field, not a bare TypeError or
+        ValueError."""
+        fields = [lambda x: 0.0] * 6
+        fields[3] = field
+        with pytest.raises(OutOfDomain, match="#3") as exc:
+            project_initial_data(sys16, tuple(fields))
+        assert exc.value.exit_code == 15
+
+    def test_integer_field_values_interpolate_as_floats(self, sys16):
+        fields = [lambda x: 0] * 6
+        fields[1] = lambda x: 0 if x in (0.0, 1.0) else 2
+        U = project_initial_data(sys16, tuple(fields))
+        expected = np.zeros(2 * sys16.n_dofs)
+        expected[1 : sys16.n_dofs : 3] = 2.0
+        assert U.dtype == float and np.array_equal(U, expected)
+
 
 # ---------------------------------------------------------------------------
 # projection convergence
@@ -747,6 +784,17 @@ def test_integer_beyond_float_range_is_schema_error(sys16, key, value):
     """An integer setting too large for a float is the CLI's SchemaError
     (exit 11) at every caller of the one integer check, not a bare
     OverflowError; each caller's own tests cover fractions, NaN and Inf."""
+    with pytest.raises(SchemaError) as exc:
+        INTEGER_SETTINGS[key](sys16, value)
+    assert exc.value.exit_code == 11 and exc.value.path == key
+
+
+@pytest.mark.parametrize("value", ["8", True, np.True_, None], ids=["str", "True", "np.True_", "None"])
+@pytest.mark.parametrize("key", INTEGER_SETTINGS)
+def test_integer_setting_that_is_no_number_is_schema_error(sys16, key, value):
+    """The one integer check takes only an int, a float or a numpy number:
+    a numeric string and a bool are SchemaError (exit 11), not 8 and 1,
+    and None is too, not a bare TypeError."""
     with pytest.raises(SchemaError) as exc:
         INTEGER_SETTINGS[key](sys16, value)
     assert exc.value.exit_code == 11 and exc.value.path == key

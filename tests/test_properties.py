@@ -1,10 +1,14 @@
-"""Structural identities over random valid parameter sets (hypothesis).
+"""Structural identities over random parameter sets (hypothesis).
 
 Every coefficient is drawn log-uniformly from [0.1, 10] (L from [0.3, 3]),
 the damping interval anywhere inside (0, L), and the mesh size from
 [8, 24].  Draws whose interval the mesh cannot resolve (TooCoarse) are
-skipped.  Runs are derandomized, so the examples are the same every time.
+skipped.  The mesh property alone draws its interval from [-0.5, 1.5] and
+NaN on (0, 1), valid or not, and the mesh size from [4, 64].  Runs are
+derandomized, so the examples are the same every time.
 """
+
+import math
 
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
@@ -16,7 +20,7 @@ from bresse.discretization import (
     g_norm_sq,
     inner_product_H,
 )
-from bresse.errors import TooCoarse
+from bresse.errors import BadInterval, TooCoarse
 from bresse.model import ModelParams, validate_params
 from bresse.resolvent import _Resolvent, lambda_cap
 from bresse.timedomain import step_midpoint
@@ -43,6 +47,39 @@ def systems(draw):
     except TooCoarse:
         assume(False)
     return assemble(p, mesh)
+
+
+POINT = st.floats(-0.5, 1.5) | st.just(math.nan)
+INSIDE = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+# about half the draws are two points of [-0.5, 1.5] or NaN, the others an
+# ordered pair inside (0, 1), so that meshes are built too
+INTERVALS = st.tuples(POINT, POINT) | st.tuples(INSIDE, INSIDE).map(sorted)
+
+
+@settings(PROPERTY, max_examples=200)
+@given(INTERVALS, st.integers(4, 64))
+def test_mesh_holds_the_interval_or_refuses_it(interval, n):
+    """build_mesh raises BadInterval exactly when 0 < alpha < beta < L
+    fails, and otherwise returns a mesh or raises TooCoarse; never anything
+    else.  A mesh holds alpha and beta bit for bit at alpha_index and
+    beta_index, and its widths lie in [h/2, 2h], to build_mesh's relative
+    slack of 1e-12."""
+    alpha, beta = interval
+    valid = 0.0 < alpha < beta < 1.0
+    p = ModelParams(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, L=1.0, alpha=alpha, beta=beta, d0=1.0)
+    try:
+        mesh = build_mesh(p, n)
+    except BadInterval:
+        assert not valid
+        return
+    except TooCoarse:
+        assert valid
+        return
+    assert valid
+    assert mesh.nodes[mesh.alpha_index] == alpha and mesh.nodes[mesh.beta_index] == beta
+    h = 1.0 / n
+    assert 0.5 * h * (1.0 - 1e-12) <= mesh.widths.min()
+    assert mesh.widths.max() <= 2.0 * h * (1.0 + 1e-12)
 
 
 @PROPERTY

@@ -406,6 +406,14 @@ class TestFitDecay:
         with pytest.raises(NonpositiveEnergy):
             fit_decay(series_from(t, E), (1.0, 20.0))
 
+    def test_zero_initial_energy_with_an_empty_window(self):
+        """E_0 = 0 is refused even when no sample lies in the window, so
+        the window's own energy check has nothing to see."""
+        t = np.linspace(0.0, 10.0, 50)
+        with pytest.raises(NonpositiveEnergy, match="initial energy is zero") as exc:
+            fit_decay(series_from(t, np.zeros_like(t)), (20.0, 30.0))
+        assert exc.value.exit_code == 27
+
     def test_too_few_samples(self):
         t = np.linspace(1.0, 100.0, 400)
         series = series_from(t, 5.0 / t)
