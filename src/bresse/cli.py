@@ -60,7 +60,7 @@ import numpy as np
 
 from . import __version__
 from .discretization import _integer, assemble, build_mesh, project_initial_data
-from .errors import BresseError, OutputError, ParseError, SchemaError
+from .errors import BresseError, OutOfDomain, OutputError, ParseError, SchemaError
 from .model import ModelParams, classify_speeds, validate_params
 from .resolvent import fit_growth_exponent, lambda_cap, profile
 from .spectral import quadratic_eigs
@@ -264,10 +264,16 @@ def _build(cfg: ExperimentConfig, p: ModelParams):
 
 
 def _profile(cfg: ExperimentConfig, sys_):
-    """Resolvent norms on the config's log-spaced lambda grid."""
+    """Resolvent norms on the config's log-spaced lambda grid; OutOfDomain
+    when the grid cannot be allocated."""
     rs = cfg.resolvent
     hi = rs.lambda_max if rs.lambda_max is not None else lambda_cap(sys_)
-    grid = np.logspace(math.log10(rs.lambda_min), math.log10(hi), rs.count)
+    try:
+        grid = np.logspace(math.log10(rs.lambda_min), math.log10(hi), rs.count)
+    except (ValueError, MemoryError):
+        raise OutOfDomain(
+            f"resolvent.count={rs.count:.3e} asks for more lambdas than can be allocated"
+        ) from None
     return profile(sys_, grid, seed=cfg.seed)
 
 

@@ -11,10 +11,10 @@ realizes the continuous energy norm.
 Every dof is numbered node-major, 3*node + field for the fields (phi,
 psi, w) = (0, 1, 2).  A state U = (q, v) is one flat array: q = U[:N],
 then v = U[N:], N = n_dofs.  M, C and K are stored once, as lower
-symmetric bands (bandwidth 5), built from the per-field tridiagonals of
-vectorized element sums.  The bands are the stored form and feed the
-banded Cholesky factors (dpbtrf) of M, once at assembly, and of the
-midpoint matrix.  _full_band mirrors a lower band into the one full layout
+symmetric bands (bandwidth 5), assembled element by element from the
+seven squared strains of the energy.  The bands are the stored form and
+feed the banded Cholesky factors (dpbtrf) of M, once at assembly, and of
+the midpoint matrix.  _full_band mirrors a lower band into the one full layout
 that is LAPACK's general band storage and scipy's dia data, from which
 _band_csr converts the one CSR of a system, diag(K, M, C), on first use:
 every product goes through it or its leading rows G = diag(K, M), O(nnz)
@@ -40,7 +40,7 @@ from .errors import (
     SchemaError,
     TooCoarse,
 )
-from .model import ModelParams, _check_interval
+from .model import ModelParams, _check_finite, _check_interval
 
 __all__ = [
     "Mesh",
@@ -89,15 +89,16 @@ def build_mesh(p: ModelParams, n_elements: int) -> Mesh:
     """Uniform mesh of (0, L) with alpha and beta snapped onto nodes.
 
     Each point moves its nearest interior node, so element widths stay
-    within a factor 2 of h = L/n_elements.  Raises SchemaError, before any
-    work, when n_elements is not an integer (see _integer), BadInterval
-    unless 0 < alpha < beta < L (NaN included), TooCoarse when the damping
-    interval cannot contain a complete element (or n_elements < 4, or an
-    element would be narrower than h/2), and OutOfDomain when its nodes
-    cannot be allocated.
+    within a factor 2 of h = L/n_elements.  Raises, before any work,
+    SchemaError when n_elements is not an integer (see _integer),
+    BadInterval unless 0 < alpha < beta < L (NaN included) and OutOfDomain
+    for an infinite L; then TooCoarse when the damping interval cannot
+    contain a complete element (or n_elements < 4, or an element would be
+    narrower than h/2), and OutOfDomain when its nodes cannot be allocated.
     """
     n = _integer("n_elements", n_elements)
     _check_interval(p)
+    _check_finite("L", p.L)
     if n < 4:
         raise TooCoarse(f"need at least 4 elements, got {n}")
     h = p.L / n
@@ -122,70 +123,49 @@ def build_mesh(p: ModelParams, n_elements: int) -> Mesh:
     return Mesh(n_elements=n, nodes=nodes, alpha_index=ia, beta_index=ib)
 
 
-def _field_matrices(nodes: np.ndarray, weights: np.ndarray):
-    """Per-field tridiagonal matrices of the P1 products on the interior nodes.
+# Slot 6 f + r of interior node p holds A[3 p + f + r, 3 p + f].  Node p
+# is node 0 of element p + 1 and node 1 of element p (local dofs 3 i + f):
+# slots 0 to 17 take local entry (f + r, f) of element p + 1 (zero past row
+# 5), slots 18 to 35 entry (f + r + 3, f + 3) of element p (zero past row 5).
+_FIELD, _ROW = np.indices((3, 6)).reshape(2, -1)
+_ROW += _FIELD
+_I, _G = np.divmod(np.minimum(np.append(_ROW, _ROW + 3), 5), 3)
+_J, _F = np.divmod(np.append(_FIELD, _FIELD + 3), 3)
+# _LEFT, _RIGHT pick a strain row's (k, a, b) products a_g a_f, a_g b_f,
+# b_g a_f, b_g b_f (g, f the slot's row and column fields); _SCALE holds
+# their P1 integrals, from h N_i' = 2 i - 1, int N_i N_j = h (1 + [i = j]) / 6.
+_LEFT = np.concatenate((_G + 1, _G + 1, _G + 4, _G + 4))
+_RIGHT = np.concatenate((_F + 1, _F + 4, _F + 1, _F + 4))
+_SCALE = np.stack(((2 * _I - 1) * (2 * _J - 1), _I - 0.5, _J - 0.5, (1 + (_I == _J)) / 6.0))
+_SCALE *= np.append(_ROW < 6, _ROW < 3)
 
-    Returns (A, S, D) with A[i,j] = sum_e w_e int N_i N_j, S[i,j] =
-    sum_e w_e int N_i' N_j', D[i,j] = sum_e w_e int N_i' N_j over the
-    interior hat functions, each integral over element e.  Exact: all
-    integrands are polynomials of degree <= 2.  Each comes as its three
-    diagonals, see _interior_sum.
+
+def _energy_bands(h: np.ndarray, energies) -> tuple:
+    """Read-only lower bands (6, N) of the P1 matrices of energies.
+
+    An energy (c, strains) is sum_s int c k_s |a_s . (phi', psi', w') +
+    b_s . (phi, psi, w)|^2, c = c[e] on element e of width h[e].  An
+    element's matrix is exactly (c / h) P + c Q + (c h) R, P, Q and R
+    summing k_s times its strains' coefficient products (see _SCALE).
+    Row k holds A[j + k, j] over the interior node-major dofs: LAPACK's
+    lower band storage, in Fortran order for BLAS.  Sums start from +0.0,
+    so no entry is -0.0 and a band equals an element-by-element sum from
+    zero bit for bit.
     """
-    h = np.diff(nodes)
-    mass_ref = np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
-    stiff_ref = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    mixed_ref = np.array([[-0.5, -0.5], [0.5, 0.5]])
-    return (
-        _interior_sum(weights * h, mass_ref),
-        _interior_sum(weights / h, stiff_ref),
-        _interior_sum(weights, mixed_ref),
-    )
-
-
-def _interior_sum(scale: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """sum_e scale_e * ref over the elements, restricted to the interior nodes.
-
-    Returns the tridiagonal T as rows (diagonal, superdiagonal, subdiagonal)
-    of one (3, n_interior) array: row 1 holds T[i, i+1] and row 2 holds
-    T[i+1, i] at column i, each padded with a final 0.0 that lies outside
-    T.  Interior node i takes ref[1, 1] from element i-1 and then ref[0, 0]
-    from element i.  Every sum starts from +0.0, so a zero weight adds +0.0
-    and the entries equal an element-by-element accumulation bit for bit.
-    """
-    inner = np.append(scale[1:-1], 0.0)
-    return np.stack(
-        [
-            (0.0 + scale[:-1] * ref[1, 1]) + scale[1:] * ref[0, 0],
-            0.0 + inner * ref[0, 1],
-            0.0 + inner * ref[1, 0],
-        ]
-    )
-
-
-def _transpose(T: np.ndarray) -> np.ndarray:
-    """Transpose of a tridiagonal stored as in _interior_sum."""
-    return T[[0, 2, 1]]
-
-
-def _node_major_band(lower: dict) -> np.ndarray:
-    """Lower band (6, 3 n) of the symmetric matrix with field blocks lower[a, b].
-
-    lower maps field pairs a >= b to tridiagonal blocks (as in _interior_sum);
-    missing pairs are zero and block (b, a) is the transpose of block (a, b).
-    Row k of the band holds the entries A[j + k, j] over the node-major
-    dofs 3 * node + field, the layout of LAPACK's lower band storage.
-    Fortran order lets BLAS read it without a copy.
-    """
-    n = next(iter(lower.values())).shape[1]
-    band = np.zeros((6, n, 3))
-    for (a, b), T in lower.items():
-        band[a - b, :, b] = T[0]  # same node
-        band[3 + a - b, :, b] = T[2]  # (node j + 1, a) against (node j, b)
-        if a != b:
-            band[3 + b - a, :, a] = T[1]  # (node j + 1, b) against (node j, a)
-    band = np.asfortranarray(band.reshape(6, 3 * n))
-    band.flags.writeable = False
-    return band
+    kab = np.array([(k, *a, *b) for _, strains in energies for k, a, b in strains], dtype=float)
+    starts = np.cumsum([0] + [len(strains) for _, strains in energies[:-1]])
+    products = np.add.reduceat((kab[:, _LEFT] * kab[:, _RIGHT]) * kab[:, :1], starts)
+    P, Qa, Qb, R = (products.reshape(-1, *_SCALE.shape) * _SCALE).swapaxes(0, 1)
+    c = np.array([weights for weights, _ in energies])
+    E = np.zeros((len(energies), _SCALE.shape[1], h.size))  # (energy, slot, element)
+    for T, w in ((P, c / h), (Qa + Qb, c), (R, c * h)):
+        e, s = T.nonzero()  # each term feeds few slots
+        E[e, s] += T[e, s, None] * w[e]
+    E[:, :18, -1] *= _ROW < 3  # the last node's right neighbour is the clamped end
+    bands = np.add(E[:, :18, 1:].transpose(0, 2, 1), E[:, 18:, :-1].transpose(0, 2, 1), order="C")
+    bands = bands.reshape(len(energies), -1, 6)
+    bands.flags.writeable = False
+    return tuple(band.T for band in bands)
 
 
 def _full_band(lower: np.ndarray) -> np.ndarray:
@@ -254,7 +234,7 @@ class AssembledSystem:
     """Banded matrices of the discretized system, an immutable value.
 
     M_band, C_band and K_band are read-only lower bands, shape (6, N), of
-    M, C, K (see _node_major_band); they are the stored form and the only
+    M, C, K (see _energy_bands); they are the stored form and the only
     input to the LAPACK factors, and each is checked finite at assembly
     (OutOfDomain otherwise).  KMC_csr is the one read-only CSR of diag(K,
     M, C) with the bands' zeros dropped (see _band_csr), derived on first
@@ -350,29 +330,18 @@ class _Pencil:
 
 
 def _assemble_bands(p: ModelParams, mesh: Mesh):
-    """Element-exact assembly of the bands of M, C, K on interior dofs."""
-    damped = np.zeros(mesh.n_elements)
+    """Element-exact bands of M, C, K on interior dofs from their strains."""
+    ones, damped = np.ones(mesh.n_elements), np.zeros(mesh.n_elements)
     damped[mesh.alpha_index : mesh.beta_index] = p.d0
-
-    A, S, D = _field_matrices(mesh.nodes, np.ones(mesh.n_elements))
-    Ad, Sd, Dd = _field_matrices(mesh.nodes, damped)
-    l = p.l
-
-    # Field blocks on and below the diagonal, fields (phi, psi, w) = (0, 1, 2).
-    # Stiffness: k1|phi' + psi + l w|^2 + k2|psi'|^2 + k3|w' - l phi|^2
-    K = {
-        (0, 0): p.k1 * S + p.k3 * l * l * A,
-        (1, 0): p.k1 * _transpose(D),
-        (1, 1): p.k1 * A + p.k2 * S,
-        (2, 0): p.k1 * l * _transpose(D) - p.k3 * l * D,
-        (2, 1): p.k1 * l * A,
-        (2, 2): p.k1 * l * l * A + p.k3 * S,
-    }
-    # Damping: d(x)|v_w' - l v_phi|^2, active dofs only under (alpha, beta)
-    C = {(0, 0): l * l * Ad, (2, 0): -l * Dd, (2, 2): Sd}
-    # Mass: rho1|v_phi|^2 + rho2|v_psi|^2 + rho1|v_w|^2
-    M = {(0, 0): p.rho1 * A, (1, 1): p.rho2 * A, (2, 2): p.rho1 * A}
-    return _node_major_band(M), _node_major_band(C), _node_major_band(K)
+    no = (0, 0, 0)
+    return _energy_bands(mesh.widths, [
+        # Mass: rho1|v_phi|^2 + rho2|v_psi|^2 + rho1|v_w|^2
+        (ones, [(p.rho1, no, (1, 0, 0)), (p.rho2, no, (0, 1, 0)), (p.rho1, no, (0, 0, 1))]),
+        # Damping: d(x)|v_w' - l v_phi|^2, d = d0 on (alpha, beta) and 0 elsewhere
+        (damped, [(1.0, (0, 0, 1), (-p.l, 0, 0))]),
+        # Stiffness: k1|phi' + psi + l w|^2 + k2|psi'|^2 + k3|w' - l phi|^2
+        (ones, [(p.k1, (1, 0, 0), (0, 1, p.l)), (p.k2, (0, 1, 0), no), (p.k3, (0, 0, 1), (-p.l, 0, 0))]),
+    ])
 
 
 def assemble(p: ModelParams, mesh: Mesh) -> AssembledSystem:

@@ -6,9 +6,10 @@ damping of Kelvin-Voigt type acts on the axial strain rate only, and only
 on the subinterval (alpha, beta).
 """
 
+import math
 from dataclasses import dataclass
 
-from .errors import BadInterval, NonPositiveParameter
+from .errors import BadInterval, NonPositiveParameter, OutOfDomain
 
 __all__ = [
     "ModelParams",
@@ -70,16 +71,29 @@ class SpeedClass:
 
 
 def validate_params(p: ModelParams) -> ModelParams:
-    """Check strict positivity and the damping-interval ordering.
+    """Check strict positivity, finiteness and the damping-interval ordering.
 
-    Returns p unchanged when valid.  Raises NonPositiveParameter naming the
-    first offending coefficient, or BadInterval unless 0 < alpha < beta < L.
+    Returns p unchanged when valid.  Raises NonPositiveParameter or
+    OutOfDomain naming the first coefficient that is not > 0 (NaN
+    included) or not finite, or BadInterval unless 0 < alpha < beta < L.
     """
     for name in _POSITIVE_FIELDS:
         value = getattr(p, name)
         if not value > 0:  # also rejects NaN
             raise NonPositiveParameter(name, value)
+        _check_finite(name, value)
     return _check_interval(p)
+
+
+def _check_finite(name: str, value):
+    """OutOfDomain naming the coefficient unless value is a finite float
+    (an integer beyond the float range is not)."""
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise OutOfDomain(f"parameter {name!r} must be finite (got {value!r})")
 
 
 def _check_interval(p: ModelParams) -> ModelParams:

@@ -4,6 +4,7 @@ Systems are assembled once per session where reuse is safe; anything a
 test mutates gets a fresh build.
 """
 
+import itertools
 import types
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from scipy.linalg import block_diag, eig
 
 from bresse.model import ModelParams
-from bresse.discretization import _band_csr, _field_matrices, assemble, build_mesh
+from bresse.discretization import _band_csr, assemble, build_mesh
 
 
 def make_params(**overrides):
@@ -54,39 +55,63 @@ def sys16_undamped():
     return make_system(16, d0=0.0)
 
 
-def tridiagonal_dense(T):
-    """Dense matrix of a tridiagonal from _field_matrices (diagonal, super, sub)."""
-    return np.diag(T[0]) + np.diag(T[1][:-1], 1) + np.diag(T[2][:-1], -1)
+def energy_strains(p):
+    """The strains (k, coefficients of (phi', psi', w'), coefficients of
+    (phi, psi, w)) of the mass, damping and stiffness energies of p."""
+    l = p.l
+    return {
+        "M": [(p.rho1, (0, 0, 0), (1, 0, 0)), (p.rho2, (0, 0, 0), (0, 1, 0)),
+              (p.rho1, (0, 0, 0), (0, 0, 1))],
+        "C": [(1.0, (0, 0, 1), (-l, 0, 0))],
+        "K": [(p.k1, (1, 0, 0), (0, 1, l)), (p.k2, (0, 1, 0), (0, 0, 0)),
+              (p.k3, (0, 0, 1), (-l, 0, 0))],
+    }
+
+
+def element_loop(nodes, weights, strains):
+    """Dense node-major matrix, interior dofs only, of the energy sum_e
+    weights[e] sum_s k_s int_e |a_s . (phi', psi', w') + b_s . (phi, psi,
+    w)|^2 over the P1 elements of the mesh with these nodes.
+
+    A plain loop: each element's matrix entry for local dofs (i, g) and
+    (j, f), field g at node i and field f at node j, is (c / h) P + c Q
+    + (c h) R, where P, Q and R sum over the strains the products k (a_g
+    a_f), k (a_g b_f), k (b_g a_f) and k (b_g b_f), scaled by the exact
+    P1 integrals (h N_i')(h N_j'), h N_i' / 2, h N_j' / 2 and (1 + [i =
+    j]) / 6, with h N_0' = -1 and h N_1' = 1.  Entries are added into a
+    matrix of zeros element by element, in the order of the elements.
+    """
+    n = len(nodes) - 1
+    A = np.zeros((3 * (n + 1), 3 * (n + 1)))
+    slope = (-1.0, 1.0)
+    for e in range(n):
+        h, c = nodes[e + 1] - nodes[e], weights[e]
+        for i, g, j, f in itertools.product(range(2), range(3), range(2), range(3)):
+            P = Qa = Qb = R = 0.0
+            for k, a, b in strains:
+                P += (float(a[g]) * a[f]) * k
+                Qa += (float(a[g]) * b[f]) * k
+                Qb += (float(b[g]) * a[f]) * k
+                R += (float(b[g]) * b[f]) * k
+            P *= slope[i] * slope[j]
+            Q = Qa * (0.5 * slope[i]) + Qb * (0.5 * slope[j])
+            R *= (2 if i == j else 1) / 6.0
+            A[3 * (e + i) + g, 3 * (e + j) + f] += (P * (c / h) + Q * c) + R * (c * h)
+    return A[3:-3, 3:-3]
 
 
 def reference_matrices(sys):
-    """Dense field-major (M, C, K) of a system by np.block, independently of
-    its node-major bands: the per-field tridiagonals of _field_matrices are
-    expanded to dense matrices and combined block by block.
-    """
+    """Dense node-major (M, C, K) of a system by element_loop, independently
+    of its bands: the damping weight is d0 on the elements of (alpha,
+    beta) and 0 elsewhere, every other weight 1."""
     p, mesh = sys.params, sys.mesh
-    damped = np.zeros(mesh.n_elements)
-    damped[mesh.alpha_index : mesh.beta_index] = p.d0
-    A, S, D = map(tridiagonal_dense, _field_matrices(mesh.nodes, np.ones(mesh.n_elements)))
-    Ad, Sd, Dd = map(tridiagonal_dense, _field_matrices(mesh.nodes, damped))
-    l = p.l
-    zero = np.zeros_like(A)
-    K = np.block([
-        [p.k1 * S + p.k3 * l * l * A, p.k1 * D, p.k1 * l * D - p.k3 * l * D.T],
-        [p.k1 * D.T, p.k1 * A + p.k2 * S, p.k1 * l * A],
-        [p.k1 * l * D.T - p.k3 * l * D, p.k1 * l * A, p.k1 * l * l * A + p.k3 * S],
-    ])
-    C = np.block([
-        [l * l * Ad, zero, -l * Dd.T],
-        [zero, zero, zero],
-        [-l * Dd, zero, Sd],
-    ])
-    M = np.block([
-        [p.rho1 * A, zero, zero],
-        [zero, p.rho2 * A, zero],
-        [zero, zero, p.rho1 * A],
-    ])
-    return M, C, K
+    n = mesh.n_elements
+    damped = [p.d0 if mesh.alpha_index <= e < mesh.beta_index else 0.0 for e in range(n)]
+    weights = {"M": [1.0] * n, "C": damped, "K": [1.0] * n}
+    return tuple(
+        element_loop(mesh.nodes, weights[name], strains)
+        for name, strains in energy_strains(p).items()
+    )
 
 
 def node_major(A):

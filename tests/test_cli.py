@@ -227,6 +227,16 @@ class TestMainExitCodes:
         assert cli.main(["validate", "--config", str(path)]) == 15
         assert f"n_elements={mesh_n:.3e}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["resolvent", "dichotomy"])
+    @pytest.mark.parametrize("count", [10**15, 10**19])
+    def test_lambda_grid_too_large_to_allocate(self, tmp_path, capsys, command, count):
+        """A resolvent.count whose lambda grid no array can hold (7.1 PiB,
+        or more than numpy can index) is out of domain, not a numpy
+        traceback, for both commands that draw the grid."""
+        path = write_config(tmp_path, resolvent={"count": count})
+        assert cli.main([command, "--config", str(path)]) == 15
+        assert f"resolvent.count={count:.3e}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("block", ["params", "spectrum", "resolvent", "sim"])
     def test_block_that_is_no_object(self, tmp_path, capsys, block):
         path = write_config(tmp_path, **{block: [1.0]})

@@ -10,7 +10,6 @@ from scipy.linalg import block_diag, cholesky_banded, eig, eigh
 
 from bresse import discretization
 from bresse.discretization import (
-    _field_matrices,
     apply_generator,
     assemble,
     build_mesh,
@@ -33,6 +32,9 @@ from bresse.spectral import quadratic_eigs
 from bresse.timedomain import SimConfig, simulate, step_midpoint
 
 from conftest import (
+    dense_lower_band,
+    element_loop,
+    energy_strains,
     full_band_dense,
     lower_band_dense,
     make_params,
@@ -40,7 +42,6 @@ from conftest import (
     node_major,
     random_state,
     reference_matrices,
-    tridiagonal_dense,
 )
 
 
@@ -97,6 +98,13 @@ class TestBuildMesh:
             build_mesh(make_params(**interval), 8)
         assert exc.value.exit_code == 13
 
+    def test_infinite_length_is_refused(self):
+        """L = inf is out of domain (exit 15), naming L, before any node is
+        allocated: not a numpy warning or TooCoarse."""
+        with pytest.raises(OutOfDomain, match="parameter 'L' must be finite") as exc:
+            build_mesh(make_params(L=math.inf), 8)
+        assert exc.value.exit_code == 15
+
     @pytest.mark.parametrize("n", [16.5, 4.0000001, np.float64(8.5), np.nan, np.inf, -np.inf])
     def test_non_integral_element_count_is_refused(self, n):
         """An element count that is no integer is the CLI's SchemaError
@@ -148,11 +156,12 @@ class TestAssembledMatrices:
 
     @pytest.mark.parametrize("n, overrides", SYSTEMS)
     def test_dense_matrices_equal_the_block_reference(self, n, overrides):
-        """M, C and K expanded from the bands equal a field-major np.block
-        assembly, mapped to node-major order, entry for entry."""
+        """M, C and K expanded from the bands equal a plain loop over the
+        elements and the seven strains (conftest.element_loop), entry for
+        entry."""
         sys = make_system(n, **overrides)
         for got, ref in zip((sys.M, sys.C, sys.K), reference_matrices(sys)):
-            assert np.array_equal(got, node_major(ref))
+            assert np.array_equal(got, ref)
 
     @pytest.mark.parametrize("n", [16, 256])
     def test_node_major_bandwidth(self, n):
@@ -161,7 +170,7 @@ class TestAssembledMatrices:
         M, C, K = reference_matrices(make_system(n))
 
         def bandwidth(A):
-            rows, cols = np.nonzero(node_major(A))
+            rows, cols = np.nonzero(A)
             return int(np.max(np.abs(rows - cols)))
 
         assert bandwidth(M) == 3
@@ -388,35 +397,28 @@ class TestAssembledMatrices:
             err = np.max(np.abs(getattr(sys, name) - ref)) / np.max(np.abs(ref))
             assert err <= 1e-12, (name, err)
 
-    def test_field_matrices_equal_the_element_loop(self):
-        """The vectorized sums equal an element-by-element loop bit for bit.
-
-        The loop adds each element's 2x2 block to zeroed full-node matrices,
-        skipping zero weights, and keeps the interior rows and columns.
-        Signed zeros count: the bytes must agree.
-        """
-        mass_ref = np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
-        stiff_ref = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        mixed_ref = np.array([[-0.5, -0.5], [0.5, 0.5]])
+    def test_bands_equal_the_element_loop(self):
+        """Each band equals conftest.element_loop bit for bit, on random
+        non-uniform meshes with random coefficients and per-element
+        weights, zero weights included, for the beam's three energies and
+        an energy of two random strains.  Signed zeros count: the bytes
+        must agree."""
         rng = np.random.default_rng(61)
         for n in (4, 9, 16, 37):
             nodes = np.concatenate([[0.0], np.cumsum(rng.uniform(0.5, 2.0, n))])
             damped = np.where(rng.random(n) < 0.5, 0.0, rng.uniform(0.1, 10.0, n))
+            names = ("rho1", "rho2", "k1", "k2", "k3", "l")
+            strains = energy_strains(make_params(**dict(zip(names, rng.uniform(0.1, 10.0, 6)))))
+            strains["random"] = [
+                (rng.uniform(0.1, 10.0), tuple(rng.normal(size=3)), tuple(rng.normal(size=3)))
+                for _ in range(2)
+            ]
             for weights in (np.ones(n), damped, np.zeros(n)):
-                full = np.zeros((3, n + 1, n + 1))
-                h = np.diff(nodes)
-                for e in range(n):
-                    if weights[e] == 0.0:
-                        continue
-                    sl = slice(e, e + 2)
-                    full[0, sl, sl] += weights[e] * h[e] * mass_ref
-                    full[1, sl, sl] += (weights[e] / h[e]) * stiff_ref
-                    full[2, sl, sl] += weights[e] * mixed_ref
-                for got, ref in zip(_field_matrices(nodes, weights), full):
-                    interior = ref[1:-1, 1:-1]
-                    for row, offset in zip(got, (0, 1, -1)):
-                        diagonal = np.diag(interior, offset)
-                        assert row[: diagonal.size].tobytes() == diagonal.tobytes()
+                energies = [(weights, group) for group in strains.values()]
+                bands = discretization._energy_bands(np.diff(nodes), energies)
+                for band, group in zip(bands, strains.values()):
+                    ref = dense_lower_band(element_loop(nodes, weights, group), 5)
+                    assert band.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("complex_valued", [False, True])
     def test_mass_solve_of_a_matrix_is_column_by_column(self, sys16, complex_valued):
@@ -588,8 +590,8 @@ class TestEnergyMetric:
         lo, hi = [], []
         for n in (16, 32, 64):
             sys = make_system(n)
-            S = tridiagonal_dense(_field_matrices(sys.mesh.nodes, np.ones(n))[1])
-            flat = node_major(block_diag(S, S, S))
+            gradients = [(1.0, row, (0, 0, 0)) for row in np.eye(3)]  # |phi'|^2 + |psi'|^2 + |w'|^2
+            flat = element_loop(sys.mesh.nodes, np.ones(n), gradients)
             vals = eigh(sys.K, flat, eigvals_only=True)
             lo.append(min(vals.min(), 1.0))
             hi.append(max(vals.max(), 1.0))

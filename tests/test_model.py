@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from bresse.errors import BadInterval, NonPositiveParameter
+from bresse.errors import BadInterval, NonPositiveParameter, OutOfDomain
 from bresse.model import (
     EQUAL_SPEEDS,
     UNEQUAL_SPEEDS,
@@ -53,6 +53,16 @@ class TestValidateParams:
             assert exc.value.name == field
             with pytest.raises(NonPositiveParameter):
                 validate_params(make_params(**{field: math.nan}))
+
+    @pytest.mark.parametrize("value", [math.inf, 10**400], ids=["inf", "10**400"])
+    @pytest.mark.parametrize("field", ["rho1", "rho2", "k1", "k2", "k3", "l", "L", "d0"])
+    def test_infinite_coefficient_rejected(self, field, value):
+        """inf, or an integer beyond the float range, passes the positivity
+        test but is refused as out of domain (exit 15), naming the
+        coefficient."""
+        with pytest.raises(OutOfDomain, match=f"parameter '{field}' must be finite") as exc:
+            validate_params(make_params(**{field: value}))
+        assert exc.value.exit_code == 15
 
     def test_zero_curvature_rejected(self):
         """l = 0 would decouple the system; strict positivity excludes it."""

@@ -293,6 +293,15 @@ class TestParityBlocks:
         assert np.unique(nearest).size == dense.size == w.size
         assert np.max(np.abs(w - dense[nearest]) / np.abs(dense[nearest])) <= 1e-10
 
+    @pytest.mark.parametrize("n", [16, 64, 128, 256])
+    def test_non_unit_coefficients_split_into_two_blocks(self, n):
+        """Constant non-unit coefficients keep the split: the element
+        arithmetic maps M, C and K onto their mirror images bit for bit.
+        Block sizes only, no eigensolve."""
+        sys = make_system(n, rho1=1.3, rho2=0.7, k1=2.1, k2=0.6, k3=1.7, l=0.45, d0=0.8)
+        sizes = [cols.size for cols, _, _ in spectral._parity_blocks(sys)]
+        assert len(sizes) == 2 and sum(sizes) == sys.n_dofs
+
     def test_blocks_pair_each_dof_with_its_mirror(self):
         """Each block pairs the left-half dofs with their mirrors, with the
         field's sign (phi +1, psi and w -1) in the even block and its
