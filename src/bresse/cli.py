@@ -25,9 +25,12 @@ exit 11) and "mesh_n"; everything else is optional with documented defaults:
 
 h is the largest element width.  Unknown keys anywhere are rejected, and
 so are out-of-range settings: seed must be >= 0; per_shift, count and
-sample_stride >= 1; lambda_min, lambda_max, dt and t_final > 0.  Exit
-codes: 0 success; 10-19 config errors; 20-29 numerical errors; 30 I/O
-errors; each error class in bresse.errors has its own code.
+sample_stride >= 1; lambda_min, lambda_max, dt and t_final > 0.  The
+params block is checked by ModelParams itself, and params.d0 must be > 0:
+the library admits the undamped beam (d0 = 0), the CLI runs the damped
+one.  Exit codes: 0 success; 10-19 config errors; 20-29 numerical
+errors; 30 I/O errors; each error class in bresse.errors has its own
+code.
 
 --out and --seed replace the file's output_dir and seed before the config
 is checked and digested, so a run reports the digest of the config it ran
@@ -60,8 +63,15 @@ import numpy as np
 
 from . import __version__
 from .discretization import _integer, assemble, build_mesh, project_initial_data
-from .errors import BresseError, OutOfDomain, OutputError, ParseError, SchemaError
-from .model import ModelParams, classify_speeds, validate_params
+from .errors import (
+    BresseError,
+    NonPositiveParameter,
+    OutOfDomain,
+    OutputError,
+    ParseError,
+    SchemaError,
+)
+from .model import ModelParams, _isfinite, classify_speeds
 from .resolvent import fit_growth_exponent, lambda_cap, profile
 from .spectral import quadratic_eigs
 from .timedomain import SimConfig, decay_analysis, initial_data_family, simulate
@@ -155,11 +165,7 @@ def _schema_keys(obj, path, allowed):
 def _finite(value, path):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(path, "a number")
-    try:
-        finite = math.isfinite(value)
-    except OverflowError:  # an integer beyond the float range
-        finite = False
-    if not finite:
+    if not _isfinite(value):
         raise SchemaError(path, "a finite number")
     return value
 
@@ -209,8 +215,8 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
     overrides maps top-level keys (the CLI's seed and output_dir) to values
     that replace the file's before any check, so the digest covers them.
     Raises ParseError for malformed JSON, SchemaError for unknown,
-    ill-typed or out-of-range keys, and the model validation errors for
-    bad parameters.
+    ill-typed or out-of-range keys, the errors of ModelParams'
+    construction for bad parameters, and NonPositiveParameter for d0 = 0.
     """
     try:
         raw = json.loads(text)
@@ -221,7 +227,9 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
     _schema_keys(raw, "config", {"params", *_BLOCKS, *(f.name for f in _TOP_KEYS)})
     raw = {**raw, **(overrides or {})}
     params = _fill(raw.get("params", {}), "params", fields(ModelParams))
-    params = validate_params(ModelParams(**params))
+    params = ModelParams(**params)
+    if not params.d0 > 0:
+        raise NonPositiveParameter("d0", params.d0)
     top = _fill(raw, "config", _TOP_KEYS)
     blocks = {
         name: cls(**_fill(raw.get(name, {}), name, fields(cls))) for name, cls in _BLOCKS.items()
@@ -377,7 +385,7 @@ def _run_dichotomy(cfg, timings):
     k2_equal = cfg.params.rho2 * cfg.params.k1 / cfg.params.rho1
     tables, rows = {}, []
     for tag, k2 in (("equal", k2_equal), ("unequal", k2_equal * _UNEQUAL_FACTOR)):
-        params = validate_params(replace(cfg.params, k2=k2))
+        params = replace(cfg.params, k2=k2)
         sys_ = _build(cfg, params)
         speed = classify_speeds(params)
         prof = _timed(timings, f"profile_{tag}", _profile, cfg, sys_)

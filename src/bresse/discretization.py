@@ -40,7 +40,7 @@ from .errors import (
     SchemaError,
     TooCoarse,
 )
-from .model import ModelParams, _check_finite, _check_interval
+from .model import ModelParams
 
 __all__ = [
     "Mesh",
@@ -89,16 +89,14 @@ def build_mesh(p: ModelParams, n_elements: int) -> Mesh:
     """Uniform mesh of (0, L) with alpha and beta snapped onto nodes.
 
     Each point moves its nearest interior node, so element widths stay
-    within a factor 2 of h = L/n_elements.  Raises, before any work,
-    SchemaError when n_elements is not an integer (see _integer),
-    BadInterval unless 0 < alpha < beta < L (NaN included) and OutOfDomain
-    for an infinite L; then TooCoarse when the damping interval cannot
-    contain a complete element (or n_elements < 4, or an element would be
-    narrower than h/2), and OutOfDomain when its nodes cannot be allocated.
+    within a factor 2 of h = L/n_elements; p has checked on construction
+    that L is finite and 0 < alpha < beta < L.  Raises, before any work,
+    SchemaError when n_elements is not an integer (see _integer); then
+    TooCoarse when the damping interval cannot contain a complete element
+    (or n_elements < 4, or an element would be narrower than h/2), and
+    OutOfDomain when its nodes cannot be allocated.
     """
     n = _integer("n_elements", n_elements)
-    _check_interval(p)
-    _check_finite("L", p.L)
     if n < 4:
         raise TooCoarse(f"need at least 4 elements, got {n}")
     h = p.L / n

@@ -1,4 +1,4 @@
-"""Physical parameters, their validation, and wave-speed classification.
+"""Physical parameters, checked on construction, and wave-speed classification.
 
 The beam carries three coupled fields (vertical displacement, shear angle,
 longitudinal displacement) on (0, L) with clamped ends.  Viscoelastic
@@ -16,14 +16,13 @@ __all__ = [
     "SpeedClass",
     "EQUAL_SPEEDS",
     "UNEQUAL_SPEEDS",
-    "validate_params",
     "classify_speeds",
 ]
 
 EQUAL_SPEEDS = "EqualSpeeds"
 UNEQUAL_SPEEDS = "UnequalSpeeds"
 
-_POSITIVE_FIELDS = ("rho1", "rho2", "k1", "k2", "k3", "l", "L", "d0")
+_COEFFICIENTS = ("rho1", "rho2", "k1", "k2", "k3", "l", "L", "d0")
 
 _SPEED_REL_TOL = 1e-12  # relative tolerance of classify_speeds
 
@@ -42,6 +41,12 @@ class ModelParams:
     alpha  left endpoint of the damped subinterval
     beta   right endpoint of the damped subinterval
     d0     viscoelastic damping coefficient on (alpha, beta)
+
+    Construction, dataclasses.replace included, checks the coefficients
+    and raises NonPositiveParameter naming the first that is not > 0 (NaN
+    included; d0 = 0, the undamped system, is accepted), OutOfDomain naming
+    the first that is not finite (an integer beyond the float range
+    included), or BadInterval unless 0 < alpha < beta < L.
     """
 
     rho1: float
@@ -54,6 +59,27 @@ class ModelParams:
     alpha: float
     beta: float
     d0: float
+
+    def __post_init__(self):
+        for name in _COEFFICIENTS:
+            value = getattr(self, name)
+            if not (value >= 0 if name == "d0" else value > 0):  # also rejects NaN
+                raise NonPositiveParameter(name, value)
+            if not _isfinite(value):
+                raise OutOfDomain(f"parameter {name!r} must be finite (got {value!r})")
+        if not (0.0 < self.alpha < self.beta < self.L):
+            raise BadInterval(
+                f"damping interval must satisfy 0 < alpha < beta < L, got "
+                f"alpha={self.alpha!r}, beta={self.beta!r}, L={self.L!r}"
+            )
+
+
+def _isfinite(value) -> bool:
+    """math.isfinite, with an integer beyond the float range not finite."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -70,49 +96,13 @@ class SpeedClass:
     predicted_decay_exponent: float
 
 
-def validate_params(p: ModelParams) -> ModelParams:
-    """Check strict positivity, finiteness and the damping-interval ordering.
-
-    Returns p unchanged when valid.  Raises NonPositiveParameter or
-    OutOfDomain naming the first coefficient that is not > 0 (NaN
-    included) or not finite, or BadInterval unless 0 < alpha < beta < L.
-    """
-    for name in _POSITIVE_FIELDS:
-        value = getattr(p, name)
-        if not value > 0:  # also rejects NaN
-            raise NonPositiveParameter(name, value)
-        _check_finite(name, value)
-    return _check_interval(p)
-
-
-def _check_finite(name: str, value):
-    """OutOfDomain naming the coefficient unless value is a finite float
-    (an integer beyond the float range is not)."""
-    try:
-        finite = math.isfinite(value)
-    except OverflowError:
-        finite = False
-    if not finite:
-        raise OutOfDomain(f"parameter {name!r} must be finite (got {value!r})")
-
-
-def _check_interval(p: ModelParams) -> ModelParams:
-    """p, unless it breaks 0 < alpha < beta < L (NaN too): then BadInterval."""
-    if not (0.0 < p.alpha < p.beta < p.L):
-        raise BadInterval(
-            f"damping interval must satisfy 0 < alpha < beta < L, got "
-            f"alpha={p.alpha!r}, beta={p.beta!r}, L={p.L!r}"
-        )
-    return p
-
-
 def classify_speeds(p: ModelParams) -> SpeedClass:
     """Classify into the equal-speed or unequal-speed regime.
 
     Speeds are compared with a relative tolerance of 1e-12 because
-    floating-point parameter entry makes exact equality fragile.
+    floating-point parameter entry makes exact equality fragile.  p has
+    checked itself on construction, so both speeds are finite and positive.
     """
-    validate_params(p)
     s1 = p.k1 / p.rho1
     s2 = p.k2 / p.rho2
     if abs(s1 - s2) <= _SPEED_REL_TOL * max(s1, s2):

@@ -148,16 +148,18 @@ def simulate(sys: AssembledSystem, U0: np.ndarray, cfg: SimConfig) -> EnergySeri
     once the loop ends.  Raises SchemaError for a non-integral
     sample_stride, DimensionMismatch unless U0 has shape (2 sys.n_dofs,),
     OutOfDomain for a NaN or Inf dt or t_final, for a step count too large
-    to record and when U0 has a NaN or Inf entry or an energy that
-    overflows, and FactorizationFailed when a later energy is not finite.
+    to record (t_final/dt past the float range included) and when U0 has
+    a NaN or Inf entry or an energy that overflows, and
+    FactorizationFailed when a later energy is not finite.
     """
     stride = _validate_sim_config(cfg)
     dt = cfg.dt
-    n_steps = int(round(cfg.t_final / dt))
+    ratio = cfg.t_final / dt  # inf when the quotient overflows
     try:
+        n_steps = int(round(ratio))
         record = np.empty((3, n_steps + 1))
-    except (ValueError, MemoryError):
-        raise OutOfDomain(f"t_final/dt asks for {n_steps:.3e} steps, too many to record") from None
+    except (OverflowError, ValueError, MemoryError):
+        raise OutOfDomain(f"t_final/dt asks for {ratio:.3e} steps, too many to record") from None
     kinetics, potentials, residuals = record
     eps = np.finfo(float).tiny
 

@@ -202,6 +202,13 @@ class TestMainExitCodes:
         path.write_text(json.dumps(raw))
         assert cli.main(["validate", "--config", str(path)]) == 12
 
+    def test_zero_damping(self, tmp_path, capsys):
+        """The library admits the undamped beam; the CLI runs the damped
+        one and refuses params.d0 = 0 with exit 12, naming d0."""
+        path = write_config(tmp_path, params={"d0": 0.0})
+        assert cli.main(["validate", "--config", str(path)]) == 12
+        assert "parameter 'd0' must be strictly positive" in capsys.readouterr().err
+
     def test_bad_interval(self, tmp_path):
         raw = base_config(tmp_path / "out")
         raw["params"]["alpha"] = 0.8
@@ -226,6 +233,13 @@ class TestMainExitCodes:
         path = write_config(tmp_path, mesh_n=mesh_n)
         assert cli.main(["validate", "--config", str(path)]) == 15
         assert f"n_elements={mesh_n:.3e}" in capsys.readouterr().err
+
+    def test_step_count_past_the_float_range(self, tmp_path, capsys):
+        """A dt so small that t_final/dt overflows is out of domain, not
+        an OverflowError traceback."""
+        path = write_config(tmp_path, sim={"dt": 5e-324})
+        assert cli.main(["simulate", "--config", str(path)]) == 15
+        assert "asks for inf steps, too many to record" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["resolvent", "dichotomy"])
     @pytest.mark.parametrize("count", [10**15, 10**19])

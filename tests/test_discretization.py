@@ -91,16 +91,18 @@ class TestBuildMesh:
         {"alpha": 0.0}, {"beta": 1.0}, {"alpha": math.nan},
     ], ids=["alpha=0", "beta=L", "alpha=NaN"])
     def test_interval_outside_the_open_beam_is_refused(self, interval):
-        """build_mesh runs validate_params' interval check: an interval
-        that breaks 0 < alpha < beta < L is BadInterval (exit 13), not a
-        mesh with an interface on a clamped end or a bare ValueError."""
+        """ModelParams checks its interval when it is built, so build_mesh
+        never sees one that breaks 0 < alpha < beta < L: it is BadInterval
+        (exit 13), not a mesh with an interface on a clamped end or a bare
+        ValueError."""
         with pytest.raises(BadInterval) as exc:
             build_mesh(make_params(**interval), 8)
         assert exc.value.exit_code == 13
 
     def test_infinite_length_is_refused(self):
-        """L = inf is out of domain (exit 15), naming L, before any node is
-        allocated: not a numpy warning or TooCoarse."""
+        """L = inf is out of domain (exit 15), naming L, when the params are
+        built, before any node is allocated: not a numpy warning or
+        TooCoarse."""
         with pytest.raises(OutOfDomain, match="parameter 'L' must be finite") as exc:
             build_mesh(make_params(L=math.inf), 8)
         assert exc.value.exit_code == 15
@@ -282,13 +284,14 @@ class TestAssembledMatrices:
             assemble(p, build_mesh(p, 8))
 
     @pytest.mark.parametrize("overrides, matrix", [
-        ({"rho1": math.inf}, "M"),
-        ({"d0": math.inf}, "C"),
+        ({"rho1": 1e300, "L": 1e300, "alpha": 0.25e300, "beta": 0.75e300}, "M"),
+        ({"d0": 1e300, "L": 1e300, "alpha": 0.25e300, "beta": 0.75e300}, "C"),
         ({"k1": 1e308}, "K"),
     ])
     def test_non_finite_band_is_out_of_domain(self, overrides, matrix):
-        """An infinite or overflowing coefficient is refused at assembly,
-        naming the matrix with the non-finite entry."""
+        """A finite coefficient whose band overflows (rho1 h or d0 l^2 h
+        at h = 1.25e299, k1 / h) is refused at assembly, naming the matrix
+        with the non-finite entry."""
         p = make_params(**overrides)
         with pytest.raises(OutOfDomain, match=f"^{matrix} has a non-finite entry") as exc:
             assemble(p, build_mesh(p, 8))

@@ -1,6 +1,7 @@
-"""Parameter validation and wave-speed classification."""
+"""Parameter checks on construction and wave-speed classification."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from bresse.model import (
     EQUAL_SPEEDS,
     UNEQUAL_SPEEDS,
     classify_speeds,
-    validate_params,
 )
 
 from conftest import make_params
@@ -23,36 +23,41 @@ from conftest import make_params
 
 class TestValidateParams:
     def test_unit_parameters_accepted(self):
-        """The all-ones parameter set with (0.25, 0.75) damping is valid."""
+        """The all-ones parameter set with (0.25, 0.75) damping is valid,
+        and replace, which checks again, accepts it unchanged."""
         p = make_params()
-        assert validate_params(p) is p
+        assert replace(p) == p
 
-    def test_zero_damping_rejected(self):
-        """d0 = 0 fails strict positivity and the error names the field."""
+    def test_replace_checks_again(self):
+        """dataclasses.replace constructs, so it checks too."""
         with pytest.raises(NonPositiveParameter) as exc:
-            validate_params(make_params(d0=0.0))
-        assert exc.value.name == "d0"
+            replace(make_params(), k2=-1.0)
+        assert exc.value.name == "k2"
 
     def test_swapped_interval_rejected(self):
         """alpha >= beta is a bad interval and both values are reported."""
         with pytest.raises(BadInterval) as exc:
-            validate_params(make_params(alpha=0.8, beta=0.2))
+            make_params(alpha=0.8, beta=0.2)
         msg = str(exc.value)
         assert "0.8" in msg and "0.2" in msg
 
     def test_interval_must_be_interior(self):
         with pytest.raises(BadInterval):
-            validate_params(make_params(alpha=0.0))
+            make_params(alpha=0.0)
         with pytest.raises(BadInterval):
-            validate_params(make_params(beta=1.0))
+            make_params(beta=1.0)
 
     def test_negative_and_nan_rejected(self):
+        """Building the params refuses each coefficient at -1 or NaN (exit
+        12), so assemble never sees an indefinite M or K or an
+        anti-damping C; d0 = 0, the undamped system, is built (see
+        sys16_undamped)."""
         for field in ("rho1", "rho2", "k1", "k2", "k3", "l", "L", "d0"):
             with pytest.raises(NonPositiveParameter) as exc:
-                validate_params(make_params(**{field: -1.0}))
-            assert exc.value.name == field
+                make_params(**{field: -1.0})
+            assert exc.value.name == field and exc.value.exit_code == 12
             with pytest.raises(NonPositiveParameter):
-                validate_params(make_params(**{field: math.nan}))
+                make_params(**{field: math.nan})
 
     @pytest.mark.parametrize("value", [math.inf, 10**400], ids=["inf", "10**400"])
     @pytest.mark.parametrize("field", ["rho1", "rho2", "k1", "k2", "k3", "l", "L", "d0"])
@@ -61,13 +66,13 @@ class TestValidateParams:
         test but is refused as out of domain (exit 15), naming the
         coefficient."""
         with pytest.raises(OutOfDomain, match=f"parameter '{field}' must be finite") as exc:
-            validate_params(make_params(**{field: value}))
+            make_params(**{field: value})
         assert exc.value.exit_code == 15
 
     def test_zero_curvature_rejected(self):
         """l = 0 would decouple the system; strict positivity excludes it."""
         with pytest.raises(NonPositiveParameter):
-            validate_params(make_params(l=0.0))
+            make_params(l=0.0)
 
 
 # ---------------------------------------------------------------------------

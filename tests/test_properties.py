@@ -21,7 +21,7 @@ from bresse.discretization import (
     inner_product_H,
 )
 from bresse.errors import BadInterval, TooCoarse
-from bresse.model import ModelParams, validate_params
+from bresse.model import ModelParams
 from bresse.resolvent import _Resolvent, lambda_cap
 from bresse.timedomain import step_midpoint
 
@@ -41,7 +41,7 @@ def systems(draw):
     L = draw(log_uniform(0.3, 3.0))
     a = draw(st.floats(0.01, 0.98))
     b = draw(st.floats(a + 0.01, 0.99))
-    p = validate_params(ModelParams(**coef, L=L, alpha=a * L, beta=b * L))
+    p = ModelParams(**coef, L=L, alpha=a * L, beta=b * L)
     try:
         mesh = build_mesh(p, draw(st.integers(8, 24)))
     except TooCoarse:
@@ -59,15 +59,15 @@ INTERVALS = st.tuples(POINT, POINT) | st.tuples(INSIDE, INSIDE).map(sorted)
 @settings(PROPERTY, max_examples=200)
 @given(INTERVALS, st.integers(4, 64))
 def test_mesh_holds_the_interval_or_refuses_it(interval, n):
-    """build_mesh raises BadInterval exactly when 0 < alpha < beta < L
-    fails, and otherwise returns a mesh or raises TooCoarse; never anything
-    else.  A mesh holds alpha and beta bit for bit at alpha_index and
-    beta_index, and its widths lie in [h/2, 2h], to build_mesh's relative
-    slack of 1e-12."""
+    """ModelParams raises BadInterval exactly when 0 < alpha < beta < L
+    fails, and otherwise build_mesh returns a mesh or raises TooCoarse;
+    never anything else.  A mesh holds alpha and beta bit for bit at
+    alpha_index and beta_index, and its widths lie in [h/2, 2h], to
+    build_mesh's relative slack of 1e-12."""
     alpha, beta = interval
     valid = 0.0 < alpha < beta < 1.0
-    p = ModelParams(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, L=1.0, alpha=alpha, beta=beta, d0=1.0)
     try:
+        p = ModelParams(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, L=1.0, alpha=alpha, beta=beta, d0=1.0)
         mesh = build_mesh(p, n)
     except BadInterval:
         assert not valid

@@ -112,13 +112,14 @@ class TestSimConfig:
             simulate(sys16, default_state(sys16), cfg)
         assert exc.value.exit_code == 15
 
-    @pytest.mark.parametrize("dt", [1e-300, 1e-30])
+    @pytest.mark.parametrize("dt", [1e-300, 1e-30, 5e-324])
     def test_step_count_too_large_to_record(self, sys16, monkeypatch, dt):
-        """A step count no array can hold is OutOfDomain (exit 15), naming
-        the count, before the domain norm or the midpoint factor runs."""
+        """A step count no array can hold, or past the float range (1/5e-324
+        overflows to inf), is OutOfDomain (exit 15), naming the count,
+        before the domain norm or the midpoint factor runs."""
         monkeypatch.setattr(timedomain, "domain_norm", None)  # never reached
         monkeypatch.setattr(timedomain, "_midpoint_factor", None)  # never reached
-        with pytest.raises(OutOfDomain, match=re.escape(f"{round(1.0 / dt):.3e} steps")) as exc:
+        with pytest.raises(OutOfDomain, match=re.escape(f"{1.0 / dt:.3e} steps")) as exc:
             simulate(sys16, default_state(sys16), SimConfig(dt, 1.0))
         assert exc.value.exit_code == 15
 
