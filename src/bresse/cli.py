@@ -74,7 +74,7 @@ from .errors import (
 from .model import ModelParams, _isfinite, classify_speeds
 from .resolvent import fit_growth_exponent, lambda_cap, profile
 from .spectral import quadratic_eigs
-from .timedomain import SimConfig, decay_analysis, initial_data_family, simulate
+from .timedomain import SimConfig, decay_analysis, initial_data, simulate
 
 __all__ = [
     "ExperimentConfig",
@@ -348,7 +348,7 @@ def _run_resolvent(cfg, timings):
 def _run_simulate(cfg, timings):
     sys_ = _build(cfg, cfg.params)
     sim_cfg = _sim_config(cfg, sys_)
-    U0 = project_initial_data(sys_, initial_data_family(cfg.params.L)[0])
+    U0 = project_initial_data(sys_, initial_data(cfg.params.L))
     series = _timed(timings, "simulate", simulate, sys_, U0, sim_cfg)
     summary = {
         "dt": sim_cfg.dt,
@@ -363,17 +363,16 @@ def _run_simulate(cfg, timings):
 
 def _run_decay_fit(cfg, timings):
     sys_ = _build(cfg, cfg.params)
-    series, fit, c_obs = _timed(
+    series, fit = _timed(
         timings, "decay_analysis", decay_analysis, sys_, _sim_config(cfg, sys_)
     )
     summary = {
         "gamma_hat": -fit.slope,
         "window": list(fit.window),
         "r_squared": fit.r_squared,
-        "domain_norm0": series[0].initial_domain_norm,
-        "C_obs": c_obs,
+        "domain_norm0": series.initial_domain_norm,
     }
-    return summary, {"energy.csv": _energy_table(series[0])}
+    return summary, {"energy.csv": _energy_table(series)}
 
 
 # k2 of the unequal twin over its equal-speed value; any factor != 1 is unequal
@@ -390,11 +389,11 @@ def _run_dichotomy(cfg, timings):
         speed = classify_speeds(params)
         prof = _timed(timings, f"profile_{tag}", _profile, cfg, sys_)
         growth = fit_growth_exponent(prof, cfg.resolvent.window)
-        series, decay, c_obs = _timed(
+        series, decay = _timed(
             timings, f"decay_{tag}", decay_analysis, sys_, _sim_config(cfg, sys_)
         )
         tables[f"resolvent_{tag}.csv"] = _profile_table(prof)
-        tables[f"energy_{tag}.csv"] = _energy_table(series[0])
+        tables[f"energy_{tag}.csv"] = _energy_table(series)
         rows.append(
             {
                 "regime": tag,
@@ -404,7 +403,6 @@ def _run_dichotomy(cfg, timings):
                 "r_squared_decay": decay.r_squared,
                 "predicted_resolvent_exponent": speed.predicted_resolvent_exponent,
                 "predicted_decay_exponent": speed.predicted_decay_exponent,
-                "C_obs": c_obs,
             }
         )
     tables["dichotomy.csv"] = (list(rows[0]), [list(row.values()) for row in rows])

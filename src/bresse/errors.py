@@ -77,15 +77,16 @@ class SchemaError(ConfigError):
 
 
 class NonPositiveParameter(ConfigError):
-    """A parameter that must be strictly positive is not."""
+    """A parameter that must be strictly positive (or, where bound says
+    so, nonnegative) is not."""
 
     exit_code = 12
 
-    def __init__(self, name, value=None):
+    def __init__(self, name, value=None, bound="strictly positive"):
         self.name = name
         self.value = value
         detail = "" if value is None else f" (got {value!r})"
-        super().__init__(f"parameter {name!r} must be strictly positive{detail}")
+        super().__init__(f"parameter {name!r} must be {bound}{detail}")
 
 
 class BadInterval(ConfigError):

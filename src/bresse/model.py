@@ -7,9 +7,10 @@ on the subinterval (alpha, beta).
 """
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 
-from .errors import BadInterval, NonPositiveParameter, OutOfDomain
+from .errors import BadInterval, NonPositiveParameter, OutOfDomain, SchemaError
 
 __all__ = [
     "ModelParams",
@@ -42,8 +43,10 @@ class ModelParams:
     beta   right endpoint of the damped subinterval
     d0     viscoelastic damping coefficient on (alpha, beta)
 
-    Construction, dataclasses.replace included, checks the coefficients
-    and raises NonPositiveParameter naming the first that is not > 0 (NaN
+    Construction, dataclasses.replace included, checks every field and
+    raises SchemaError naming the first that is a bool or no real number
+    (numpy's real scalars are real numbers), NonPositiveParameter naming
+    the first coefficient that is not > 0, or for d0 not >= 0 (NaN
     included; d0 = 0, the undamped system, is accepted), OutOfDomain naming
     the first that is not finite (an integer beyond the float range
     included), or BadInterval unless 0 < alpha < beta < L.
@@ -61,9 +64,16 @@ class ModelParams:
     d0: float
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise SchemaError(f.name, "a real number")
         for name in _COEFFICIENTS:
             value = getattr(self, name)
-            if not (value >= 0 if name == "d0" else value > 0):  # also rejects NaN
+            if name == "d0":
+                if not value >= 0:  # also rejects NaN
+                    raise NonPositiveParameter(name, value, ">= 0")
+            elif not value > 0:
                 raise NonPositiveParameter(name, value)
             if not _isfinite(value):
                 raise OutOfDomain(f"parameter {name!r} must be finite (got {value!r})")

@@ -42,7 +42,6 @@ from .errors import (
     OutOfDomain,
     WindowTooSmall,
 )
-from .model import classify_speeds
 
 __all__ = [
     "SimConfig",
@@ -52,7 +51,7 @@ __all__ = [
     "simulate",
     "fit_decay",
     "decay_analysis",
-    "initial_data_family",
+    "initial_data",
 ]
 
 _MIN_ENERGY_RATIO = 1e-8  # fit_decay drops samples below this fraction of E_0
@@ -266,18 +265,12 @@ def fit_decay(series: EnergySeries, window) -> PowerLawFit:
 
 
 def decay_analysis(sys: AssembledSystem, cfg: SimConfig):
-    """Simulate every member of initial_data_family and fit the first.
+    """Simulate the default datum, initial_data(L), and fit its decay.
 
-    Returns (series, fit, c_obs): the three EnergySeries in family order,
-    the PowerLawFit of the default datum on cfg.fit_window, and the scaling
-    constant C_obs = max E(t) t^gamma / ||U0||^2_D(A) over the family and
-    the fit window, with gamma the predicted decay exponent of the regime.
-    Raises BadInterval, before any trajectory, unless cfg.fit_window is a
-    pair (lo, hi) with 0 < lo < hi <= t_final.  The default datum is
-    fitted before the other two run, so a window that fit_decay refuses
-    (WindowTooSmall, NonpositiveEnergy) fails after one trajectory; a
-    fitted window holds samples of every trajectory, which share one time
-    grid.
+    Returns (series, fit): the EnergySeries and its PowerLawFit on
+    cfg.fit_window.  Raises BadInterval, before the trajectory, unless
+    cfg.fit_window is a pair (lo, hi) with 0 < lo < hi <= t_final, and
+    the errors of fit_decay (WindowTooSmall, NonpositiveEnergy) after it.
     """
     if len(cfg.fit_window) != 2:
         raise BadInterval(f"fit_window={cfg.fit_window!r} must be a pair (lo, hi)")
@@ -286,24 +279,15 @@ def decay_analysis(sys: AssembledSystem, cfg: SimConfig):
         raise BadInterval(
             f"fit_window={cfg.fit_window!r} must lie inside (0, t_final]"
         )
-    gamma_theory = classify_speeds(sys.params).predicted_decay_exponent
-    first, *others = initial_data_family(sys.params.L)
-    series = [simulate(sys, project_initial_data(sys, first), cfg)]
-    fit = fit_decay(series[0], cfg.fit_window)
-    series += [simulate(sys, project_initial_data(sys, fields), cfg) for fields in others]
-    c_obs = 0.0
-    for s in series:
-        mask = (s.times >= lo) & (s.times <= hi)
-        scaled = s.energies[mask] * s.times[mask] ** gamma_theory / s.initial_domain_norm
-        c_obs = max(c_obs, float(scaled.max()))
-    return series, fit, c_obs
+    series = simulate(sys, project_initial_data(sys, initial_data(sys.params.L)), cfg)
+    return series, fit_decay(series, cfg.fit_window)
 
 
-def initial_data_family(L: float):
-    """Three distinct smooth initial conditions for scaling-law checks;
-    the first is what simulate runs in the CLI and decay_analysis fits."""
+def initial_data(L: float):
+    """The default smooth initial condition on (0, L), clamped at both
+    ends: what the simulate command runs and decay_analysis fits."""
     zero = lambda x: 0.0
-    first = (
+    return (
         lambda x: math.sin(math.pi * x / L),
         lambda x: math.sin(2.0 * math.pi * x / L),
         lambda x: math.sin(math.pi * x / L),
@@ -311,20 +295,3 @@ def initial_data_family(L: float):
         zero,
         zero,
     )
-    second = (
-        lambda x: math.sin(2.0 * math.pi * x / L),
-        lambda x: math.sin(math.pi * x / L),
-        lambda x: math.sin(3.0 * math.pi * x / L),
-        zero,
-        zero,
-        zero,
-    )
-    third = (
-        lambda x: x * (L - x),
-        lambda x: x * (L - x) * (L - 2.0 * x),
-        lambda x: math.sin(2.0 * math.pi * x / L),
-        zero,
-        zero,
-        zero,
-    )
-    return [first, second, third]

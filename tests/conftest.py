@@ -5,6 +5,7 @@ test mutates gets a fresh build.
 """
 
 import itertools
+import math
 import types
 
 import numpy as np
@@ -13,6 +14,7 @@ from scipy.linalg import block_diag, eig
 
 from bresse.model import ModelParams
 from bresse.discretization import _band_csr, assemble, build_mesh
+from bresse.timedomain import initial_data
 
 
 def make_params(**overrides):
@@ -28,6 +30,29 @@ def make_params(**overrides):
 def make_system(n, **overrides):
     p = make_params(**overrides)
     return assemble(p, build_mesh(p, n))
+
+
+def c7_initial_data(L):
+    """Criterion 7's three smooth initial conditions on (0, L), clamped at
+    both ends: the library's default datum first, then two more."""
+    zero = lambda x: 0.0
+    second = (
+        lambda x: math.sin(2.0 * math.pi * x / L),
+        lambda x: math.sin(math.pi * x / L),
+        lambda x: math.sin(3.0 * math.pi * x / L),
+        zero,
+        zero,
+        zero,
+    )
+    third = (
+        lambda x: x * (L - x),
+        lambda x: x * (L - x) * (L - 2.0 * x),
+        lambda x: math.sin(2.0 * math.pi * x / L),
+        zero,
+        zero,
+        zero,
+    )
+    return [initial_data(L), second, third]
 
 
 @pytest.fixture(scope="session")

@@ -28,12 +28,13 @@ from bresse.timedomain import (
     SimConfig,
     decay_analysis,
     fit_decay,
-    initial_data_family,
+    initial_data,
     simulate,
 )
 
 from conftest import (
     MidpointModalOracle,
+    c7_initial_data,
     dense_resolvent_norm,
     energy_generator,
     make_system,
@@ -133,14 +134,14 @@ class TestAcceptance:
         """Per-step balance at 1e-10; undamped conservation on [0, 10]."""
         sys = make_system(64)
         dt = 1.0 / 128.0
-        U0 = project_initial_data(sys, initial_data_family(1.0)[0])
+        U0 = project_initial_data(sys, initial_data(1.0))
         cfg = SimConfig(dt=dt, t_final=20.0, sample_stride=16,
                         fit_window=(10.0, 20.0))
         series = simulate(sys, U0, cfg)
         max_balance = series.dissipation_residuals.max()
 
         free = make_system(64, d0=0.0)
-        U0f = project_initial_data(free, initial_data_family(1.0)[0])
+        U0f = project_initial_data(free, initial_data(1.0))
         cfgf = SimConfig(dt=dt, t_final=10.0, sample_stride=16,
                          fit_window=(1.0, 10.0))
         cons = simulate(free, U0f, cfgf)
@@ -200,12 +201,12 @@ class TestAcceptance:
         an unspecified C and is sharp only as t -> infinity, so it implies
         no slope for one trajectory on [10, 100].  What the method does
         promise is the midpoint trajectory itself: every sampled energy of
-        the three-member family, and gamma_hat of the default datum, must
-        equal the exact modal propagation of the midpoint map.  The
-        predicted exponents, the fitted ones, their ordering and the
-        dominant mode pair are reported, not asserted.  The scaling
-        constant over the family must be finite.  Trajectories, fit and
-        scaling constant come from decay_analysis, as in the CLI.
+        three initial data, and gamma_hat of the default datum, must equal
+        the exact modal propagation of the midpoint map.  The predicted
+        exponents, the fitted ones, their ordering and the dominant mode
+        pair are reported, not asserted.  The default datum's trajectory
+        and fit come from decay_analysis, as in the CLI; the other two
+        data run through simulate.
         """
         # Both sides carry only roundoff: the oracle about cond(V) * eps
         # (cond(V) ~ 2.6e2 / 3.6e2, so ~1e-13), the stepper a few eps per
@@ -231,10 +232,10 @@ class TestAcceptance:
             gamma_theory = classify_speeds(sys.params).predicted_decay_exponent
             oracle = MidpointModalOracle(sys, dt)
             # the CLI's decay-fit and dichotomy run this same function
-            family, fit, c = decay_analysis(sys, cfg)
-            data = zip(initial_data_family(1.0), family, strict=True)
-            for i, (fields, series) in enumerate(data):
+            first, fit = decay_analysis(sys, cfg)
+            for i, fields in enumerate(c7_initial_data(1.0)):
                 U0 = project_initial_data(sys, fields)
+                series = first if i == 0 else simulate(sys, U0, cfg)
                 assert np.array_equal(series.times, times)
                 expected = oracle.energies(U0, np.rint(times / dt).astype(int))
                 rel = np.abs(series.energies - expected) / expected
@@ -248,16 +249,14 @@ class TestAcceptance:
                         cfg.fit_window)
                     pair, share = oracle.dominant_pair(U0)
             stats[tag] = dict(gamma=-fit.slope, oracle=-fit_oracle.slope,
-                              theory=gamma_theory, c_obs=c, pair=pair,
+                              theory=gamma_theory, pair=pair,
                               share=share, cond=oracle.cond)
 
         max_rel, w_tag, w_i, w_t, w_expected, w_measured = max(mismatches)
         gamma_errs = {t: abs(v["gamma"] - v["oracle"]) for t, v in stats.items()}
-        finite = all(np.isfinite(v["c_obs"]) for v in stats.values())
         ok = (
             max_rel <= rel_bound
             and all(err <= gamma_bound for err in gamma_errs.values())
-            and finite
         )
         detail = (
             f"max relative energy error vs midpoint modal oracle {max_rel:.2e} "
@@ -271,8 +270,7 @@ class TestAcceptance:
                 f"predicted {v['theory']} reported only, dominant pair "
                 f"{v['pair'].real:.3e} +/- {abs(v['pair'].imag):.3f}i holds "
                 f"{100.0 * v['share']:.0f}% of E(0), 1/|Re s| "
-                f"{1.0 / abs(v['pair'].real):.3g}, cond(V) {v['cond']:.2g}, "
-                f"C_obs {v['c_obs']:.3e}; "
+                f"{1.0 / abs(v['pair'].real):.3g}, cond(V) {v['cond']:.2g}; "
             )
         detail += (
             f"ordering gamma(equal) > gamma(unequal) "
@@ -292,7 +290,6 @@ class TestAcceptance:
                 f"bound {gamma_bound:.3e} implied by the energy bound "
                 f"{rel_bound:.0e}"
             )
-        assert finite, f"C_obs not finite: {[v['c_obs'] for v in stats.values()]}"
 
     def test_c8_small_instance_oracles(self):
         """n=4 stiffness vs symbolic integrals; damped-wave closed form."""

@@ -23,9 +23,7 @@ from bresse.errors import (
     ParseError,
     SchemaError,
 )
-from bresse.timedomain import initial_data_family
-
-from conftest import make_system
+from conftest import c7_initial_data, make_system
 
 
 def base_config(out_dir, **overrides):
@@ -410,9 +408,9 @@ class TestCommands:
 
     @pytest.mark.parametrize("L", [1.0, 2.0])
     def test_simulate_starts_from_the_first_family_member(self, tmp_path, L):
-        """simulate projects initial_data_family(L)[0] for the config's L:
-        its initial energy is that datum's 0.5 * g_norm_sq, kinetic zero,
-        and neither other member's."""
+        """simulate projects initial_data(L), the first of criterion 7's
+        three data, for the config's L: its initial energy is that datum's
+        0.5 * g_norm_sq, kinetic zero, and neither other datum's."""
         path = write_config(tmp_path, params={"L": L})
         assert cli.main(["simulate", "--config", str(path)]) == 0
         _, rows = read_csv(tmp_path / "out" / "energy.csv")
@@ -420,7 +418,7 @@ class TestCommands:
         sys_ = make_system(16, L=L)
         first, *others = [
             0.5 * g_norm_sq(sys_, project_initial_data(sys_, datum))
-            for datum in initial_data_family(L)
+            for datum in c7_initial_data(L)
         ]
         assert_allclose(summary["energy_initial"], first, rtol=1e-13)
         assert_allclose(float(rows[0][3]), first, rtol=1e-13)
@@ -458,9 +456,8 @@ class TestCommands:
         path = write_config(tmp_path)
         assert cli.main(["decay-fit", "--config", str(path)]) == 0
         summary = json.loads((tmp_path / "out" / "decay_summary.json").read_text())
-        assert set(summary) == {"gamma_hat", "window", "r_squared", "domain_norm0", "C_obs"}
+        assert set(summary) == {"gamma_hat", "window", "r_squared", "domain_norm0"}
         assert summary["gamma_hat"] > 0.0
-        assert np.isfinite(summary["C_obs"]) and summary["C_obs"] > 0.0
         assert summary["domain_norm0"] > 0.0
 
     def test_dichotomy(self, tmp_path):
@@ -476,12 +473,25 @@ class TestCommands:
         ):
             assert (out / name).exists()
         header, rows = read_csv(out / "dichotomy.csv")
-        assert header[0] == "regime"
+        assert header == [
+            "regime", "slope", "r_squared_resolvent", "gamma_hat", "r_squared_decay",
+            "predicted_resolvent_exponent", "predicted_decay_exponent",
+        ]
         assert {r[0] for r in rows} == {"equal", "unequal"}
         summary = json.loads((out / "dichotomy_summary.json").read_text())
         assert "ordering_ok" not in summary  # the theorem orders no two finite-window slopes
         numbers = ("slope_equal", "slope_unequal", "gamma_equal", "gamma_unequal")
         assert all(np.isfinite(summary[key]) for key in numbers)
+
+    def test_decay_commands_write_the_simulate_trajectory(self, tmp_path):
+        """decay-fit's energy.csv, and dichotomy's energy_equal.csv on the
+        equal-speed params, are simulate's energy.csv byte for byte."""
+        path = write_config(tmp_path)
+        for command in ("simulate", "decay-fit", "dichotomy"):
+            assert cli.main([command, "--config", str(path), "--out", str(tmp_path / command)]) == 0
+        expected = (tmp_path / "simulate" / "energy.csv").read_bytes()
+        assert (tmp_path / "decay-fit" / "energy.csv").read_bytes() == expected
+        assert (tmp_path / "dichotomy" / "energy_equal.csv").read_bytes() == expected
 
     def test_dichotomy_fits_the_resolvent_window(self, tmp_path):
         """With resolvent.window null both commands fit default_fit_window.

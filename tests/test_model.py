@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bresse.errors import BadInterval, NonPositiveParameter, OutOfDomain
+from bresse.errors import BadInterval, NonPositiveParameter, OutOfDomain, SchemaError
 from bresse.model import (
     EQUAL_SPEEDS,
     UNEQUAL_SPEEDS,
@@ -58,6 +58,29 @@ class TestValidateParams:
             assert exc.value.name == field and exc.value.exit_code == 12
             with pytest.raises(NonPositiveParameter):
                 make_params(**{field: math.nan})
+
+    def test_negative_d0_message_says_nonnegative(self):
+        """d0 = 0 is built, so d0 < 0 is refused as not >= 0, exit 12; the
+        other coefficients must be strictly positive."""
+        with pytest.raises(NonPositiveParameter, match=r"parameter 'd0' must be >= 0 \(got -1\)") as exc:
+            make_params(d0=-1)
+        assert exc.value.exit_code == 12
+        with pytest.raises(NonPositiveParameter, match="'k1' must be strictly positive"):
+            make_params(k1=-1)
+
+    @pytest.mark.parametrize("value", ["1", None, True, 1j], ids=["str", "None", "bool", "complex"])
+    @pytest.mark.parametrize("field", ["rho1", "d0", "alpha"])
+    def test_value_that_is_no_real_number_rejected(self, field, value):
+        """A string, None, a bool or a complex is a SchemaError (exit 11)
+        naming the field, not a bare TypeError, and True is not taken as 1."""
+        with pytest.raises(SchemaError, match=f"'{field}': expected a real number") as exc:
+            make_params(**{field: value})
+        assert exc.value.exit_code == 11
+
+    @pytest.mark.parametrize("value", [np.float64(1.0), np.int64(1)], ids=["float64", "int64"])
+    def test_numpy_real_scalars_accepted(self, value):
+        p = make_params(rho1=value, d0=value)
+        assert p.rho1 == 1 and p.d0 == 1
 
     @pytest.mark.parametrize("value", [math.inf, 10**400], ids=["inf", "10**400"])
     @pytest.mark.parametrize("field", ["rho1", "rho2", "k1", "k2", "k3", "l", "L", "d0"])
