@@ -23,14 +23,16 @@ exit 11) and "mesh_n"; everything else is optional with documented defaults:
                     "fit_window": [10.0, 100.0]}
     }
 
-h is the largest element width.  Unknown keys anywhere are rejected, and
-so are out-of-range settings: seed must be >= 0; per_shift, count and
-sample_stride >= 1; lambda_min, lambda_max, dt and t_final > 0.  The
-params block is checked by ModelParams itself, and params.d0 must be > 0:
-the library admits the undamped beam (d0 = 0), the CLI runs the damped
-one.  Exit codes: 0 success; 10-19 config errors; 20-29 numerical
-errors; 30 I/O errors; each error class in bresse.errors has its own
-code.
+h is the largest element width; the default window is [max(3, top/10),
+top], top the grid's largest lambda.  Unknown keys anywhere are rejected,
+and so are out-of-range settings: seed must be >= 0; per_shift, count and
+sample_stride >= 1; lambda_min, lambda_max, dt and t_final > 0.  One
+reader walks the config dataclasses, and each checks itself when built:
+ModelParams the params block, ResolventSettings lambda_max > lambda_min
+(exit 13), and last ExperimentConfig d0 > 0 (exit 12): the library admits
+the undamped beam (d0 = 0), the CLI runs the damped one.  Exit codes: 0
+success; 10-19 config errors; 20-29 numerical errors; 30 I/O errors;
+each error class in bresse.errors has its own code.
 
 --out and --seed replace the file's output_dir and seed before the config
 is checked and digested, so a run reports the digest of the config it ran
@@ -40,13 +42,14 @@ Each command computes first and then writes into output_dir its CSV
 tables, its JSON summary and run_report.json, in that order; the report's
 "outputs" lists all but itself.  validate writes validate_summary.json
 alone; spectrum spectrum.csv; resolvent resolvent.csv; simulate and
-decay-fit energy.csv; dichotomy resolvent_<regime>.csv and
-energy_<regime>.csv for the equal and then the unequal regime (k2 twice
-its equal-speed value), and then dichotomy.csv.  Summaries are named
-<command>_summary.json, except decay-fit's decay_summary.json.  All CSV
-output is deterministic for a fixed (config, seed, version): floats are
-serialized with 17 significant digits and every sweep is merged in
-sorted order, so repeated runs produce byte-identical files.
+decay-fit energy.csv.  dichotomy runs resolvent and decay-fit on the
+equal and then the unequal regime (k2 twice its equal-speed value),
+writing resolvent_<regime>.csv and energy_<regime>.csv, then
+dichotomy.csv.  Summaries are named <command>_summary.json, except
+decay-fit's decay_summary.json.  All CSV output is deterministic for a
+fixed (config, seed, version): floats are serialized with 17 significant
+digits and every sweep is merged in sorted order, so repeated runs
+produce byte-identical files.
 """
 
 import argparse
@@ -64,6 +67,7 @@ import numpy as np
 from . import __version__
 from .discretization import _integer, assemble, build_mesh, project_initial_data
 from .errors import (
+    BadInterval,
     BresseError,
     NonPositiveParameter,
     OutOfDomain,
@@ -93,6 +97,8 @@ def _key(kind, lower=None, **default):
     lower, other numbers > it.  An absent or null key takes the field
     default, and a field without one is required.  A field without
     metadata (every ModelParams coefficient) is a float with no bound.
+    kind "object" is a block, the field's dataclass read from its own
+    object; an absent block reads as an empty one.
     """
     return field(metadata={"kind": kind, "lower": lower}, **default)
 
@@ -110,6 +116,13 @@ class ResolventSettings:
     count: int = _key("int", 1, default=25)
     window: tuple | None = _key("pair", default=None)  # None: default fit window
 
+    def __post_init__(self):
+        if self.lambda_max is not None and not self.lambda_max > self.lambda_min:
+            raise BadInterval(
+                f"resolvent.lambda_max={self.lambda_max!r} must exceed "
+                f"resolvent.lambda_min={self.lambda_min!r}"
+            )
+
 
 @dataclass(frozen=True)
 class SimSettings:
@@ -123,16 +136,20 @@ class SimSettings:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """The checked config.  Top-level keys carry their schema; blocks have a default_factory."""
+    """The checked config; the CLI runs the damped beam, d0 > 0."""
 
-    params: ModelParams
+    params: ModelParams = _key("object")
     mesh_n: int = _key("int")
     seed: int = _key("int", 0, default=0)
     output_dir: str = _key("str", default="out")
-    spectrum: SpectrumSettings = field(default_factory=SpectrumSettings)
-    resolvent: ResolventSettings = field(default_factory=ResolventSettings)
-    sim: SimSettings = field(default_factory=SimSettings)
+    spectrum: SpectrumSettings = _key("object", default_factory=SpectrumSettings)
+    resolvent: ResolventSettings = _key("object", default_factory=ResolventSettings)
+    sim: SimSettings = _key("object", default_factory=SimSettings)
     digest: str = ""
+
+    def __post_init__(self):
+        if not self.params.d0 > 0:
+            raise NonPositiveParameter("d0", self.params.d0)
 
 
 @dataclass(frozen=True)
@@ -144,22 +161,6 @@ class RunReport:
     summary: dict
     outputs: tuple
     timings: dict
-
-
-_TOP_KEYS = tuple(f for f in fields(ExperimentConfig) if f.metadata)
-_BLOCKS = {
-    f.name: f.default_factory
-    for f in fields(ExperimentConfig)
-    if f.default_factory is not MISSING
-}
-
-
-def _schema_keys(obj, path, allowed):
-    if not isinstance(obj, dict):
-        raise SchemaError(path, "an object")
-    for key in obj:
-        if key not in allowed:
-            raise SchemaError(f"{path}.{key}", "no such key")
 
 
 def _finite(value, path):
@@ -194,19 +195,26 @@ def _setting(value, path, kind, lower):
     return float(value)
 
 
-def _fill(obj, block, keys):
-    """Checked keyword arguments from one config block, for the fields in keys."""
-    if block != "config":  # the top level also holds the blocks
-        _schema_keys(obj, block, {f.name for f in keys})
-    kwargs = {}
-    for f in keys:
-        path = f"{block}.{f.name}"
-        if obj.get(f.name) is not None:
-            schema = f.metadata.get("kind", "float"), f.metadata.get("lower")
-            kwargs[f.name] = _setting(obj[f.name], path, *schema)
+def _read(cls, obj, path, **given):
+    """A cls read from one config object, each field checked against its
+    _key metadata; path names the object in errors.  given sets fields
+    that no config key names."""
+    if not isinstance(obj, dict):
+        raise SchemaError(path, "an object")
+    keys = {f.name: f for f in fields(cls) if f.name not in given}
+    for key in obj:
+        if key not in keys:
+            raise SchemaError(f"{path}.{key}", "no such key")
+    kwargs = dict(given)
+    for f in keys.values():
+        kind = f.metadata.get("kind", "float")
+        if kind == "object":
+            kwargs[f.name] = _read(f.type, obj.get(f.name, {}), f.name)
+        elif obj.get(f.name) is not None:
+            kwargs[f.name] = _setting(obj[f.name], f"{path}.{f.name}", kind, f.metadata.get("lower"))
         elif f.default is MISSING:
-            raise SchemaError(path, "a required number")
-    return kwargs
+            raise SchemaError(f"{path}.{f.name}", "a required number")
+    return cls(**kwargs)
 
 
 def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
@@ -215,8 +223,8 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
     overrides maps top-level keys (the CLI's seed and output_dir) to values
     that replace the file's before any check, so the digest covers them.
     Raises ParseError for malformed JSON, SchemaError for unknown,
-    ill-typed or out-of-range keys, the errors of ModelParams'
-    construction for bad parameters, and NonPositiveParameter for d0 = 0.
+    ill-typed or out-of-range keys, and the errors of each dataclass's own
+    checks (ModelParams, ResolventSettings, ExperimentConfig's d0 > 0).
     """
     try:
         raw = json.loads(text)
@@ -224,19 +232,11 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
         raise ParseError(f"config is not valid JSON: {exc.msg}", exc.lineno, exc.colno) from exc
     except ValueError as exc:  # an integer literal too long to convert
         raise ParseError(f"config is not valid JSON: {exc}") from exc
-    _schema_keys(raw, "config", {"params", *_BLOCKS, *(f.name for f in _TOP_KEYS)})
-    raw = {**raw, **(overrides or {})}
-    params = _fill(raw.get("params", {}), "params", fields(ModelParams))
-    params = ModelParams(**params)
-    if not params.d0 > 0:
-        raise NonPositiveParameter("d0", params.d0)
-    top = _fill(raw, "config", _TOP_KEYS)
-    blocks = {
-        name: cls(**_fill(raw.get(name, {}), name, fields(cls))) for name, cls in _BLOCKS.items()
-    }
+    if isinstance(raw, dict):
+        raw = {**raw, **(overrides or {})}
     canonical = json.dumps(raw, sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(canonical.encode()).hexdigest()[:16]
-    return ExperimentConfig(params=params, **top, **blocks, digest=digest)
+    return _read(ExperimentConfig, raw, "config", digest=digest)
 
 
 def _fmt(value) -> str:
@@ -267,8 +267,8 @@ def _timed(timings: dict, key: str, fn, *args):
     return result
 
 
-def _build(cfg: ExperimentConfig, p: ModelParams):
-    return assemble(p, build_mesh(p, cfg.mesh_n))
+def _build(cfg: ExperimentConfig):
+    return assemble(cfg.params, build_mesh(cfg.params, cfg.mesh_n))
 
 
 def _profile(cfg: ExperimentConfig, sys_):
@@ -291,11 +291,6 @@ def _sim_config(cfg: ExperimentConfig, sys_) -> SimConfig:
     return SimConfig(dt, ss.t_final, ss.sample_stride, tuple(ss.fit_window))
 
 
-def _profile_table(prof):
-    rows = list(zip(prof.lambdas, prof.norms, prof.iters, prof.residuals))
-    return ("lambda", "norm", "iters", "residual"), rows
-
-
 def _energy_table(s):
     rows = zip(s.times, s.energies, s.kinetics, s.potentials, s.sample_residuals)
     return ("t", "E", "kinetic", "potential", "balance_residual"), list(rows)
@@ -303,7 +298,7 @@ def _energy_table(s):
 
 def _run_validate(cfg, timings):
     speed = classify_speeds(cfg.params)
-    sys_ = _timed(timings, "build", _build, cfg, cfg.params)
+    sys_ = _timed(timings, "build", _build, cfg)
     summary = {
         "params": asdict(cfg.params),
         "mesh_n": cfg.mesh_n,
@@ -318,7 +313,7 @@ def _run_validate(cfg, timings):
 
 
 def _run_spectrum(cfg, timings):
-    sys_ = _build(cfg, cfg.params)
+    sys_ = _build(cfg)
     sc = cfg.spectrum
     shifts = [1j * mu for mu in sorted(sc.mu_grid)]  # a scan of the imaginary axis
     report = _timed(timings, "quadratic_eigs", quadratic_eigs, sys_, shifts, sc.per_shift)
@@ -332,7 +327,7 @@ def _run_spectrum(cfg, timings):
 
 
 def _run_resolvent(cfg, timings):
-    sys_ = _build(cfg, cfg.params)
+    sys_ = _build(cfg)
     speed = classify_speeds(cfg.params)
     prof = _timed(timings, "profile", _profile, cfg, sys_)
     fit = fit_growth_exponent(prof, cfg.resolvent.window)
@@ -342,11 +337,12 @@ def _run_resolvent(cfg, timings):
         "r_squared": fit.r_squared,
         "predicted_exponent": speed.predicted_resolvent_exponent,
     }
-    return summary, {"resolvent.csv": _profile_table(prof)}
+    rows = zip(prof.lambdas, prof.norms, prof.iters, prof.residuals)
+    return summary, {"resolvent.csv": (("lambda", "norm", "iters", "residual"), list(rows))}
 
 
 def _run_simulate(cfg, timings):
-    sys_ = _build(cfg, cfg.params)
+    sys_ = _build(cfg)
     sim_cfg = _sim_config(cfg, sys_)
     U0 = project_initial_data(sys_, initial_data(cfg.params.L))
     series = _timed(timings, "simulate", simulate, sys_, U0, sim_cfg)
@@ -362,10 +358,8 @@ def _run_simulate(cfg, timings):
 
 
 def _run_decay_fit(cfg, timings):
-    sys_ = _build(cfg, cfg.params)
-    series, fit = _timed(
-        timings, "decay_analysis", decay_analysis, sys_, _sim_config(cfg, sys_)
-    )
+    sys_ = _build(cfg)
+    series, fit = _timed(timings, "decay_analysis", decay_analysis, sys_, _sim_config(cfg, sys_))
     summary = {
         "gamma_hat": -fit.slope,
         "window": list(fit.window),
@@ -380,29 +374,28 @@ _UNEQUAL_FACTOR = 2.0
 
 
 def _run_dichotomy(cfg, timings):
-    """The equal-speed projection of the config params, then its unequal twin."""
+    """The resolvent and decay-fit runners on the equal-speed projection of
+    the config params, then on its unequal twin."""
     k2_equal = cfg.params.rho2 * cfg.params.k1 / cfg.params.rho1
     tables, rows = {}, []
     for tag, k2 in (("equal", k2_equal), ("unequal", k2_equal * _UNEQUAL_FACTOR)):
-        params = replace(cfg.params, k2=k2)
-        sys_ = _build(cfg, params)
-        speed = classify_speeds(params)
-        prof = _timed(timings, f"profile_{tag}", _profile, cfg, sys_)
-        growth = fit_growth_exponent(prof, cfg.resolvent.window)
-        series, decay = _timed(
-            timings, f"decay_{tag}", decay_analysis, sys_, _sim_config(cfg, sys_)
-        )
-        tables[f"resolvent_{tag}.csv"] = _profile_table(prof)
-        tables[f"energy_{tag}.csv"] = _energy_table(series)
+        twin = replace(cfg, params=replace(cfg.params, k2=k2))
+        phases = {}
+        growth, profile_tables = _run_resolvent(twin, phases)
+        decay, energy_tables = _run_decay_fit(twin, phases)
+        timings[f"profile_{tag}"] = phases["profile"]
+        timings[f"decay_{tag}"] = phases["decay_analysis"]
+        tables[f"resolvent_{tag}.csv"] = profile_tables["resolvent.csv"]
+        tables[f"energy_{tag}.csv"] = energy_tables["energy.csv"]
         rows.append(
             {
                 "regime": tag,
-                "slope": growth.slope,
-                "r_squared_resolvent": growth.r_squared,
-                "gamma_hat": -decay.slope,
-                "r_squared_decay": decay.r_squared,
-                "predicted_resolvent_exponent": speed.predicted_resolvent_exponent,
-                "predicted_decay_exponent": speed.predicted_decay_exponent,
+                "slope": growth["slope"],
+                "r_squared_resolvent": growth["r_squared"],
+                "gamma_hat": decay["gamma_hat"],
+                "r_squared_decay": decay["r_squared"],
+                "predicted_resolvent_exponent": growth["predicted_exponent"],
+                "predicted_decay_exponent": classify_speeds(twin.params).predicted_decay_exponent,
             }
         )
     tables["dichotomy.csv"] = (list(rows[0]), [list(row.values()) for row in rows])

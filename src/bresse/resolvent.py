@@ -75,7 +75,6 @@ class ResolventProfile:
     norms: np.ndarray
     iters: np.ndarray
     residuals: np.ndarray
-    lambda_max: float
 
 
 class _Resolvent:
@@ -288,18 +287,13 @@ def profile(sys: AssembledSystem, lambda_grid, seed: int = 0) -> ResolventProfil
     norms = np.array([d[0] for d in details])
     iters = np.array([d[1] for d in details], dtype=int)
     residuals = np.array([d[2] for d in details])
-    return ResolventProfile(
-        lambdas=grid,
-        norms=norms,
-        iters=iters,
-        residuals=residuals,
-        lambda_max=cap,
-    )
+    return ResolventProfile(lambdas=grid, norms=norms, iters=iters, residuals=residuals)
 
 
 def default_fit_window(prof: ResolventProfile) -> tuple:
-    """[lambda_max/10, lambda_max], clipped below at lambda=3."""
-    return (max(3.0, prof.lambda_max / 10.0), prof.lambda_max)
+    """[top/10, top], top the grid's largest lambda, clipped below at lambda=3."""
+    top = float(prof.lambdas[-1])
+    return (max(3.0, top / 10.0), top)
 
 
 def fit_growth_exponent(prof: ResolventProfile, window=None) -> PowerLawFit:

@@ -22,7 +22,7 @@ from bresse.discretization import (
     inner_product_H,
     project_initial_data,
 )
-from bresse.resolvent import fit_growth_exponent, lambda_cap, profile, resolvent_solve
+from bresse.resolvent import fit_growth_exponent, resolvent_solve
 from bresse.spectral import quadratic_eigs
 from bresse.timedomain import (
     SimConfig,
@@ -37,6 +37,7 @@ from conftest import (
     c7_initial_data,
     dense_resolvent_norm,
     energy_generator,
+    make_params,
     make_system,
     matrix_system,
     node_major,
@@ -162,26 +163,28 @@ class TestAcceptance:
         finite window; the ordering is reported, not asserted.  What the
         method does promise is every norm of the profile: Lanczos accepts a
         squared norm within about 1e-12 of the true one, so 1e-9 relative
-        leaves the dense oracle's own rounding room.
+        leaves the dense oracle's own rounding room.  The grid and the fit
+        are the resolvent command's own, on a config with the default
+        resolvent block.
         """
         rel_bound = 1e-9
         slopes, worst = {}, {}
         for tag, k2 in (("equal", 1.0), ("unequal", 2.0)):
-            sys = make_system(64, k2=k2)
-            cap = lambda_cap(sys)
-            grid = np.logspace(np.log10(3.0), np.log10(cap), 25)
-            prof = profile(sys, grid)
+            params = dataclasses.asdict(make_params(k2=k2))
+            cfg = cli.parse_config(json.dumps({"params": params, "mesh_n": 64}))
+            sys = cli._build(cfg)
+            prof = cli._profile(cfg, sys)
             At = energy_generator(sys)
             exact = np.array([dense_resolvent_norm(At, lam) for lam in prof.lambdas])
             rel = np.abs(prof.norms - exact) / exact
             j = int(np.argmax(rel))
             worst[tag] = (float(rel[j]), float(prof.lambdas[j]), exact[j], prof.norms[j])
-            slopes[tag] = fit_growth_exponent(prof).slope
+            slopes[tag] = fit_growth_exponent(prof, cfg.resolvent.window).slope
         max_rel, w_tag = max((v[0], tag) for tag, v in worst.items())
         ok = max_rel <= rel_bound and slopes["equal"] <= 2.5 and slopes["unequal"] <= 4.5
         report(6, "resolvent growth dichotomy", ok,
                f"max relative norm error vs dense oracle {max_rel:.2e} "
-               f"(bound {rel_bound:.0e}) over 2 x 25 frequencies; "
+               f"(bound {rel_bound:.0e}) over 2 x {prof.lambdas.size} frequencies; "
                f"slope(equal) {slopes['equal']:.4f} <= 2.5, "
                f"slope(unequal) {slopes['unequal']:.4f} <= 4.5, "
                f"ordering unequal > equal "

@@ -207,6 +207,28 @@ class TestMainExitCodes:
         assert cli.main(["validate", "--config", str(path)]) == 12
         assert "parameter 'd0' must be strictly positive" in capsys.readouterr().err
 
+    def test_zero_damping_is_checked_after_every_key(self, tmp_path, capsys):
+        """ExperimentConfig checks d0 > 0 when it is built, after every key
+        is read: a later schema error or a reversed lambda range wins."""
+        path = write_config(tmp_path, params={"d0": 0.0}, mesh_n=16.5)
+        assert cli.main(["validate", "--config", str(path)]) == 11
+        assert "'config.mesh_n'" in capsys.readouterr().err
+        path = write_config(tmp_path, params={"d0": 0.0}, sim={"stride": 2})
+        assert cli.main(["validate", "--config", str(path)]) == 11
+        assert "'sim.stride': expected no such key" in capsys.readouterr().err
+        path = write_config(tmp_path, params={"d0": 0.0}, resolvent={"lambda_max": 2.0})
+        assert cli.main(["validate", "--config", str(path)]) == 13
+
+    @pytest.mark.parametrize("lambda_max", [4.0, 5.0])
+    def test_reversed_or_empty_lambda_range(self, tmp_path, capsys, lambda_max):
+        """lambda_max <= lambda_min is refused when the config is read,
+        naming both keys, before any norm is computed."""
+        path = write_config(tmp_path, resolvent={"lambda_min": 5.0, "lambda_max": lambda_max})
+        assert cli.main(["resolvent", "--config", str(path)]) == 13
+        err = capsys.readouterr().err
+        assert f"resolvent.lambda_max={lambda_max!r}" in err and "resolvent.lambda_min=5.0" in err
+        assert not (tmp_path / "out").exists()
+
     def test_bad_interval(self, tmp_path):
         raw = base_config(tmp_path / "out")
         raw["params"]["alpha"] = 0.8
@@ -492,6 +514,32 @@ class TestCommands:
         expected = (tmp_path / "simulate" / "energy.csv").read_bytes()
         assert (tmp_path / "decay-fit" / "energy.csv").read_bytes() == expected
         assert (tmp_path / "dichotomy" / "energy_equal.csv").read_bytes() == expected
+
+    def test_dichotomy_runs_resolvent_and_decay_fit(self, tmp_path):
+        """On equal-speed params, dichotomy's equal-regime files are the
+        resolvent and decay-fit commands' own, byte for byte."""
+        path = write_config(tmp_path)
+        for command in ("resolvent", "decay-fit", "dichotomy"):
+            assert cli.main([command, "--config", str(path), "--out", str(tmp_path / command)]) == 0
+        dichotomy = tmp_path / "dichotomy"
+        for alone, twin in (
+            (tmp_path / "resolvent" / "resolvent.csv", dichotomy / "resolvent_equal.csv"),
+            (tmp_path / "decay-fit" / "energy.csv", dichotomy / "energy_equal.csv"),
+        ):
+            assert twin.read_bytes() == alone.read_bytes()
+
+    def test_default_window_follows_the_grid(self, tmp_path):
+        """A null window fits [max(3, top/10), top], top the grid's largest
+        lambda, not the mesh cap: at n = 128 the 8 frequencies on [3, 38.3]
+        give [3.83, 38.3], which holds all but the first."""
+        path = write_config(tmp_path, mesh_n=128, resolvent={"lambda_max": 38.3, "count": 8})
+        assert cli.main(["resolvent", "--config", str(path)]) == 0
+        _, rows = read_csv(tmp_path / "out" / "resolvent.csv")
+        lambdas = [float(r[0]) for r in rows]
+        summary = json.loads((tmp_path / "out" / "resolvent_summary.json").read_text())
+        assert lambdas[-1] == pytest.approx(38.3, rel=1e-12)
+        assert lambdas[1] > lambdas[-1] / 10 > lambdas[0]
+        assert summary["window"] == [lambdas[1], lambdas[-1]]
 
     def test_dichotomy_fits_the_resolvent_window(self, tmp_path):
         """With resolvent.window null both commands fit default_fit_window.

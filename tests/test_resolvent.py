@@ -1,5 +1,7 @@
 """Resolvent solves, operator-norm estimation, and growth-exponent fits."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -264,7 +266,6 @@ class TestProfile:
         assert np.all(prof.norms > 0.0)
         assert np.all(prof.residuals <= 1e-10)
         assert np.all(prof.iters >= 1)
-        assert prof.lambda_max == 16.0
 
     def test_grid_is_sorted_on_output(self, sys16):
         prof = profile(sys16, [8.0, 3.0, 5.0])
@@ -436,7 +437,6 @@ def synthetic_profile(exponent, count=12):
         norms=2.7 * lams**exponent,
         iters=np.ones(count, dtype=int),
         residuals=np.zeros(count),
-        lambda_max=30.0,
     )
 
 
@@ -455,9 +455,12 @@ class TestGrowthFit:
         assert abs(np.exp(fit.intercept) - 2.7) <= 1e-8
 
     def test_default_window(self):
+        """[max(3, top/10), top], top the grid's largest lambda."""
         prof = synthetic_profile(2.0)
-        lo, hi = default_fit_window(prof)
-        assert lo == 3.0 and hi == 30.0
+        assert default_fit_window(prof) == (3.0, prof.lambdas[-1])
+        top = 300.0
+        wide = dataclasses.replace(prof, lambdas=np.linspace(10.0, top, prof.lambdas.size))
+        assert default_fit_window(wide) == (top / 10.0, top)
 
     def test_effective_window_is_within_grid(self):
         prof = synthetic_profile(2.0)
