@@ -23,8 +23,9 @@ exit 11) and "mesh_n"; everything else is optional with documented defaults:
                     "fit_window": [10.0, 100.0]}
     }
 
-h is the largest element width; the default window is [max(3, top/10),
-top], top the grid's largest lambda.  Unknown keys anywhere are rejected,
+h is the largest element width.  The lambda grid runs from lambda_min
+to top, lambda_max or 1/h, both ends exact; the default window is
+[max(3, top/10), top].  Unknown keys anywhere are rejected,
 and so are out-of-range settings: seed must be >= 0; per_shift, count and
 sample_stride >= 1; lambda_min, lambda_max, dt and t_final > 0.  One
 reader walks the config dataclasses, and each checks itself when built:
@@ -42,12 +43,15 @@ Each command computes first and then writes into output_dir its CSV
 tables, its JSON summary and run_report.json, in that order; the report's
 "outputs" lists all but itself.  validate writes validate_summary.json
 alone; spectrum spectrum.csv; resolvent resolvent.csv; simulate and
-decay-fit energy.csv.  dichotomy runs resolvent and decay-fit on the
-equal and then the unequal regime (k2 twice its equal-speed value),
-writing resolvent_<regime>.csv and energy_<regime>.csv, then
-dichotomy.csv.  Summaries are named <command>_summary.json, except
-decay-fit's decay_summary.json.  All CSV output is deterministic for a
-fixed (config, seed, version): floats are serialized with 17 significant
+decay-fit energy.csv, one helper's trajectory of initial_data(L), which
+decay-fit fits on sim.fit_window once it has refused, before the first
+step, a window outside (0, t_final] (exit 13).  dichotomy runs
+resolvent and decay-fit on the equal and then the unequal regime (k2
+twice its equal-speed value), writing resolvent_<regime>.csv and
+energy_<regime>.csv, then dichotomy.csv.
+Summaries are named <command>_summary.json, except decay-fit's
+decay_summary.json.  All CSV output is deterministic for a fixed
+(config, seed, version): floats are serialized with 17 significant
 digits and every sweep is merged in sorted order, so repeated runs
 produce byte-identical files.
 """
@@ -65,7 +69,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .discretization import _integer, assemble, build_mesh, project_initial_data
+from .discretization import _integer, assemble, build_mesh, domain_norm, project_initial_data
 from .errors import (
     BadInterval,
     BresseError,
@@ -78,7 +82,7 @@ from .errors import (
 from .model import ModelParams, _isfinite, classify_speeds
 from .resolvent import fit_growth_exponent, lambda_cap, profile
 from .spectral import quadratic_eigs
-from .timedomain import SimConfig, decay_analysis, initial_data, simulate
+from .timedomain import SimConfig, fit_decay, initial_data, simulate
 
 __all__ = [
     "ExperimentConfig",
@@ -131,7 +135,7 @@ class SimSettings:
     dt: float | None = _key("float", 0.0, default=None)  # None: half the largest element width
     t_final: float = _key("float", 0.0, default=200.0)
     sample_stride: int = _key("int", 1, default=16)
-    fit_window: tuple = _key("pair", default=SimConfig.fit_window)  # the library's default
+    fit_window: tuple = _key("pair", default=(10.0, 100.0))
 
 
 @dataclass(frozen=True)
@@ -272,8 +276,8 @@ def _build(cfg: ExperimentConfig):
 
 
 def _profile(cfg: ExperimentConfig, sys_):
-    """Resolvent norms on the config's log-spaced lambda grid; OutOfDomain
-    when the grid cannot be allocated."""
+    """Resolvent norms on the config's log-spaced lambda grid, ends exact;
+    OutOfDomain when the grid cannot be allocated."""
     rs = cfg.resolvent
     hi = rs.lambda_max if rs.lambda_max is not None else lambda_cap(sys_)
     try:
@@ -282,13 +286,21 @@ def _profile(cfg: ExperimentConfig, sys_):
         raise OutOfDomain(
             f"resolvent.count={rs.count:.3e} asks for more lambdas than can be allocated"
         ) from None
+    grid[-1], grid[0] = hi, rs.lambda_min  # the exact bounds; one point is lambda_min
     return profile(sys_, grid, seed=cfg.seed)
 
 
 def _sim_config(cfg: ExperimentConfig, sys_) -> SimConfig:
     ss = cfg.sim
     dt = ss.dt if ss.dt is not None else 0.5 * float(sys_.mesh.widths.max())
-    return SimConfig(dt, ss.t_final, ss.sample_stride, tuple(ss.fit_window))
+    return SimConfig(dt, ss.t_final, ss.sample_stride)
+
+
+def _trajectory(sys_, sim_cfg):
+    """The default datum, initial_data(L), projected and stepped: its
+    EnergySeries and ||U0||^2_D(A).  Both simulate and decay-fit run it."""
+    U0 = project_initial_data(sys_, initial_data(sys_.params.L))
+    return simulate(sys_, U0, sim_cfg), domain_norm(sys_, U0)
 
 
 def _energy_table(s):
@@ -344,27 +356,34 @@ def _run_resolvent(cfg, timings):
 def _run_simulate(cfg, timings):
     sys_ = _build(cfg)
     sim_cfg = _sim_config(cfg, sys_)
-    U0 = project_initial_data(sys_, initial_data(cfg.params.L))
-    series = _timed(timings, "simulate", simulate, sys_, U0, sim_cfg)
+    series, norm0 = _timed(timings, "simulate", _trajectory, sys_, sim_cfg)
     summary = {
         "dt": sim_cfg.dt,
         "t_final": sim_cfg.t_final,
         "energy_initial": float(series.energies[0]),
         "energy_final": float(series.energies[-1]),
         "max_balance_residual": float(series.dissipation_residuals.max()),
-        "domain_norm0": series.initial_domain_norm,
+        "domain_norm0": norm0,
     }
     return summary, {"energy.csv": _energy_table(series)}
 
 
 def _run_decay_fit(cfg, timings):
+    window = cfg.sim.fit_window
+    if not 0.0 < window[0] < window[1] <= cfg.sim.t_final:
+        raise BadInterval(f"fit_window={window!r} must lie inside (0, t_final]")
     sys_ = _build(cfg)
-    series, fit = _timed(timings, "decay_analysis", decay_analysis, sys_, _sim_config(cfg, sys_))
+
+    def decay_fit():
+        series, norm0 = _trajectory(sys_, _sim_config(cfg, sys_))
+        return series, norm0, fit_decay(series, window)
+
+    series, norm0, fit = _timed(timings, "decay_fit", decay_fit)
     summary = {
         "gamma_hat": -fit.slope,
         "window": list(fit.window),
         "r_squared": fit.r_squared,
-        "domain_norm0": series.initial_domain_norm,
+        "domain_norm0": norm0,
     }
     return summary, {"energy.csv": _energy_table(series)}
 
@@ -384,7 +403,7 @@ def _run_dichotomy(cfg, timings):
         growth, profile_tables = _run_resolvent(twin, phases)
         decay, energy_tables = _run_decay_fit(twin, phases)
         timings[f"profile_{tag}"] = phases["profile"]
-        timings[f"decay_{tag}"] = phases["decay_analysis"]
+        timings[f"decay_{tag}"] = phases["decay_fit"]
         tables[f"resolvent_{tag}.csv"] = profile_tables["resolvent.csv"]
         tables[f"energy_{tag}.csv"] = energy_tables["energy.csv"]
         rows.append(

@@ -258,7 +258,8 @@ def lambda_cap(sys: AssembledSystem) -> float:
 
 def profile(sys: AssembledSystem, lambda_grid, seed: int = 0) -> ResolventProfile:
     """||(i*lam - A_h)^{-1}||_G by Lanczos on R* R over a positive grid,
-    sorted, capped at lambda_max.
+    sorted, capped at lambda_cap(sys): a lambda above it, by one ulp even,
+    is GridBeyondResolution.
 
     Each squared norm lies within about 1e-12 relative of the true one,
     from below (see _Lanczos.norm); NoConvergence past 50 steps.  Every
@@ -278,7 +279,7 @@ def profile(sys: AssembledSystem, lambda_grid, seed: int = 0) -> ResolventProfil
         raise OutOfDomain("lambda grid must be strictly positive")
     grid = np.sort(grid)
     cap = lambda_cap(sys)
-    beyond = grid[grid > cap * (1.0 + 1e-12)]
+    beyond = grid[grid > cap]
     if beyond.size:
         raise GridBeyondResolution(float(beyond[0]), cap)
 

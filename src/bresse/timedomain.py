@@ -1,5 +1,7 @@
 """Implicit-midpoint time integration and polynomial decay fitting.
 
+The module steps (simulate) and fits (fit_decay); the CLI composes them.
+
 The midpoint rule (I - dt/2 A_h) U_{n+1} = (I + dt/2 A_h) U_n is reduced to
 one symmetric positive-definite solve per step,
 
@@ -31,8 +33,6 @@ from .discretization import (
     _band_solve,
     _check_dims,
     _integer,
-    domain_norm,
-    project_initial_data,
 )
 from .errors import (
     BadInterval,
@@ -50,7 +50,6 @@ __all__ = [
     "step_midpoint",
     "simulate",
     "fit_decay",
-    "decay_analysis",
     "initial_data",
 ]
 
@@ -59,18 +58,15 @@ _MIN_ENERGY_RATIO = 1e-8  # fit_decay drops samples below this fraction of E_0
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Time grid and decay-fit window for one trajectory.
+    """Time grid for one trajectory.
 
     sample_stride, an integer >= 1 (an integral float is taken as one),
-    defaults to 1 (every step), the CLI's SimSettings to 16;
-    SimSettings takes its fit_window default from here.  simulate ignores
-    fit_window; decay_analysis checks it.
+    defaults to 1 (every step), the CLI's SimSettings to 16.
     """
 
     dt: float
     t_final: float
     sample_stride: int = 1
-    fit_window: tuple = (10.0, 100.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,7 +87,6 @@ class EnergySeries:
     potentials: np.ndarray
     sample_residuals: np.ndarray
     dissipation_residuals: np.ndarray
-    initial_domain_norm: float
 
 
 def _midpoint_factor(sys: AssembledSystem, dt: float):
@@ -162,7 +157,7 @@ def simulate(sys: AssembledSystem, U0: np.ndarray, cfg: SimConfig) -> EnergySeri
     kinetics, potentials, residuals = record
     eps = np.finfo(float).tiny
 
-    dom0 = domain_norm(sys, U0)
+    _check_dims(sys, U0)
     n = sys.n_dofs
     KMC = sys.KMC_csr
     X = np.zeros(3 * n, dtype=np.result_type(U0, float))
@@ -200,7 +195,6 @@ def simulate(sys: AssembledSystem, U0: np.ndarray, cfg: SimConfig) -> EnergySeri
         potentials=potentials[samples],
         sample_residuals=np.append(0.0, np.maximum.reduceat(residuals[1:], samples[:-1])),
         dissipation_residuals=residuals[1:],
-        initial_domain_norm=dom0,
     )
 
 
@@ -264,28 +258,9 @@ def fit_decay(series: EnergySeries, window) -> PowerLawFit:
     return _loglog_fit(t[mask], E[mask])
 
 
-def decay_analysis(sys: AssembledSystem, cfg: SimConfig):
-    """Simulate the default datum, initial_data(L), and fit its decay.
-
-    Returns (series, fit): the EnergySeries and its PowerLawFit on
-    cfg.fit_window.  Raises BadInterval, before the trajectory, unless
-    cfg.fit_window is a pair (lo, hi) with 0 < lo < hi <= t_final, and
-    the errors of fit_decay (WindowTooSmall, NonpositiveEnergy) after it.
-    """
-    if len(cfg.fit_window) != 2:
-        raise BadInterval(f"fit_window={cfg.fit_window!r} must be a pair (lo, hi)")
-    lo, hi = cfg.fit_window
-    if not (0.0 < lo < hi <= cfg.t_final):
-        raise BadInterval(
-            f"fit_window={cfg.fit_window!r} must lie inside (0, t_final]"
-        )
-    series = simulate(sys, project_initial_data(sys, initial_data(sys.params.L)), cfg)
-    return series, fit_decay(series, cfg.fit_window)
-
-
 def initial_data(L: float):
     """The default smooth initial condition on (0, L), clamped at both
-    ends: what the simulate command runs and decay_analysis fits."""
+    ends: what the simulate and decay-fit commands run."""
     zero = lambda x: 0.0
     return (
         lambda x: math.sin(math.pi * x / L),

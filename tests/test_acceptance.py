@@ -9,6 +9,7 @@ them to make a failing check pass.
 import dataclasses
 import json
 import time
+import types
 
 import numpy as np
 import pytest
@@ -24,13 +25,7 @@ from bresse.discretization import (
 )
 from bresse.resolvent import fit_growth_exponent, resolvent_solve
 from bresse.spectral import quadratic_eigs
-from bresse.timedomain import (
-    SimConfig,
-    decay_analysis,
-    fit_decay,
-    initial_data,
-    simulate,
-)
+from bresse.timedomain import SimConfig, fit_decay, initial_data, simulate
 
 from conftest import (
     MidpointModalOracle,
@@ -107,13 +102,21 @@ class TestAcceptance:
         assert ok
 
     def test_c4_spectrum_strictly_left_of_axis(self):
-        """Damped modes decay; undamped modes sit on the axis.  Under 2 min."""
+        """Damped modes decay; undamped modes sit on the axis.  Under 2 min.
+
+        The damped spectrum is the spectrum command's own, on a config with
+        the default spectrum block (shifts 1i, ..., 50i, 5 pairs each).
+        The CLI refuses d0 = 0, so the undamped half calls quadratic_eigs
+        on the same shifts.
+        """
         t0 = time.perf_counter()
-        shifts = [1j * m for m in range(1, 51)]
-        damped = quadratic_eigs(make_system(64), shifts)
-        max_re = damped.eigenvalues.real.max()
-        max_res = damped.residuals.max()
-        undamped = quadratic_eigs(make_system(64, d0=0.0), shifts)
+        cfg = cli.parse_config(json.dumps({"params": dataclasses.asdict(make_params()),
+                                           "mesh_n": 64}))
+        _, tables = cli._run_spectrum(cfg, {})
+        real, _, residuals, _ = (np.array(col) for col in zip(*tables["spectrum.csv"][1]))
+        max_re, max_res = real.max(), residuals.max()
+        shifts = [1j * mu for mu in cfg.spectrum.mu_grid]
+        undamped = quadratic_eigs(make_system(64, d0=0.0), shifts, cfg.spectrum.per_shift)
         drift = np.max(
             np.abs(undamped.eigenvalues.real)
             / (1.0 + np.abs(undamped.eigenvalues))
@@ -126,7 +129,7 @@ class TestAcceptance:
             and elapsed <= 120.0
         )
         report(4, "strong stability", ok,
-               f"{damped.eigenvalues.size} damped modes, max Re {max_re:.3e}, "
+               f"{real.size} damped modes, max Re {max_re:.3e}, "
                f"max residual {max_res:.2e}; {undamped.eigenvalues.size} "
                f"undamped modes, max |Re|/(1+|s|) {drift:.2e}; {elapsed:.1f}s")
         assert ok
@@ -136,15 +139,13 @@ class TestAcceptance:
         sys = make_system(64)
         dt = 1.0 / 128.0
         U0 = project_initial_data(sys, initial_data(1.0))
-        cfg = SimConfig(dt=dt, t_final=20.0, sample_stride=16,
-                        fit_window=(10.0, 20.0))
+        cfg = SimConfig(dt=dt, t_final=20.0, sample_stride=16)
         series = simulate(sys, U0, cfg)
         max_balance = series.dissipation_residuals.max()
 
         free = make_system(64, d0=0.0)
         U0f = project_initial_data(free, initial_data(1.0))
-        cfgf = SimConfig(dt=dt, t_final=10.0, sample_stride=16,
-                         fit_window=(1.0, 10.0))
+        cfgf = SimConfig(dt=dt, t_final=10.0, sample_stride=16)
         cons = simulate(free, U0f, cfgf)
         drift = np.max(np.abs(cons.energies - cons.energies[0])) / cons.energies[0]
 
@@ -207,9 +208,10 @@ class TestAcceptance:
         three initial data, and gamma_hat of the default datum, must equal
         the exact modal propagation of the midpoint map.  The predicted
         exponents, the fitted ones, their ordering and the dominant mode
-        pair are reported, not asserted.  The default datum's trajectory
-        and fit come from decay_analysis, as in the CLI; the other two
-        data run through simulate.
+        pair are reported, not asserted.  The default datum's energies and
+        gamma_hat come from the decay-fit command's own runner, on a config
+        with the default sim block; the other two data run through simulate
+        on the same time grid.
         """
         # Both sides carry only roundoff: the oracle about cond(V) * eps
         # (cond(V) ~ 2.6e2 / 3.6e2, so ~1e-13), the stepper a few eps per
@@ -218,40 +220,45 @@ class TestAcceptance:
         # 1e-9 stays two orders above that and far below the percent-level
         # change that any error in the midpoint matrix produces.
         rel_bound = 1e-9
-        dt = 1.0 / 128.0
-        cfg = SimConfig(dt=dt, t_final=200.0, sample_stride=16,
-                        fit_window=(10.0, 100.0))
-        n_samples = int(round(cfg.t_final / dt)) // cfg.sample_stride + 1
-        times = dt * cfg.sample_stride * np.arange(n_samples)
-        mask = (times >= cfg.fit_window[0]) & (times <= cfg.fit_window[1])
-        # |d log E| <= rel_bound moves the least-squares slope by at most
-        # rel_bound * sum|x - mean(x)| / sum (x - mean(x))^2, x = log t
-        dx = np.log(times[mask]) - np.log(times[mask]).mean()
-        gamma_bound = rel_bound * np.abs(dx).sum() / (dx @ dx)
         mismatches = []
         stats = {}
         for tag, k2 in (("equal", 1.0), ("unequal", 2.0)):
-            sys = make_system(64, k2=k2)
+            params = dataclasses.asdict(make_params(k2=k2))
+            cfg = cli.parse_config(json.dumps({"params": params, "mesh_n": 64}))
+            sys = cli._build(cfg)
+            sim_cfg = cli._sim_config(cfg, sys)
+            dt, stride, window = sim_cfg.dt, sim_cfg.sample_stride, cfg.sim.fit_window
+            assert (dt, sim_cfg.t_final, stride, window) == (1 / 128, 200.0, 16, (10.0, 100.0))
+            n_samples = int(round(sim_cfg.t_final / dt)) // stride + 1
+            times = dt * stride * np.arange(n_samples)
+            mask = (times >= window[0]) & (times <= window[1])
+            # |d log E| <= rel_bound moves the least-squares slope by at most
+            # rel_bound * sum|x - mean(x)| / sum (x - mean(x))^2, x = log t
+            dx = np.log(times[mask]) - np.log(times[mask]).mean()
+            gamma_bound = rel_bound * np.abs(dx).sum() / (dx @ dx)
             gamma_theory = classify_speeds(sys.params).predicted_decay_exponent
             oracle = MidpointModalOracle(sys, dt)
-            # the CLI's decay-fit and dichotomy run this same function
-            first, fit = decay_analysis(sys, cfg)
             for i, fields in enumerate(c7_initial_data(1.0)):
                 U0 = project_initial_data(sys, fields)
-                series = first if i == 0 else simulate(sys, U0, cfg)
-                assert np.array_equal(series.times, times)
+                if i == 0:  # what the CLI's decay-fit and dichotomy write and fit
+                    summary, tables = cli._run_decay_fit(cfg, {})
+                    rows = tables["energy.csv"][1]
+                    sampled, energies = (np.array(col) for col in list(zip(*rows))[:2])
+                else:
+                    series = simulate(sys, U0, sim_cfg)
+                    sampled, energies = series.times, series.energies
+                assert np.array_equal(sampled, times)
                 expected = oracle.energies(U0, np.rint(times / dt).astype(int))
-                rel = np.abs(series.energies - expected) / expected
+                rel = np.abs(energies - expected) / expected
                 rel[~np.isfinite(rel)] = np.inf
                 j = int(np.argmax(rel))
                 mismatches.append((float(rel[j]), tag, i, times[j],
-                                   expected[j], series.energies[j]))
+                                   expected[j], energies[j]))
                 if i == 0:
-                    fit_oracle = fit_decay(
-                        dataclasses.replace(series, energies=expected),
-                        cfg.fit_window)
+                    oracle_series = types.SimpleNamespace(times=times, energies=expected)
+                    fit_oracle = fit_decay(oracle_series, window)
                     pair, share = oracle.dominant_pair(U0)
-            stats[tag] = dict(gamma=-fit.slope, oracle=-fit_oracle.slope,
+            stats[tag] = dict(gamma=summary["gamma_hat"], oracle=-fit_oracle.slope,
                               theory=gamma_theory, pair=pair,
                               share=share, cond=oracle.cond)
 

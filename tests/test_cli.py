@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -15,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from bresse import cli, errors, resolvent
-from bresse.discretization import g_norm_sq, project_initial_data
+from bresse.discretization import domain_norm, g_norm_sq, project_initial_data
 from bresse.errors import (
     BadInterval,
     ConfigError,
@@ -23,6 +24,7 @@ from bresse.errors import (
     ParseError,
     SchemaError,
 )
+from bresse.timedomain import SimConfig, fit_decay, initial_data, simulate
 from conftest import c7_initial_data, make_system
 
 
@@ -135,11 +137,11 @@ class TestParseConfig:
     def test_grid_and_window_shapes(self):
         with pytest.raises(SchemaError):
             cli.parse_config(json.dumps(base_config(".", spectrum={"mu_grid": []})))
-        with pytest.raises(SchemaError) as exc:
-            cli.parse_config(
-                json.dumps(base_config(".", resolvent={"window": [1.0, 2.0, 3.0]}))
-            )
-        assert "lo, hi" in exc.value.expected
+        for block, key in (("resolvent", "window"), ("sim", "fit_window")):
+            for value in ([10.0], [1.0, 2.0, 3.0]):
+                with pytest.raises(SchemaError) as exc:
+                    cli.parse_config(json.dumps(base_config(".", **{block: {key: value}})))
+                assert exc.value.path == f"{block}.{key}" and "lo, hi" in exc.value.expected
 
     def test_malformed_json(self):
         with pytest.raises(ParseError):
@@ -468,6 +470,36 @@ class TestCommands:
         _, rows = read_csv(tmp_path / "out" / table)
         assert rows
 
+    @pytest.mark.parametrize("command", ["decay-fit", "dichotomy"])
+    def test_fit_window_past_t_final(self, tmp_path, capsys, monkeypatch, command):
+        """A horizon short of the default fit window (10, 100) exits 13
+        (BadInterval) naming fit_window, before the first midpoint step."""
+        monkeypatch.setattr(cli, "simulate", None)  # never reached
+        raw = base_config(tmp_path / "out")
+        raw["sim"] = {"t_final": 5}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert cli.main([command, "--config", str(path)]) == 13
+        assert "fit_window=(10.0, 100.0)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k2", [1.0, 2.0])
+    def test_decay_fit_is_simulate_plus_fit_decay(self, tmp_path, k2):
+        """decay-fit is simulate on initial_data(L) and fit_decay on
+        sim.fit_window, bit for bit, with the datum's ||U0||^2_D(A)."""
+        cfg = cli.parse_config(json.dumps(base_config(tmp_path / "out", params={"k2": k2})))
+        summary, tables = cli._run_decay_fit(cfg, {})
+        sys_ = make_system(16, k2=k2)
+        U0 = project_initial_data(sys_, initial_data(1.0))
+        series = simulate(sys_, U0, SimConfig(dt=1.0 / 32.0, t_final=25.0, sample_stride=8))
+        fit = fit_decay(series, (5.0, 20.0))
+        assert tables["energy.csv"] == cli._energy_table(series)
+        assert summary == {
+            "gamma_hat": -fit.slope,
+            "window": list(fit.window),
+            "r_squared": fit.r_squared,
+            "domain_norm0": domain_norm(sys_, U0),
+        }
+
     def test_decay_fit_window_without_samples(self, tmp_path, capsys):
         """A fit window between two samples exits 26 (WindowTooSmall)."""
         path = write_config(tmp_path, mesh_n=8, sim={"t_final": 20.0, "fit_window": [10.1, 10.2]})
@@ -537,9 +569,17 @@ class TestCommands:
         _, rows = read_csv(tmp_path / "out" / "resolvent.csv")
         lambdas = [float(r[0]) for r in rows]
         summary = json.loads((tmp_path / "out" / "resolvent_summary.json").read_text())
-        assert lambdas[-1] == pytest.approx(38.3, rel=1e-12)
+        assert lambdas[-1] == 38.3 and lambdas[0] == 3.0
         assert lambdas[1] > lambdas[-1] / 10 > lambdas[0]
         assert summary["window"] == [lambdas[1], lambdas[-1]]
+
+    def test_null_lambda_max_ends_the_grid_at_the_cap(self, tmp_path):
+        """At n = 32 np.logspace alone would end at 32.00000000000001,
+        past the cap 1/h = 32; the grid ends at the cap itself."""
+        path = write_config(tmp_path, mesh_n=32)
+        assert cli.main(["resolvent", "--config", str(path)]) == 0
+        _, rows = read_csv(tmp_path / "out" / "resolvent.csv")
+        assert float(rows[-1][0]) == resolvent.lambda_cap(make_system(32)) == 32.0
 
     def test_dichotomy_fits_the_resolvent_window(self, tmp_path):
         """With resolvent.window null both commands fit default_fit_window.
@@ -567,7 +607,7 @@ OUTPUT_CONTRACT = {
     "spectrum": (["spectrum.csv", "spectrum_summary.json"], ["quadratic_eigs", "total"]),
     "resolvent": (["resolvent.csv", "resolvent_summary.json"], ["profile", "total"]),
     "simulate": (["energy.csv", "simulate_summary.json"], ["simulate", "total"]),
-    "decay-fit": (["energy.csv", "decay_summary.json"], ["decay_analysis", "total"]),
+    "decay-fit": (["energy.csv", "decay_summary.json"], ["decay_fit", "total"]),
     "dichotomy": (
         [
             "resolvent_equal.csv",
@@ -580,6 +620,19 @@ OUTPUT_CONTRACT = {
         ["profile_equal", "decay_equal", "profile_unequal", "decay_unequal", "total"],
     ),
 }
+
+
+def test_readme_command_table_matches_the_contract():
+    """README's table of files in outputs and timings is OUTPUT_CONTRACT;
+    `<regime>` keys run over equal then unequal, and total comes last."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = {}
+    for command, files, timings in re.findall(r"^\| `([a-z-]+)` \| (.*?) \| (.*?) \|$", readme, re.M):
+        keys = re.findall(r"`([^`]+)`", timings)
+        if any("<regime>" in key for key in keys):
+            keys = [key.replace("<regime>", tag) for tag in ("equal", "unequal") for key in keys]
+        table[command] = (re.findall(r"`([^`]+)`", files), [*keys, "total"])
+    assert table == OUTPUT_CONTRACT
 
 
 def test_unknown_command_is_refused_before_any_output(tmp_path):

@@ -293,6 +293,15 @@ class TestProfile:
         msg = str(exc.value)
         assert "40.0" in msg and "16.0" in msg
 
+    def test_one_ulp_past_the_cap_is_beyond_resolution(self, sys16):
+        """The cap has no slack: the cap itself profiles, the next float
+        above it is GridBeyondResolution (exit 21)."""
+        cap = lambda_cap(sys16)
+        assert profile(sys16, cap).lambdas[-1] == cap
+        with pytest.raises(GridBeyondResolution) as exc:
+            profile(sys16, [3.0, np.nextafter(cap, np.inf)])
+        assert exc.value.exit_code == 21 and exc.value.offending > cap
+
     def test_residual_is_backward_error_of_the_checked_solve(self):
         """At the n = 64 equal-speed peak the G-norm state residual is about
         7e-10, while the P solve it certifies is backward stable to dim * eps."""

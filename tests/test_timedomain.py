@@ -9,7 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from bresse import discretization
-from bresse.discretization import g_norm_sq, project_initial_data
+from bresse.discretization import domain_norm, g_norm_sq, project_initial_data
 from bresse.errors import (
     BadInterval,
     FactorizationFailed,
@@ -24,7 +24,6 @@ from bresse.timedomain import (
     EnergySeries,
     PowerLawFit,
     SimConfig,
-    decay_analysis,
     fit_decay,
     initial_data,
     simulate,
@@ -50,7 +49,6 @@ def series_from(times, energies, e0=None):
         potentials=0.5 * energies,
         sample_residuals=zeros,
         dissipation_residuals=np.zeros(max(times.size - 1, 1)),
-        initial_domain_norm=1.0,
     )
 
 
@@ -107,7 +105,7 @@ class TestSimConfig:
     def test_non_finite_time_setting(self, sys16, field, dt, t_final):
         """A NaN or infinite dt or t_final is OutOfDomain (exit 15), naming
         the field, not a bare ValueError or OverflowError."""
-        cfg = SimConfig(dt=dt, t_final=t_final, fit_window=(0.1, 1.0))
+        cfg = SimConfig(dt=dt, t_final=t_final)
         with pytest.raises(OutOfDomain, match=f"^{field}=") as exc:
             simulate(sys16, default_state(sys16), cfg)
         assert exc.value.exit_code == 15
@@ -116,20 +114,19 @@ class TestSimConfig:
     def test_step_count_too_large_to_record(self, sys16, monkeypatch, dt):
         """A step count no array can hold, or past the float range (1/5e-324
         overflows to inf), is OutOfDomain (exit 15), naming the count,
-        before the domain norm or the midpoint factor runs."""
-        monkeypatch.setattr(timedomain, "domain_norm", None)  # never reached
+        before the midpoint factor runs."""
         monkeypatch.setattr(timedomain, "_midpoint_factor", None)  # never reached
         with pytest.raises(OutOfDomain, match=re.escape(f"{1.0 / dt:.3e} steps")) as exc:
             simulate(sys16, default_state(sys16), SimConfig(dt, 1.0))
         assert exc.value.exit_code == 15
 
     def test_horizon_too_short_for_dt(self, sys16):
-        cfg = SimConfig(dt=0.5, t_final=1.0, fit_window=(0.1, 1.0))
+        cfg = SimConfig(dt=0.5, t_final=1.0)
         with pytest.raises(BadInterval):
             simulate(sys16, default_state(sys16), cfg)
 
     def test_bad_stride(self, sys16):
-        cfg = SimConfig(dt=0.01, t_final=1.0, sample_stride=0, fit_window=(0.1, 1.0))
+        cfg = SimConfig(dt=0.01, t_final=1.0, sample_stride=0)
         with pytest.raises(NonPositiveParameter):
             simulate(sys16, default_state(sys16), cfg)
 
@@ -137,7 +134,7 @@ class TestSimConfig:
     def test_non_integral_stride(self, sys16, stride):
         """A stride that is no integer is refused with the CLI's SchemaError
         (exit 11), not truncated."""
-        cfg = SimConfig(dt=0.01, t_final=1.0, sample_stride=stride, fit_window=(0.1, 1.0))
+        cfg = SimConfig(dt=0.01, t_final=1.0, sample_stride=stride)
         with pytest.raises(SchemaError) as exc:
             simulate(sys16, default_state(sys16), cfg)
         assert exc.value.exit_code == 11 and exc.value.path == "sample_stride"
@@ -150,39 +147,23 @@ class TestSimConfig:
         assert np.array_equal(got.times, ref.times)
         assert np.array_equal(got.energies, ref.energies)
 
-    def test_fit_window_outside_horizon(self, sys16, monkeypatch):
-        """decay_analysis refuses the window before its first trajectory."""
-        cfg = SimConfig(dt=0.01, t_final=1.0)
-        monkeypatch.setattr(timedomain, "simulate", None)  # never reached
-        with pytest.raises(BadInterval, match="fit_window"):
-            decay_analysis(sys16, cfg)
-
-    @pytest.mark.parametrize("window", [(10.0,), (1.0, 2.0, 3.0)])
-    def test_fit_window_not_a_pair(self, sys16, monkeypatch, window):
-        """A window that is no pair is BadInterval (exit 13), before the
-        first trajectory, not a bare ValueError from unpacking it."""
-        cfg = SimConfig(dt=0.01, t_final=20.0, fit_window=window)
-        monkeypatch.setattr(timedomain, "simulate", None)  # never reached
-        with pytest.raises(BadInterval, match="must be a pair") as exc:
-            decay_analysis(sys16, cfg)
-        assert exc.value.exit_code == 13
-
-    def test_fit_window_without_samples(self, sys16, monkeypatch):
-        """A window inside the horizon that holds no sample fails the fit
-        with WindowTooSmall (exit 26) after the one trajectory."""
-        calls = []
-        original = timedomain.simulate
-
-        def counting(*args):
-            calls.append(None)
-            return original(*args)
-
-        monkeypatch.setattr(timedomain, "simulate", counting)
-        cfg = SimConfig(dt=0.0625, t_final=20.0, sample_stride=16, fit_window=(10.1, 10.2))
+    def test_fit_window_outside_horizon(self, sys16):
+        """simulate ignores the window, and a window past the horizon
+        holds no sample for fit_decay: WindowTooSmall (exit 26).  The CLI
+        refuses such a window before the first step."""
+        series = simulate(sys16, default_state(sys16), SimConfig(dt=0.01, t_final=1.0))
         with pytest.raises(WindowTooSmall, match="only 0 usable samples") as exc:
-            decay_analysis(sys16, cfg)
+            fit_decay(series, (10.0, 100.0))
         assert exc.value.exit_code == 26
-        assert len(calls) == 1
+
+    def test_fit_window_without_samples(self, sys16):
+        """A window inside the horizon that holds no sample fails the fit
+        with WindowTooSmall (exit 26)."""
+        cfg = SimConfig(dt=0.0625, t_final=20.0, sample_stride=16)
+        series = simulate(sys16, default_state(sys16), cfg)
+        with pytest.raises(WindowTooSmall, match="only 0 usable samples") as exc:
+            fit_decay(series, (10.1, 10.2))
+        assert exc.value.exit_code == 26
 
     @pytest.mark.parametrize("block, value", [("q", np.nan), ("v", np.nan),
                                               ("q", np.inf), ("v", 1e160)])
@@ -190,7 +171,7 @@ class TestSimConfig:
         """A NaN or Inf entry, or an energy that overflows, is out of domain."""
         U0 = default_state(sys16)
         U0[{"q": 0, "v": sys16.n_dofs}[block] + 4] = value
-        cfg = SimConfig(dt=0.01, t_final=1.0, fit_window=(0.1, 1.0))
+        cfg = SimConfig(dt=0.01, t_final=1.0)
         with pytest.raises(OutOfDomain) as exc:
             simulate(sys16, U0, cfg)
         assert exc.value.exit_code == 15
@@ -248,7 +229,7 @@ class TestSimulate:
         leaves a short last window (40 steps by 3), one sample at the end
         (stride 40 or 45), and a single step, which only a run past the
         t_final >= 10 dt check can take."""
-        cfg = SimConfig(dt=0.05, t_final=t_final, sample_stride=stride, fit_window=(0.5, 2.0))
+        cfg = SimConfig(dt=0.05, t_final=t_final, sample_stride=stride)
         if t_final < 10 * cfg.dt:
             monkeypatch.setattr(timedomain, "_validate_sim_config", lambda cfg: cfg.sample_stride)
         U0 = default_state(sys16)
@@ -261,7 +242,7 @@ class TestSimulate:
     def test_complex_initial_data(self, sys16):
         """Complex data integrates in full: (1 + i) U0 carries twice the
         energies of U0, and nothing is cast away with a warning."""
-        cfg = SimConfig(dt=0.05, t_final=2.0, fit_window=(0.5, 2.0))
+        cfg = SimConfig(dt=0.05, t_final=2.0)
         U0 = default_state(sys16)
         Uc = (1 + 1j) * U0
         ref = simulate(sys16, U0, cfg)
@@ -274,7 +255,7 @@ class TestSimulate:
 
     def test_non_finite_energy_stops_the_run(self, monkeypatch):
         """A step whose energy is not finite raises instead of filling NaNs."""
-        cfg = SimConfig(dt=0.05, t_final=1.0, fit_window=(0.2, 1.0))
+        cfg = SimConfig(dt=0.05, t_final=1.0)
         sys = make_system(16)
         factor = timedomain._midpoint_factor(sys, cfg.dt).copy()
         factor[0, 7] = np.nan
@@ -283,8 +264,7 @@ class TestSimulate:
             simulate(sys, default_state(sys), cfg)
 
     def test_one_factorization_per_trajectory(self, sys16, monkeypatch):
-        """simulate factors its midpoint matrix once, and so does
-        decay_analysis, which runs one trajectory."""
+        """simulate factors its midpoint matrix once per trajectory."""
         calls = []
         original = timedomain._band_cholesky
 
@@ -293,17 +273,13 @@ class TestSimulate:
             return original(band, what)
 
         monkeypatch.setattr(timedomain, "_band_cholesky", counting)
-        cfg = SimConfig(dt=0.05, t_final=2.0, fit_window=(0.5, 2.0))
+        cfg = SimConfig(dt=0.05, t_final=2.0)
         simulate(sys16, default_state(sys16), cfg)
-        assert len(calls) == 1
-        calls.clear()
-        cfg = SimConfig(dt=0.05, t_final=20.0, fit_window=(1.0, 20.0))
-        decay_analysis(sys16, cfg)
         assert len(calls) == 1
 
     def test_one_csr_per_system(self, monkeypatch):
-        """decay_analysis converts bands to a CSR once per system, for
-        KMC_csr; the trajectory and the initial norm reuse it."""
+        """A trajectory and the graph norm of its datum convert bands to a
+        CSR once per system, for KMC_csr, which both reuse."""
         calls = []
         original = discretization._band_csr
 
@@ -312,14 +288,16 @@ class TestSimulate:
             return original(*bands)
 
         monkeypatch.setattr(discretization, "_band_csr", counting)
-        cfg = SimConfig(dt=0.05, t_final=20.0, fit_window=(1.0, 20.0))
+        cfg = SimConfig(dt=0.05, t_final=20.0)
         for k2 in (1.0, 2.0):
-            decay_analysis(make_system(16, k2=k2), cfg)
+            sys = make_system(16, k2=k2)
+            U0 = default_state(sys)
+            simulate(sys, U0, cfg)
+            domain_norm(sys, U0)
         assert calls == [3, 3]
 
     def test_balance_residuals_every_step(self, sys16):
-        cfg = SimConfig(dt=1.0 / 32.0, t_final=5.0, sample_stride=4,
-                        fit_window=(1.0, 5.0))
+        cfg = SimConfig(dt=1.0 / 32.0, t_final=5.0, sample_stride=4)
         series = simulate(sys16, default_state(sys16), cfg)
         assert series.dissipation_residuals.size == 160
         assert series.dissipation_residuals.max() <= 1e-10
@@ -327,8 +305,7 @@ class TestSimulate:
         assert series.sample_residuals.max() <= 1e-10
 
     def test_sampling_grid(self, sys16):
-        cfg = SimConfig(dt=0.01, t_final=3.0, sample_stride=7,
-                        fit_window=(1.0, 3.0))
+        cfg = SimConfig(dt=0.01, t_final=3.0, sample_stride=7)
         series = simulate(sys16, default_state(sys16), cfg)
         assert series.times[0] == 0.0
         assert_allclose(series.times[-1], 3.0, rtol=1e-12)
@@ -337,8 +314,7 @@ class TestSimulate:
         assert series.kinetics.size == series.times.size
 
     def test_energy_monotone_under_damping(self, sys16):
-        cfg = SimConfig(dt=1.0 / 32.0, t_final=8.0, sample_stride=2,
-                        fit_window=(1.0, 8.0))
+        cfg = SimConfig(dt=1.0 / 32.0, t_final=8.0, sample_stride=2)
         series = simulate(sys16, default_state(sys16), cfg)
         e0 = series.energies[0]
         assert np.all(np.diff(series.energies) <= 1e-12 * e0)
@@ -346,8 +322,7 @@ class TestSimulate:
 
     def test_undamped_energy_conserved(self, sys16_undamped):
         """With no damping the midpoint rule conserves E to 1e-10."""
-        cfg = SimConfig(dt=1.0 / 32.0, t_final=10.0, sample_stride=8,
-                        fit_window=(1.0, 10.0))
+        cfg = SimConfig(dt=1.0 / 32.0, t_final=10.0, sample_stride=8)
         series = simulate(sys16_undamped, default_state(sys16_undamped), cfg)
         e0 = series.energies[0]
         drift = np.max(np.abs(series.energies - e0)) / e0
@@ -355,17 +330,16 @@ class TestSimulate:
         assert series.dissipation_residuals.max() <= 1e-12
 
     def test_components_sum_to_total(self, sys16):
-        cfg = SimConfig(dt=0.05, t_final=2.0, fit_window=(0.5, 2.0))
+        cfg = SimConfig(dt=0.05, t_final=2.0)
         series = simulate(sys16, default_state(sys16), cfg)
         assert_allclose(
             series.kinetics + series.potentials, series.energies, rtol=1e-12
         )
 
     def test_zero_data_gives_zero_series(self, sys16):
-        cfg = SimConfig(dt=0.05, t_final=1.0, fit_window=(0.2, 1.0))
+        cfg = SimConfig(dt=0.05, t_final=1.0)
         series = simulate(sys16, np.zeros(2 * sys16.n_dofs), cfg)
         assert np.all(series.energies == 0.0)
-        assert series.initial_domain_norm == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -430,27 +404,10 @@ class TestFitDecay:
             for n in (64, 128):
                 sys = make_system(n, k2=k2)
                 h = 1.0 / n
-                cfg = SimConfig(dt=0.5 * h, t_final=100.0, sample_stride=16,
-                                fit_window=(10.0, 100.0))
+                cfg = SimConfig(dt=0.5 * h, t_final=100.0, sample_stride=16)
                 series = simulate(sys, default_state(sys), cfg)
-                gammas.append(-fit_decay(series, cfg.fit_window).slope)
+                gammas.append(-fit_decay(series, (10.0, 100.0)).slope)
             assert gammas[1] >= gammas[0] - 0.1
-
-
-class TestDecayAnalysis:
-    @pytest.mark.parametrize("k2", [1.0, 2.0])
-    def test_series_and_fit_match_simulate(self, k2):
-        """decay_analysis is simulate on initial_data(L) and fit_decay on
-        cfg.fit_window, bit for bit."""
-        sys = make_system(16, k2=k2)
-        cfg = SimConfig(dt=1.0 / 32.0, t_final=25.0, sample_stride=8,
-                        fit_window=(5.0, 20.0))
-        series, fit = decay_analysis(sys, cfg)
-        expected = simulate(sys, default_state(sys), cfg)
-        assert np.array_equal(series.times, expected.times)
-        assert np.array_equal(series.energies, expected.energies)
-        assert series.initial_domain_norm == expected.initial_domain_norm
-        assert fit == fit_decay(series, cfg.fit_window)
 
 
 # ---------------------------------------------------------------------------
