@@ -45,10 +45,11 @@ tables, its JSON summary and run_report.json, in that order; the report's
 alone; spectrum spectrum.csv; resolvent resolvent.csv; simulate and
 decay-fit energy.csv, one helper's trajectory of initial_data(L), which
 decay-fit fits on sim.fit_window once it has refused, before the first
-step, a window outside (0, t_final] (exit 13).  dichotomy runs
-resolvent and decay-fit on the equal and then the unequal regime (k2
-twice its equal-speed value), writing resolvent_<regime>.csv and
-energy_<regime>.csv, then dichotomy.csv.
+step, a window outside (0, t_final] (exit 13).  dichotomy refuses such
+a window before any work, then runs resolvent and decay-fit on the
+equal and then the unequal regime (k2 twice its equal-speed value),
+writing resolvent_<regime>.csv and energy_<regime>.csv, then
+dichotomy.csv.
 Summaries are named <command>_summary.json, except decay-fit's
 decay_summary.json.  All CSV output is deterministic for a fixed
 (config, seed, version): floats are serialized with 17 significant
@@ -368,10 +369,16 @@ def _run_simulate(cfg, timings):
     return summary, {"energy.csv": _energy_table(series)}
 
 
-def _run_decay_fit(cfg, timings):
+def _fit_window(cfg: ExperimentConfig) -> tuple:
+    """sim.fit_window, refused (BadInterval) unless 0 < lo < hi <= t_final."""
     window = cfg.sim.fit_window
     if not 0.0 < window[0] < window[1] <= cfg.sim.t_final:
         raise BadInterval(f"fit_window={window!r} must lie inside (0, t_final]")
+    return window
+
+
+def _run_decay_fit(cfg, timings):
+    window = _fit_window(cfg)
     sys_ = _build(cfg)
 
     def decay_fit():
@@ -394,7 +401,9 @@ _UNEQUAL_FACTOR = 2.0
 
 def _run_dichotomy(cfg, timings):
     """The resolvent and decay-fit runners on the equal-speed projection of
-    the config params, then on its unequal twin."""
+    the config params, then on its unequal twin; a bad sim.fit_window
+    is refused before either runs."""
+    _fit_window(cfg)
     k2_equal = cfg.params.rho2 * cfg.params.k1 / cfg.params.rho1
     tables, rows = {}, []
     for tag, k2 in (("equal", k2_equal), ("unequal", k2_equal * _UNEQUAL_FACTOR)):

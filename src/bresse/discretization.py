@@ -202,15 +202,30 @@ def _leading_block(A: csr_array, n: int) -> csr_array:
     return csr_array((A.data[:end], A.indices[:end], A.indptr[: n + 1]), shape=(n, n))
 
 
-def _band_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _trailing_block(A: csr_array, n: int) -> csr_array:
+    """The rows of a CSR A from row n on, over all of A's columns, sharing
+    A's data and indices; only the shifted indptr is new."""
+    start = A.indptr[n]
+    data, indices = A.data[start:], A.indices[start:]
+    T = csr_array((data, indices, A.indptr[n:] - start), shape=(A.shape[0] - n, A.shape[1]))
+    T.data, T.indices = data, indices  # csr_array copies a view under half its base
+    return T
+
+
+def _band_solve(factor: np.ndarray, rhs: np.ndarray, in_place: bool = False) -> np.ndarray:
     """Solve with a lower band Cholesky factor for a vector or (N, k) matrix
     rhs, real or complex (part by part, so the real factor is never cast to
     complex).  Raw dpbtrs, column by column: nothing is scanned for NaN or
     Inf, so initial data is checked where it enters (project_initial_data,
-    simulate)."""
+    simulate).  in_place overwrites rhs, a contiguous vector, with the
+    solution and returns it: dpbtrs solves a real one in its own memory."""
     if np.iscomplexobj(rhs):
-        return _band_solve(factor, rhs.real) + 1j * _band_solve(factor, rhs.imag)
-    x, info = dpbtrs(factor, rhs, lower=1)
+        re, im = _band_solve(factor, rhs.real), _band_solve(factor, rhs.imag)
+        if in_place:
+            rhs.real, rhs.imag = re, im
+            return rhs
+        return re + 1j * im
+    x, info = dpbtrs(factor, rhs, lower=1, overwrite_b=in_place)
     if info != 0:
         raise FactorizationFailed(f"banded Cholesky solve: dpbtrs info={info}")
     return x

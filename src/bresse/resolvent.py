@@ -16,9 +16,9 @@ conj(J y)): the adjoint is one more solve with the same LU of P(lambda).
 P(lambda) is the system's quadratic pencil at s = i lambda, banded and
 LU-factored once per lambda by discretization._Pencil, which the spectrum
 certifies on too.  The right-hand side M (g + i lambda f) + C f comes
-from one product with the system's KMC_csr = diag(K, M, C), like every
-other product; a profile casts that CSR to complex once, for all its
-lambdas.  Every solve's backward error is tested on the spot.
+from one product with rows N:3N of the system's KMC_csr = diag(K, M, C),
+like every other product; a profile casts that CSR to complex once, for
+all its lambdas.  Every solve's backward error is tested on the spot.
 
 Profiles are capped at lambda_max = 1 / h, h the largest element width:
 P1 elements cannot represent modes beyond O(1/h), and fitting past the cap
@@ -32,7 +32,7 @@ import numpy as np
 from scipy.linalg.lapack import dstevd, zgbcon
 from scipy.sparse import csr_array
 
-from .discretization import AssembledSystem, _check_dims, _integer, _leading_block, _Pencil
+from .discretization import AssembledSystem, _check_dims, _integer, _leading_block, _Pencil, _trailing_block
 from .errors import (
     DimensionMismatch,
     EmptyGrid,
@@ -80,17 +80,17 @@ class ResolventProfile:
 class _Resolvent:
     """Factored resolvent at one real lambda, with forward/adjoint solves.
 
-    pencil is P(lambda) = P(i lambda) with its banded LU (_Pencil).  KMC
-    is the system's diag(K, M, C) as a CSR, from the caller: real for one
-    solve, complex for a profile, so that no product casts it again.  A
-    NaN or infinite lambda is OutOfDomain.  apply and apply_adjoint read a
-    flat state x = (q, v) of length 2N and write into a given complex
-    buffer of that length; neither checks the shape.
+    pencil is P(lambda) = P(i lambda) with its banded LU (_Pencil).  tail
+    is rows N:3N of the system's KMC_csr (_trailing_block), from the
+    caller: real for one solve, complex for a profile, so that no product
+    casts it again.  A NaN or infinite lambda is OutOfDomain.  apply and
+    apply_adjoint read a flat state x = (q, v) of length 2N and write into
+    a given complex buffer of that length; neither checks the shape.
     """
 
-    def __init__(self, sys: AssembledSystem, lam: float, KMC: csr_array):
+    def __init__(self, sys: AssembledSystem, lam: float, tail: csr_array):
         self.sys = sys
-        self.KMC = KMC
+        self.tail = tail
         self.lam = float(lam)
         if not math.isfinite(self.lam):
             raise OutOfDomain(f"lambda={self.lam!r} must be finite")
@@ -106,12 +106,13 @@ class _Resolvent:
                 self.lam, f"reciprocal condition number {rcond:.3e} <= {self.bound:.3e}"
             )
         self._work = np.empty((3, sys.n_dofs), dtype=complex)  # rhs, q, rhs - P q
+        self._stack = np.zeros(3 * sys.n_dofs, dtype=complex)  # [unread | g + i lam f | f]
         self._magnitudes = np.empty((3, sys.n_dofs))
 
     def apply(self, x: np.ndarray, out: np.ndarray) -> float:
         """out <- R(i lam) x for a flat state x = (f, g); returns the
-        backward error of its P solve.  The right-hand side sums rows N:2N
-        and 2N: of one KMC product on (f, g + i lam f, f).
+        backward error of its P solve.  The right-hand side sums the two
+        halves of one tail product on (0, g + i lam f, f).
 
         The backward error is ||rhs - P q||_1 / (||P||_1 ||q||_1 +
         ||rhs||_1), and the solve passes when it is at most dim * eps: the
@@ -122,8 +123,11 @@ class _Resolvent:
         n = self.sys.n_dofs
         f, g = x[:n], x[n:]
         rhs, q, res = self._work
-        Y = self.KMC @ np.concatenate((f, g + self.il * f, f))
-        np.add(Y[n : 2 * n], Y[2 * n :], out=rhs)
+        stack = self._stack
+        np.add(g, np.multiply(self.il, f, out=stack[n : 2 * n]), out=stack[n : 2 * n])
+        stack[2 * n :] = f
+        Y = self.tail @ stack  # [M (g + i lam f) | C f]
+        np.add(Y[:n], Y[n:], out=rhs)
         q[:] = self.pencil.solve(rhs)
         res[:] = self.pencil.residual(q, rhs)
         rhs_norm, q_norm, err = np.abs(self._work, out=self._magnitudes).sum(axis=1)
@@ -167,7 +171,7 @@ def resolvent_solve(sys: AssembledSystem, lam: float, F: np.ndarray) -> np.ndarr
     """
     _check_dims(sys, F)
     U = np.empty(2 * sys.n_dofs, dtype=complex)
-    _Resolvent(sys, lam, sys.KMC_csr).apply(F, U)
+    _Resolvent(sys, lam, _trailing_block(sys.KMC_csr, sys.n_dofs)).apply(F, U)
     return U
 
 
@@ -181,9 +185,10 @@ class _Lanczos:
     are one row product; both are sized to the step cap (plus the row that
     takes each step's new vector) and reused by every lambda, which reads
     only the rows it wrote itself.  KMC is the system's KMC_csr with
-    complex entries, so that no product casts the real ones again, and G
-    = diag(K, M) its leading 2N rows, sharing its arrays as G_csr does;
-    one G product gives K q and M v at once.  SchemaError unless seed is an
+    complex entries, so that no product casts the real ones again, G =
+    diag(K, M) its leading 2N rows, sharing its arrays as G_csr does, and
+    tail its rows N:3N, which every _Resolvent of the profile reads; one
+    G product gives K q and M v at once.  SchemaError unless seed is an
     integer >= 0 (see discretization._integer).
     """
 
@@ -195,6 +200,7 @@ class _Lanczos:
         n = sys.n_dofs
         self.KMC = sys.KMC_csr.astype(complex)
         self.G = _leading_block(self.KMC, 2 * n)
+        self.tail = _trailing_block(self.KMC, n)
         rng = np.random.default_rng(_START_SEED + seed)
 
         def draw():  # drawn field by field, so each seed keeps its start vector
@@ -220,7 +226,7 @@ class _Lanczos:
         Kato-Temple bound on its error) and r <= _RITZ_RESIDUAL * theta_1;
         the norm is sqrt(theta_1).  NoConvergence past _LANCZOS_CAP steps.
         """
-        op = _Resolvent(self.sys, lam, self.KMC)
+        op = _Resolvent(self.sys, lam, self.tail)
         V, GVc, y, alpha, beta = self.V, self.GVc, self.y, self.alpha, self.beta
         worst = 0.0
         for k in range(_LANCZOS_CAP):

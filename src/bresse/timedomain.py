@@ -14,12 +14,15 @@ step and every dt (the scheme is unconditionally stable here).  That
 identity is what turns the dissipation law into a unit test instead of an
 approximation.
 
-A step of simulate costs one banded Cholesky solve and one product with
-the system's KMC_csr = diag(K, M, C) on [q_{n+1} | v_{n+1} | v_bar],
-whose first 2N entries are the flat state (q, v): K q_{n+1} and M v_{n+1}
-give the energy and are carried to the next step's right-hand side, and
-C v_bar, with v_bar = (v_n + v_{n+1}) / 2, gives the balance term.  The
-loop records every step; the samples are taken from that record after it.
+simulate keeps the state in one buffer X = [q | v | v_mid], whose first
+2N entries are the flat state (q, v).  A step writes M v_n - dt/2 K q_n
+into the third slot and solves it there into v_mid (one banded Cholesky
+solve, in place), updates q and v in place, and makes one product with
+the system's KMC_csr = diag(K, M, C), [K q_{n+1} | M v_{n+1} | C v_mid].
+The first two blocks give the energy and the next step's right-hand
+side, the third the balance term, and one vecdot of X with that product
+records the step's three dot products.  The energies, their samples and
+the balance residuals are formed from that record after the loop.
 """
 
 import math
@@ -133,68 +136,79 @@ def simulate(sys: AssembledSystem, U0: np.ndarray, cfg: SimConfig) -> EnergySeri
 
     Per-step dissipation residuals verify the exact balance; the sampled
     series (every sample_stride steps plus the final step) is what decay
-    fitting and the CSV output consume.  A step costs one banded Cholesky
-    solve and one sys.KMC_csr product on the buffer [q_{n+1} | v_{n+1} |
-    v_bar], which has the dtype of U0, so complex data integrates too; the
-    initial energy comes from that product on [U0 | 0].  The loop records
-    the kinetic and potential energy and the balance residual of every
-    step in one (3, n_steps + 1) array, and the samples are taken from it
-    once the loop ends.  Raises SchemaError for a non-integral
-    sample_stride, DimensionMismatch unless U0 has shape (2 sys.n_dofs,),
-    OutOfDomain for a NaN or Inf dt or t_final, for a step count too large
-    to record (t_final/dt past the float range included) and when U0 has
-    a NaN or Inf entry or an energy that overflows, and
-    FactorizationFailed when a later energy is not finite.
+    fitting and the CSV output consume.  A step costs one in-place banded
+    Cholesky solve, one sys.KMC_csr product and one vecdot on the buffer
+    [q | v | v_mid], which has the dtype of U0, so complex data integrates
+    too (solved part by part); the initial energy comes from that product
+    on [U0 | 0].  The loop records the dot products q.Kq, v.Mv and
+    v_mid.C v_mid of every step in one (n_steps + 1, 3) array and checks
+    only that the energy is finite; the energies, samples and balance
+    residuals are formed from that array once the loop ends.  Raises
+    SchemaError for a non-integral sample_stride, DimensionMismatch unless
+    U0 has shape (2 sys.n_dofs,), OutOfDomain for a NaN or Inf dt or
+    t_final, for a step count too large to record (t_final/dt past the
+    float range included) and when U0 has a NaN or Inf entry or an energy
+    that overflows, and FactorizationFailed when a later energy is not
+    finite.
     """
     stride = _validate_sim_config(cfg)
     dt = cfg.dt
     ratio = cfg.t_final / dt  # inf when the quotient overflows
-    try:
-        n_steps = int(round(ratio))
-        record = np.empty((3, n_steps + 1))
-    except (OverflowError, ValueError, MemoryError):
-        raise OutOfDomain(f"t_final/dt asks for {ratio:.3e} steps, too many to record") from None
-    kinetics, potentials, residuals = record
-    eps = np.finfo(float).tiny
-
     _check_dims(sys, U0)
     n = sys.n_dofs
-    KMC = sys.KMC_csr
     X = np.zeros(3 * n, dtype=np.result_type(U0, float))
+    try:
+        n_steps = int(round(ratio))
+        dots = np.empty((n_steps + 1, 3), dtype=X.dtype)
+    except (OverflowError, ValueError, MemoryError):
+        raise OutOfDomain(f"t_final/dt asks for {ratio:.3e} steps, too many to record") from None
+    real = dots.real  # (q.Kq, v.Mv, v_mid.C v_mid) of each step
+
+    KMC = sys.KMC_csr
     X[: 2 * n] = U0
-    q, v, v_bar = X[:n], X[n : 2 * n], X[2 * n :]
-    Y = KMC @ X  # [K q | M v | C v_bar]
-    kinetic = kinetics[0] = 0.5 * np.vdot(v, Y[n : 2 * n]).real
-    potential = potentials[0] = 0.5 * np.vdot(q, Y[:n]).real
-    e0 = E = kinetic + potential
+    q, v, v_mid = X[:n], X[n : 2 * n], X[2 * n :]
+    slots = X.reshape(3, n)
+    work = np.empty_like(q)
+    half = 0.5 * dt
+    Y = KMC @ X  # [K q | M v | C v_mid]
+    with np.errstate(over="ignore", invalid="ignore"):  # vecdot warns on an Inf entry
+        np.vecdot(slots, Y.reshape(3, n), out=dots[0])
+    e0 = 0.5 * real[0, 1] + 0.5 * real[0, 0]
     if not math.isfinite(e0):  # a NaN or Inf entry of U0 always reaches e0
         raise OutOfDomain("initial state has a non-finite entry or energy")
     factor = _midpoint_factor(sys, dt)
 
     for step in range(1, n_steps + 1):
-        v_mid = _band_solve(factor, Y[n : 2 * n] - (0.5 * dt) * Y[:n])
-        q += dt * v_mid
-        v_next = 2.0 * v_mid - v
-        v_bar[:] = 0.5 * (v + v_next)
-        v[:] = v_next
+        np.subtract(Y[n : 2 * n], np.multiply(half, Y[:n], out=v_mid), out=v_mid)
+        _band_solve(factor, v_mid, in_place=True)
+        q += np.multiply(dt, v_mid, out=work)
+        np.subtract(np.multiply(2.0, v_mid, out=work), v, out=v)
         Y = KMC @ X
-        kinetic = kinetics[step] = 0.5 * np.vdot(v, Y[n : 2 * n]).real
-        potential = potentials[step] = 0.5 * np.vdot(q, Y[:n]).real
-        E_next = kinetic + potential
-        if not math.isfinite(E_next):
+        np.vecdot(slots, Y.reshape(3, n), out=dots[step])
+        if not math.isfinite(real[step, 0] + real[step, 1]):  # so the energy formed below is too
             raise FactorizationFailed(f"energy is not finite after step {step}")
-        dissipated = dt * float(np.vdot(v_bar, Y[2 * n :]).real)
-        residuals[step] = abs(E_next - E + dissipated) / (e0 + eps)
-        E = E_next
 
+    # Formed in the record, so the residuals are the one new array of its
+    # length: its columns (q.Kq, v.Mv, v_mid.C v_mid) become (potential,
+    # kinetic, dt v_mid.C v_mid), then the first one the energy.
     samples = np.append(np.arange(0, n_steps, stride), n_steps)
+    real[:, 0] *= 0.5  # column by column: a 2-D strided update buffers a copy
+    real[:, 1] *= 0.5
+    real[:, 2] *= dt
+    kinetics, potentials = real[samples, 1], real[samples, 0]
+    energies = real[:, 0]
+    energies += real[:, 1]
+    residuals = np.diff(energies)  # |E_{n+1} - E_n + dt v_mid.C v_mid| / (E_0 + eps)
+    residuals += real[1:, 2]
+    np.abs(residuals, out=residuals)
+    residuals /= e0 + np.finfo(float).tiny
     return EnergySeries(
         times=samples * dt,
-        energies=kinetics[samples] + potentials[samples],
-        kinetics=kinetics[samples],
-        potentials=potentials[samples],
-        sample_residuals=np.append(0.0, np.maximum.reduceat(residuals[1:], samples[:-1])),
-        dissipation_residuals=residuals[1:],
+        energies=energies[samples],
+        kinetics=kinetics,
+        potentials=potentials,
+        sample_residuals=np.append(0.0, np.maximum.reduceat(residuals, samples[:-1])),
+        dissipation_residuals=residuals,
     )
 
 

@@ -482,6 +482,18 @@ class TestCommands:
         assert cli.main([command, "--config", str(path)]) == 13
         assert "fit_window=(10.0, 100.0)" in capsys.readouterr().err
 
+    def test_dichotomy_refuses_the_fit_window_before_any_profile(self, tmp_path, monkeypatch):
+        """dichotomy checks sim.fit_window before the equal regime's
+        resolvent profile, so a bad window costs no lambda."""
+        calls = []
+        monkeypatch.setattr(cli, "_profile", lambda *args: calls.append(args))
+        raw = base_config(tmp_path / "out")
+        raw["sim"] = {"t_final": 5}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert cli.main(["dichotomy", "--config", str(path)]) == 13
+        assert calls == []
+
     @pytest.mark.parametrize("k2", [1.0, 2.0])
     def test_decay_fit_is_simulate_plus_fit_decay(self, tmp_path, k2):
         """decay-fit is simulate on initial_data(L) and fit_decay on

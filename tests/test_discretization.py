@@ -436,6 +436,23 @@ class TestAssembledMatrices:
         for k in range(B.shape[1]):
             assert X[:, k].tobytes() == sys16.solve_m(B[:, k]).tobytes()
 
+    @pytest.mark.parametrize("complex_valued", [False, True])
+    def test_in_place_band_solve(self, sys16, complex_valued):
+        """The in-place band solve overwrites a vector inside a larger
+        buffer with the solution bit for bit, and leaves the rest alone."""
+        rng = np.random.default_rng(5)
+        n = sys16.n_dofs
+        buffer = rng.standard_normal(3 * n)
+        if complex_valued:
+            buffer = buffer + 1j * rng.standard_normal(3 * n)
+        before = buffer.copy()
+        rhs = buffer[2 * n :]
+        expected = sys16.solve_m(rhs.copy())
+        got = discretization._band_solve(sys16._m_factor, rhs, in_place=True)
+        assert got is rhs
+        assert buffer[2 * n :].tobytes() == expected.tobytes()
+        assert buffer[: 2 * n].tobytes() == before[: 2 * n].tobytes()
+
     def test_mass_solve_roundtrip(self, sys16):
         rng = np.random.default_rng(3)
         x = rng.standard_normal(sys16.n_dofs)

@@ -14,6 +14,7 @@ import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
 from bresse.discretization import (
+    _trailing_block,
     apply_generator,
     assemble,
     build_mesh,
@@ -132,7 +133,7 @@ def test_resolvent_adjoint_is_consistent(sys, frac, seed):
     R is the resolvent at lam = frac * lambda_max and R* its adjoint in the
     energy metric G, the pair on which profile runs Lanczos.
     """
-    op = _Resolvent(sys, frac * lambda_cap(sys), sys.KMC_csr)
+    op = _Resolvent(sys, frac * lambda_cap(sys), _trailing_block(sys.KMC_csr, sys.n_dofs))
     rng = np.random.default_rng(seed)
     x, y = (random_state(sys, rng, complex_valued=True) for _ in range(2))
     rx, ry = np.empty_like(x), np.empty_like(y)

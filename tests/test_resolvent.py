@@ -11,6 +11,7 @@ from scipy.linalg.lapack import zgbtrf, zgbtrs
 from bresse import discretization, resolvent
 from bresse.discretization import (
     AssembledSystem,
+    _trailing_block,
     apply_generator,
     g_norm_sq,
 )
@@ -94,7 +95,7 @@ class TestBandedPencil:
 
     @pytest.mark.parametrize("lam", [3.0, 7.5, 20.0])
     def test_band_is_the_pencil(self, sys16, lam):
-        op = resolvent._Resolvent(sys16, lam, sys16.KMC_csr)
+        op = resolvent._Resolvent(sys16, lam, _trailing_block(sys16.KMC_csr, sys16.n_dofs))
         P = self.dense_pencil(sys16, lam)
         assert np.array_equal(full_band_dense(op.pencil.band), P)
         assert abs(op.pencil.norm1 - np.linalg.norm(P, 1)) <= 1e-14 * np.linalg.norm(P, 1)
@@ -106,7 +107,7 @@ class TestBandedPencil:
         sys = make_system(16, k2=k2)
         F = random_state(sys, np.random.default_rng(45), complex_valued=True)
         U = np.empty_like(F)
-        resolvent._Resolvent(sys, lam, sys.KMC_csr).apply(F, U)
+        resolvent._Resolvent(sys, lam, _trailing_block(sys.KMC_csr, sys.n_dofs)).apply(F, U)
         (f, g), (Uq, Uv) = np.split(F, 2), np.split(U, 2)
         P = -lam * lam * sys.M + 1j * lam * sys.C + sys.K
         q = np.linalg.solve(P, sys.M @ (g + 1j * lam * f) + sys.C @ f)
@@ -363,25 +364,30 @@ class TestProfile:
 
     def test_one_complex_csr_per_profile(self, sys16, monkeypatch):
         """The workspace casts KMC_csr to complex once; its G is that CSR's
-        leading 2N rows, sharing its arrays, and every lambda's resolvent
-        multiplies with the same complex CSR."""
+        leading 2N rows and its tail the rows N:3N, both sharing its data
+        and indices, and every lambda's resolvent multiplies with that
+        same tail."""
         lanczos = resolvent._Lanczos(sys16, 0)
+        n = sys16.n_dofs
         assert lanczos.KMC.dtype == complex
         assert np.array_equal(lanczos.KMC.toarray(), sys16.KMC_csr.toarray())
         assert np.array_equal(lanczos.G.toarray(), sys16.G_csr.toarray())
+        assert np.array_equal(lanczos.tail.toarray(), sys16.KMC_csr.toarray()[n:])
         for name in ("data", "indices", "indptr"):
             assert np.shares_memory(getattr(lanczos.G, name), getattr(lanczos.KMC, name))
+        for name in ("data", "indices"):
+            assert np.shares_memory(getattr(lanczos.tail, name), getattr(lanczos.KMC, name))
         operators = []
         real = resolvent._Resolvent
 
-        def recording(sys, lam, KMC):
-            operators.append(KMC)
-            return real(sys, lam, KMC)
+        def recording(sys, lam, tail):
+            operators.append(tail)
+            return real(sys, lam, tail)
 
         monkeypatch.setattr(resolvent, "_Resolvent", recording)
         lanczos.norm(3.0)
         lanczos.norm(7.0)
-        assert len(operators) == 2 and all(op is lanczos.KMC for op in operators)
+        assert len(operators) == 2 and all(op is lanczos.tail for op in operators)
 
     def test_deterministic(self, sys16):
         grid = [3.0, 6.0, 12.0]

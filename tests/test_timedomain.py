@@ -54,12 +54,14 @@ def series_from(times, energies, e0=None):
 
 def reference_series(sys, U0, cfg):
     """simulate's series built step by step from step_midpoint, with the
-    kinetic and potential energy of each state from one G_csr product."""
+    kinetic and potential energy of each state from one G_csr product and
+    the balance term from the solved midpoint velocity v_mid."""
     dt, stride = cfg.dt, cfg.sample_stride
     n_steps = int(round(cfg.t_final / dt))
     eps = np.finfo(float).tiny
     n = sys.n_dofs
     C = discretization._band_csr(sys.C_band)
+    factor = timedomain._midpoint_factor(sys, dt)
 
     def energies(U):  # (total, kinetic, potential)
         GU = sys.G_csr @ U
@@ -75,7 +77,8 @@ def reference_series(sys, U0, cfg):
     for step in range(1, n_steps + 1):
         U_next = step_midpoint(sys, U, dt)
         comp_next = energies(U_next)
-        v_mid = 0.5 * (U + U_next)[n:]
+        Kq, Mv = np.split(sys.G_csr @ U, 2)
+        v_mid = discretization._band_solve(factor, Mv - (0.5 * dt) * Kq)
         dissipated = dt * float(np.vdot(v_mid, C @ v_mid).real)
         r = abs(comp_next[0] - comp[0] + dissipated) / (e0 + eps)
         residuals.append(r)
@@ -276,6 +279,21 @@ class TestSimulate:
         cfg = SimConfig(dt=0.05, t_final=2.0)
         simulate(sys16, default_state(sys16), cfg)
         assert len(calls) == 1
+
+    def test_one_band_solve_per_step(self, sys16, monkeypatch):
+        """A trajectory of n_steps steps makes exactly n_steps banded
+        solves, each in place into the state buffer."""
+        calls = []
+        original = timedomain._band_solve
+
+        def counting(factor, rhs, *args, **kwargs):
+            calls.append(kwargs.get("in_place", False))
+            return original(factor, rhs, *args, **kwargs)
+
+        monkeypatch.setattr(timedomain, "_band_solve", counting)
+        cfg = SimConfig(dt=0.05, t_final=2.0, sample_stride=3)
+        simulate(sys16, default_state(sys16), cfg)
+        assert calls == [True] * 40
 
     def test_one_csr_per_system(self, monkeypatch):
         """A trajectory and the graph norm of its datum convert bands to a
