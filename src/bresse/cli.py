@@ -24,8 +24,8 @@ exit 11) and "mesh_n"; everything else is optional with documented defaults:
     }
 
 h is the largest element width.  The lambda grid runs from lambda_min
-to top, lambda_max or 1/h, both ends exact; the default window is
-[max(3, top/10), top].  Unknown keys anywhere are rejected,
+to top, lambda_max or 1/h, both ends exact (lambda_min >= top exits 13);
+the default window is [max(3, top/10), top].  Unknown keys anywhere are rejected,
 and so are out-of-range settings: seed must be >= 0; per_shift, count and
 sample_stride >= 1; lambda_min, lambda_max, dt and t_final > 0.  One
 reader walks the config dataclasses, and each checks itself when built:
@@ -39,8 +39,8 @@ each error class in bresse.errors has its own code.
 is checked and digested, so a run reports the digest of the config it ran
 with; run_report.json records that digest and the seed.
 
-Each command computes first and then writes into output_dir its CSV
-tables, its JSON summary and run_report.json, in that order; the report's
+Each command computes first, then makes output_dir and writes into it its
+CSV tables, its JSON summary and run_report.json, in that order; the report's
 "outputs" lists all but itself.  validate writes validate_summary.json
 alone; spectrum spectrum.csv; resolvent resolvent.csv; simulate and
 decay-fit energy.csv, one helper's trajectory of initial_data(L), which
@@ -278,9 +278,11 @@ def _build(cfg: ExperimentConfig):
 
 def _profile(cfg: ExperimentConfig, sys_):
     """Resolvent norms on the config's log-spaced lambda grid, ends exact;
-    OutOfDomain when the grid cannot be allocated."""
+    BadInterval unless it rises, OutOfDomain when it cannot be allocated."""
     rs = cfg.resolvent
     hi = rs.lambda_max if rs.lambda_max is not None else lambda_cap(sys_)
+    if not hi > rs.lambda_min:
+        raise BadInterval(f"resolvent.lambda_min={rs.lambda_min!r} must lie below the mesh cap 1/h={hi!r}")
     try:
         grid = np.logspace(math.log10(rs.lambda_min), math.log10(hi), rs.count)
     except (ValueError, MemoryError):
@@ -456,11 +458,11 @@ def run(command: str, cfg: ExperimentConfig) -> RunReport:
     if command not in _RUNNERS:
         raise SchemaError("command", f"one of {', '.join(COMMANDS)}")
     runner, summary_name = _RUNNERS[command]
-    out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     timings: dict = {}
     t0 = time.perf_counter()
     summary, tables = runner(cfg, timings)
+    out_dir = Path(cfg.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     outputs = [out_dir / name for name in (*tables, summary_name)]
     for path, (header, rows) in zip(outputs, tables.values()):
         _write_csv(path, header, rows)

@@ -18,9 +18,9 @@ the midpoint matrix.  _full_band mirrors a lower band into the one full layout
 that is LAPACK's general band storage and scipy's dia data, from which
 _band_csr converts the one CSR of a system, diag(K, M, C), on first use:
 every product goes through it or its leading rows G = diag(K, M), O(nnz)
-each.  The quadratic pencil P(s) = s^2 M + s C + K, which both the
-spectrum and the resolvent ask about, is formed, factored (banded LU,
-zgbtrf), solved and applied in one place, _Pencil.  The dense matrices
+each.  The quadratic pencil P(s) = s^2 M + s C + K that the resolvent
+solves with is formed, factored (banded LU, zgbtrf), solved and applied
+in one place, _Pencil.  The dense matrices
 are expanded from the bands on demand, for dense checks and the tests.
 """
 
@@ -310,8 +310,8 @@ class _Pencil:
     general band storage (_full_band) with kl = ku.  lu and piv are
     zgbtrf's LU with partial pivoting, in its 3 kl + 1 row workspace (kl
     more rows for the fill-in of pivoting); info > 0 means an exact zero
-    pivot.  norm1 is ||P(s)||_1.  Nothing is checked here: each caller
-    decides what a zero pivot or a large residual means.
+    pivot.  norm1 is ||P(s)||_1.  Nothing is checked here: the resolvent,
+    its one caller, decides what a zero pivot or a large residual means.
     """
 
     def __init__(self, sys: AssembledSystem, s: complex):

@@ -14,8 +14,8 @@ A_h* = J A_h J with J = diag(I, -I), so R(i lambda)* y = J conj(R(i lambda)
 conj(J y)): the adjoint is one more solve with the same LU of P(lambda).
 
 P(lambda) is the system's quadratic pencil at s = i lambda, banded and
-LU-factored once per lambda by discretization._Pencil, which the spectrum
-certifies on too.  The right-hand side M (g + i lambda f) + C f comes
+LU-factored once per lambda by discretization._Pencil, which only the
+resolvent uses.  The right-hand side M (g + i lambda f) + C f comes
 from one product with rows N:3N of the system's KMC_csr = diag(K, M, C),
 like every other product; a profile casts that CSR to complex once, for
 all its lambdas.  Every solve's backward error is tested on the spot.

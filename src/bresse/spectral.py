@@ -10,26 +10,26 @@ M taken at assembly.  When the mirror x -> L - x, (phi, psi, w) -> (phi,
 -psi, -w), maps M, C and K onto themselves bit for bit (constant
 coefficients, a damping interval symmetric about L/2 and mesh nodes
 that mirror exactly), Z splits into an even and an odd block of about N
-each; otherwise the one block is Z itself.  One dense eigensolve per block, eigenvalues only, gives the
+each; otherwise the one block is Z itself.  One dense eigensolve per block, with right vectors, gives the
 whole discrete spectrum; each shift then selects, by index, the
 eigenvalues nearest to it, so eigenvalues closer together than any
 tolerance stay distinct, within a block or across the two.
 
 Each selected eigenvalue s is certified on the quadratic pencil itself,
-never on the companion problem alone: two steps of inverse iteration with
-the banded LU of P(s) = s^2 M + s C + K (discretization._Pencil, the one
-the resolvent solves with) give a vector x, and s counts when the
-residual ||P(s) x|| / ||x|| is small.
+never on the companion problem alone: x, read from its eigenvector y
+and lifted from the block basis, must have a small ||P(s) x|| / ||x||,
+P(s) = s^2 M + s C + K, the backward error of (s, x) up to the norms of
+M, C and K (Tisseur, Linear Algebra Appl. 2000).
 """
 
 import cmath
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eig_banded, eigvals
+from scipy.linalg import eig, eig_banded
 from scipy.sparse import csr_array
 
-from .discretization import AssembledSystem, _integer, _Pencil
+from .discretization import AssembledSystem, _integer
 from .errors import DimensionMismatch, EmptyGrid, NoConvergence, NonPositiveParameter, OutOfDomain
 
 __all__ = ["SpectrumReport", "quadratic_eigs"]
@@ -40,9 +40,9 @@ class SpectrumReport:
     """Certified eigenvalues with their residuals, sorted by (Re, Im).
 
     residuals[i] = ||(s^2 M + s C + K) x|| / ||x|| for eigenvalues[i] = s,
-    with x from two inverse-iteration steps with the banded LU of the
-    pencil at s; k_norm is the spectral norm of K (its largest
-    eigenvalue, K being SPD) used for relative residual checks.
+    with x read from its companion eigenvector (see _companion_eig);
+    k_norm is the spectral norm of K (its largest eigenvalue, K being
+    SPD) used for relative residual checks.
     Eigenvalues come conjugate-completed: for real matrices the conjugate
     of a certified pair is certified too, with the same residual.
     """
@@ -54,26 +54,7 @@ class SpectrumReport:
     k_norm: float
 
 
-# Inverse iteration starts from a fixed random vector: a ones vector has no
-# component along the modes that are odd about L/2 in a mirror-symmetric system.
-_START_SEED = 271828
 _RESIDUAL_TOL = 1e-10  # a pick counts when its residual is <= this * ||K||_2
-
-
-def _inverse_residual(sys: AssembledSystem, s: complex, start: np.ndarray) -> float:
-    """||P(s) x||_2 / ||x||_2 after two inverse-iteration steps from start.
-
-    Each step solves with the banded LU of P(s) and normalizes.  An exact
-    zero pivot leaves s uncertified: the residual is inf.
-    """
-    pencil = _Pencil(sys, s)
-    if pencil.info != 0:
-        return np.inf
-    x = start
-    for _ in range(2):
-        x = pencil.solve(x)
-        x /= np.linalg.norm(x)
-    return float(np.linalg.norm(pencil.residual(x, np.zeros_like(x))))
 
 
 def _parity_blocks(sys: AssembledSystem) -> list:
@@ -111,9 +92,13 @@ def _parity_blocks(sys: AssembledSystem) -> list:
     return blocks
 
 
-def _companion_eig(sys: AssembledSystem) -> np.ndarray:
-    """All eigenvalues of the pencil, one dense companion eigensolve per
-    parity block (see _parity_blocks), concatenated block by block.
+def _companion_eig(sys: AssembledSystem) -> tuple:
+    """All eigenvalues w of the pencil, block by block, and per parity
+    block (see _parity_blocks) its (cols, partner, sign, z), from one dense
+    eigensolve with right vectors per block: column j of z is the half of
+    the eigenvector (x, s x) of the block's j-th eigenvalue s that holds x
+    to more digits, x if |s| <= 1 and s x if not, and B z[:, j] is an
+    eigenvector of the pencil.
 
     A block with basis B (N x k: B[cols] = I, B[partner] = sign) is
     invariant under M^{-1} K and M^{-1} C, so X = M^{-1} [K B | C B],
@@ -122,7 +107,7 @@ def _companion_eig(sys: AssembledSystem) -> np.ndarray:
     solve_m; the identity block reproduces the full companion exactly.
     """
     n = sys.n_dofs
-    w = []
+    w, blocks = [], []
     for cols, partner, sign in _parity_blocks(sys):
         k = cols.size
         E = np.zeros((3 * n, k))  # B in the slots of K and C, 0 in M's
@@ -133,8 +118,23 @@ def _companion_eig(sys: AssembledSystem) -> np.ndarray:
         Z = np.zeros((2 * k, 2 * k))
         Z[:k, k:] = np.eye(k)
         Z[k:] = -sys.solve_m(np.hstack((Y[:n], Y[2 * n :])))[cols]
-        w.append(eigvals(Z))
-    return np.concatenate(w)
+        s, y = eig(Z)
+        w.append(s)
+        blocks.append((cols, partner, sign, np.where(np.abs(s) > 1.0, y[k:], y[:k])))
+    return np.concatenate(w), blocks
+
+
+def _lift(blocks: list, picks: np.ndarray, n: int) -> np.ndarray:
+    """The pencil eigenvectors B z of the eigenvalues w[picks], one column
+    each (see _companion_eig); 0 on the dofs of the other parity."""
+    X = np.zeros((n, picks.size), dtype=complex)
+    offset = 0
+    for cols, partner, sign, z in blocks:
+        here = np.flatnonzero((picks >= offset) & (picks < offset + z.shape[1]))
+        X[np.ix_(cols, here)] = z[:, picks[here] - offset]
+        X[np.ix_(partner, here)] = sign[:, None] * X[np.ix_(cols, here)]
+        offset += z.shape[1]
+    return X
 
 
 def quadratic_eigs(
@@ -144,20 +144,20 @@ def quadratic_eigs(
 ) -> SpectrumReport:
     """Eigenvalues of the quadratic pencil nearest each shift.
 
-    The full spectrum comes from one dense companion eigensolve per
-    parity block (_companion_eig), eigenvalues only.  Each shift selects
+    The full spectrum comes from one dense companion eigensolve with
+    right vectors per parity block (_companion_eig).  Each shift selects
     the indices of its per_shift nearest eigenvalues (stable sort on
-    distance), and each selected eigenvalue is certified once, by inverse
-    iteration on the banded pencil from one fixed seeded start: it counts
-    when its quadratic residual is <= _RESIDUAL_TOL * ||K||_2.  Raises,
-    before the eigensolve, DimensionMismatch unless shifts is
-    one-dimensional, OutOfDomain for a NaN or infinite shift,
-    SchemaError for a non-integral per_shift (an integral float is taken
-    as an int) and NonPositiveParameter when per_shift < 1, and after it
-    NoConvergence when a shift has no certified pair among its
-    selection.  The conjugate partner of a certified eigenvalue is added
-    by index, since a real companion block's eigenvalues come in exact,
-    adjacent conjugate pairs, and the result is sorted by (Re, Im).
+    distance); each selected s counts when its own lifted eigenvector x
+    (_lift) has ||P(s) x|| / ||x|| <= _RESIDUAL_TOL * ||K||_2, from one
+    KMC_csr product for all picks, no pencil factored.  Raises, before the
+    eigensolve, DimensionMismatch unless shifts is one-dimensional,
+    OutOfDomain for a NaN or infinite shift, SchemaError for a
+    non-integral per_shift (an integral float is taken as an int) and
+    NonPositiveParameter when per_shift < 1, and after it NoConvergence
+    when a shift has no certified pair among its selection.  The
+    conjugate partner of a certified eigenvalue is added by index, since
+    a real companion block's eigenvalues come in exact, adjacent
+    conjugate pairs, and the result is sorted by (Re, Im).
     """
     shifts = np.asarray(shifts, dtype=complex)
     if shifts.ndim != 1:
@@ -174,20 +174,17 @@ def quadratic_eigs(
     top = eig_banded(sys.K_band, lower=True, eigvals_only=True, select="i", select_range=(n - 1,) * 2)
     k_norm = float(top[0])
     tol_abs = _RESIDUAL_TOL * k_norm
-    w = _companion_eig(sys)
-
-    selections = [
-        np.argsort(np.abs(w - sigma), kind="stable")[:per_shift] for sigma in shifts
-    ]
-    rng = np.random.default_rng(_START_SEED)
-    start = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    residual = {
-        i: _inverse_residual(sys, w[i], start)
-        for i in np.unique(np.concatenate(selections)).tolist()
-    }
+    w, blocks = _companion_eig(sys)
+    selections = [np.argsort(np.abs(w - sigma), kind="stable")[:per_shift] for sigma in shifts]
+    picks = np.unique(np.concatenate(selections))
+    X = _lift(blocks, picks, n)
+    KX, MX, CX = np.split(sys.KMC_csr @ np.vstack((X, X, X)), 3)
+    s = w[picks]
+    ratios = np.linalg.norm(KX + s * (s * MX + CX), axis=0) / np.linalg.norm(X, axis=0)
+    residual = dict(zip(picks.tolist(), ratios.tolist()))
     for sigma, nearest in zip(shifts, selections):
         if not any(residual[i] <= tol_abs for i in nearest):
-            best = min((residual[i] for i in nearest), default=np.inf)
+            best = min(residual[i] for i in nearest)
             raise NoConvergence(
                 f"eigensolve at shift {sigma!r} certified no pair"
                 f" (best residual {best:.3e} exceeds the bound {tol_abs:.3e})"
@@ -197,7 +194,7 @@ def quadratic_eigs(
     for i, r in residual.items():
         if r <= tol_abs:
             certified[i] = r
-            if w[i].imag != 0.0:  # eigvals stores a pair as (Im > 0, Im < 0)
+            if w[i].imag != 0.0:  # eig stores a pair as (Im > 0, Im < 0)
                 certified.setdefault(i + 1 if w[i].imag > 0 else i - 1, r)
     order = sorted(certified, key=lambda i: (w[i].real, w[i].imag))
 

@@ -231,6 +231,18 @@ class TestMainExitCodes:
         assert f"resolvent.lambda_max={lambda_max!r}" in err and "resolvent.lambda_min=5.0" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["resolvent", "dichotomy"])
+    @pytest.mark.parametrize("lambda_min", [16.0, 20.0])
+    def test_lambda_min_at_or_above_the_mesh_cap(self, tmp_path, capsys, command, lambda_min):
+        """Under a null lambda_max the grid ends at the mesh cap 1/h = 16
+        (n = 16); a lambda_min not below it is refused, naming the key and
+        the cap, before a grid is built or an output directory made."""
+        path = write_config(tmp_path, resolvent={"lambda_min": lambda_min})
+        assert cli.main([command, "--config", str(path)]) == 13
+        err = capsys.readouterr().err
+        assert f"resolvent.lambda_min={lambda_min!r}" in err and "mesh cap 1/h=16.0" in err
+        assert not (tmp_path / "out").exists()
+
     def test_bad_interval(self, tmp_path):
         raw = base_config(tmp_path / "out")
         raw["params"]["alpha"] = 0.8
