@@ -25,10 +25,12 @@ exit 11) and "mesh_n"; everything else is optional with documented defaults:
 
 h is the largest element width.  The lambda grid runs from lambda_min
 to top, lambda_max or 1/h, both ends exact (lambda_min >= top exits 13);
-the default window is [max(3, top/10), top].  Unknown keys anywhere are rejected,
-and so are out-of-range settings: seed must be >= 0; per_shift, count and
-sample_stride >= 1; lambda_min, lambda_max, dt and t_final > 0.  One
-reader walks the config dataclasses, and each checks itself when built:
+the default window is [max(3, top/10), top], and a given window that
+does not rise exits 13 before any norm is computed.  Unknown keys
+anywhere are rejected, and so are out-of-range settings: seed must be
+>= 0; per_shift and sample_stride >= 1; count >= 5, the fit's minimum;
+lambda_min, lambda_max, dt and t_final > 0.  One reader walks the
+config dataclasses, and each checks itself when built:
 ModelParams the params block, ResolventSettings lambda_max > lambda_min
 (exit 13), and last ExperimentConfig d0 > 0 (exit 12): the library admits
 the undamped beam (d0 = 0), the CLI runs the damped one.  Exit codes: 0
@@ -118,7 +120,7 @@ class SpectrumSettings:
 class ResolventSettings:
     lambda_min: float = _key("float", 0.0, default=3.0)
     lambda_max: float | None = _key("float", 0.0, default=None)  # None: the mesh cap
-    count: int = _key("int", 1, default=25)
+    count: int = _key("int", 5, default=25)  # the fit's minimum
     window: tuple | None = _key("pair", default=None)  # None: default fit window
 
     def __post_init__(self):
@@ -278,11 +280,14 @@ def _build(cfg: ExperimentConfig):
 
 def _profile(cfg: ExperimentConfig, sys_):
     """Resolvent norms on the config's log-spaced lambda grid, ends exact;
-    BadInterval unless it rises, OutOfDomain when it cannot be allocated."""
+    BadInterval, before the grid is built, unless the grid and the fit
+    window both rise, OutOfDomain when the grid cannot be allocated."""
     rs = cfg.resolvent
     hi = rs.lambda_max if rs.lambda_max is not None else lambda_cap(sys_)
     if not hi > rs.lambda_min:
         raise BadInterval(f"resolvent.lambda_min={rs.lambda_min!r} must lie below the mesh cap 1/h={hi!r}")
+    if rs.window is not None and not rs.window[0] < rs.window[1]:
+        raise BadInterval(f"resolvent.window={list(rs.window)!r} must rise")
     try:
         grid = np.logspace(math.log10(rs.lambda_min), math.log10(hi), rs.count)
     except (ValueError, MemoryError):

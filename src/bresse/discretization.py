@@ -18,9 +18,8 @@ the midpoint matrix.  _full_band mirrors a lower band into the one full layout
 that is LAPACK's general band storage and scipy's dia data, from which
 _band_csr converts the one CSR of a system, diag(K, M, C), on first use:
 every product goes through it or its leading rows G = diag(K, M), O(nnz)
-each.  The quadratic pencil P(s) = s^2 M + s C + K that the resolvent
-solves with is formed, factored (banded LU, zgbtrf), solved and applied
-in one place, _Pencil.  The dense matrices
+each.  Every operator here is real; the resolvent forms and factors its
+complex pencil itself, from the bands.  The dense matrices
 are expanded from the bands on demand, for dense checks and the tests.
 """
 
@@ -28,8 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.blas import zgbmv
-from scipy.linalg.lapack import dpbtrf, dpbtrs, zgbtrf, zgbtrs
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.sparse import csr_array, dia_array
 
 from .errors import (
@@ -202,16 +200,6 @@ def _leading_block(A: csr_array, n: int) -> csr_array:
     return csr_array((A.data[:end], A.indices[:end], A.indptr[: n + 1]), shape=(n, n))
 
 
-def _trailing_block(A: csr_array, n: int) -> csr_array:
-    """The rows of a CSR A from row n on, over all of A's columns, sharing
-    A's data and indices; only the shifted indptr is new."""
-    start = A.indptr[n]
-    data, indices = A.data[start:], A.indices[start:]
-    T = csr_array((data, indices, A.indptr[n:] - start), shape=(A.shape[0] - n, A.shape[1]))
-    T.data, T.indices = data, indices  # csr_array copies a view under half its base
-    return T
-
-
 def _band_solve(factor: np.ndarray, rhs: np.ndarray, in_place: bool = False) -> np.ndarray:
     """Solve with a lower band Cholesky factor for a vector or (N, k) matrix
     rhs, real or complex (part by part, so the real factor is never cast to
@@ -300,46 +288,6 @@ class AssembledSystem:
     def solve_m(self, rhs: np.ndarray) -> np.ndarray:
         """M^{-1} rhs for a vector or (N, k) matrix rhs, real or complex."""
         return _band_solve(self._m_factor, rhs)
-
-
-class _Pencil:
-    """The quadratic pencil P(s) = s^2 M + s C + K at one complex s and
-    its banded LU, each O(N) in the node-major dof order.
-
-    band holds P(s), combined from the system's lower bands, in LAPACK's
-    general band storage (_full_band) with kl = ku.  lu and piv are
-    zgbtrf's LU with partial pivoting, in its 3 kl + 1 row workspace (kl
-    more rows for the fill-in of pivoting); info > 0 means an exact zero
-    pivot.  norm1 is ||P(s)||_1.  Nothing is checked here: the resolvent,
-    its one caller, decides what a zero pivot or a large residual means.
-    """
-
-    def __init__(self, sys: AssembledSystem, s: complex):
-        self.band = _full_band((s * s) * sys.M_band + s * sys.C_band + sys.K_band)
-        self.kl = kl = self.band.shape[0] // 2
-        n = self.band.shape[1]
-        ab = np.zeros((3 * kl + 1, n), dtype=complex, order="F")
-        ab[kl:] = self.band
-        self.lu, self.piv, self.info = zgbtrf(ab, kl, kl, overwrite_ab=1)
-        self.norm1 = float(np.abs(self.band).sum(axis=0).max())
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """P(s)^{-1} rhs through the LU (zgbtrs)."""
-        x, _ = zgbtrs(self.lu, self.kl, self.kl, rhs, self.piv)
-        return x
-
-    def residual(self, x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """rhs - P(s) x, by one banded product (zgbmv) on band.
-
-        scipy's zgbmv refuses fewer than kl + ku + 1 rows, so the product
-        runs on at least that many (more than N = 9 at 4 elements) and the
-        rows past N, which read only band entries outside P(s), are dropped.
-        """
-        n = x.size
-        m = max(n, 2 * self.kl + 1)
-        y = np.zeros(m, dtype=complex)
-        y[:n] = rhs
-        return zgbmv(m, n, self.kl, self.kl, -1.0, self.band, x, beta=1.0, y=y, overwrite_y=1)[:n]
 
 
 def _assemble_bands(p: ModelParams, mesh: Mesh):

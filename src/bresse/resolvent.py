@@ -13,12 +13,14 @@ M, C and K are real and symmetric, the G-adjoint of the generator is
 A_h* = J A_h J with J = diag(I, -I), so R(i lambda)* y = J conj(R(i lambda)
 conj(J y)): the adjoint is one more solve with the same LU of P(lambda).
 
-P(lambda) is the system's quadratic pencil at s = i lambda, banded and
-LU-factored once per lambda by discretization._Pencil, which only the
-resolvent uses.  The right-hand side M (g + i lambda f) + C f comes
-from one product with rows N:3N of the system's KMC_csr = diag(K, M, C),
-like every other product; a profile casts that CSR to complex once, for
-all its lambdas.  Every solve's backward error is tested on the spot.
+P(lambda) is the system's quadratic pencil at s = i lambda.  _Resolvent
+alone stores it, once per lambda: it forms the band from the system's
+real bands, holds its banded LU (zgbtrf) and tests its conditioning
+(zgbcon), then solves (zgbtrs) and multiplies (zgbmv) with it.  The
+right-hand side M (g + i lambda f) + C f comes from one product with
+rows N:3N of the system's KMC_csr = diag(K, M, C), like every other
+product; a profile casts that CSR to complex once, for all its lambdas.
+Every solve's backward error is tested on the spot.
 
 Profiles are capped at lambda_max = 1 / h, h the largest element width:
 P1 elements cannot represent modes beyond O(1/h), and fitting past the cap
@@ -29,10 +31,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dstevd, zgbcon
+from scipy.linalg.blas import zgbmv
+from scipy.linalg.lapack import dstevd, zgbcon, zgbtrf, zgbtrs
 from scipy.sparse import csr_array
 
-from .discretization import AssembledSystem, _check_dims, _integer, _leading_block, _Pencil, _trailing_block
+from .discretization import AssembledSystem, _check_dims, _full_band, _integer, _leading_block
 from .errors import (
     DimensionMismatch,
     EmptyGrid,
@@ -77,11 +80,25 @@ class ResolventProfile:
     residuals: np.ndarray
 
 
+def _trailing_block(A: csr_array, n: int) -> csr_array:
+    """The rows of a CSR A from row n on, over all of A's columns, sharing
+    A's data and indices; only the shifted indptr is new."""
+    start = A.indptr[n]
+    data, indices = A.data[start:], A.indices[start:]
+    T = csr_array((data, indices, A.indptr[n:] - start), shape=(A.shape[0] - n, A.shape[1]))
+    T.data, T.indices = data, indices  # csr_array copies a view under half its base
+    return T
+
+
 class _Resolvent:
     """Factored resolvent at one real lambda, with forward/adjoint solves.
 
-    pencil is P(lambda) = P(i lambda) with its banded LU (_Pencil).  tail
-    is rows N:3N of the system's KMC_csr (_trailing_block), from the
+    The pencil P(lambda) = P(i lambda) and its LU live here.  band holds
+    P(lambda), combined from the system's lower bands, in LAPACK's general
+    band storage (discretization._full_band) with kl = ku; lu and piv are
+    zgbtrf's LU with partial pivoting, in its 3 kl + 1 row workspace (kl
+    more rows for the fill-in of pivoting), and norm1 is ||P(lambda)||_1.
+    tail is rows N:3N of the system's KMC_csr (_trailing_block), from the
     caller: real for one solve, complex for a profile, so that no product
     casts it again.  A NaN or infinite lambda is OutOfDomain.  apply and
     apply_adjoint read a flat state x = (q, v) of length 2N and write into
@@ -94,13 +111,17 @@ class _Resolvent:
         self.lam = float(lam)
         if not math.isfinite(self.lam):
             raise OutOfDomain(f"lambda={self.lam!r} must be finite")
-        self.il = 1j * self.lam
-        self.pencil = pencil = _Pencil(sys, self.il)
+        self.il = s = 1j * self.lam
+        self.band = _full_band((s * s) * sys.M_band + s * sys.C_band + sys.K_band)
+        self.kl = kl = self.band.shape[0] // 2
+        ab = np.zeros((3 * kl + 1, sys.n_dofs), dtype=complex, order="F")
+        ab[kl:] = self.band
+        self.lu, self.piv, _ = zgbtrf(ab, kl, kl, overwrite_ab=1)
+        self.norm1 = float(np.abs(self.band).sum(axis=0).max())
         self.bound = sys.n_dofs * np.finfo(float).eps
-        if pencil.info != 0:
-            raise SingularAtLambda(self.lam, f"the LU of P has an exact zero pivot (info {pencil.info})")
-        # i*lam on the discrete spectrum: a vanishing reciprocal condition number
-        rcond, _ = zgbcon(pencil.kl, pencil.kl, pencil.lu, pencil.piv, pencil.norm1, norm="1")
+        # i*lam on the discrete spectrum, or an exact zero pivot (zgbtrf's
+        # info > 0): a vanishing reciprocal condition number, 0.0 for the pivot
+        rcond, _ = zgbcon(kl, kl, self.lu, self.piv, self.norm1, norm="1")
         if not rcond > self.bound:
             raise SingularAtLambda(
                 self.lam, f"reciprocal condition number {rcond:.3e} <= {self.bound:.3e}"
@@ -112,7 +133,8 @@ class _Resolvent:
     def apply(self, x: np.ndarray, out: np.ndarray) -> float:
         """out <- R(i lam) x for a flat state x = (f, g); returns the
         backward error of its P solve.  The right-hand side sums the two
-        halves of one tail product on (0, g + i lam f, f).
+        halves of one tail product on (0, g + i lam f, f); q is solved from
+        the LU (zgbtrs) and rhs - P q formed by one banded product (zgbmv).
 
         The backward error is ||rhs - P q||_1 / (||P||_1 ||q||_1 +
         ||rhs||_1), and the solve passes when it is at most dim * eps: the
@@ -120,7 +142,7 @@ class _Resolvent:
         evaluating that residual itself, so a larger one (or a non-finite
         one) is a failed solve, not roundoff, and raises SingularAtLambda.
         """
-        n = self.sys.n_dofs
+        n, kl = self.sys.n_dofs, self.kl
         f, g = x[:n], x[n:]
         rhs, q, res = self._work
         stack = self._stack
@@ -128,10 +150,16 @@ class _Resolvent:
         stack[2 * n :] = f
         Y = self.tail @ stack  # [M (g + i lam f) | C f]
         np.add(Y[:n], Y[n:], out=rhs)
-        q[:] = self.pencil.solve(rhs)
-        res[:] = self.pencil.residual(q, rhs)
+        q[:] = zgbtrs(self.lu, kl, kl, rhs, self.piv)[0]
+        # scipy's zgbmv refuses fewer than 2 kl + 1 rows, so the product runs
+        # on at least that many (more than N = 9 at 4 elements) and drops the
+        # rows past N, which read only band entries outside P
+        m = max(n, 2 * kl + 1)
+        y = np.zeros(m, dtype=complex)
+        y[:n] = rhs
+        res[:] = zgbmv(m, n, kl, kl, -1.0, self.band, q, beta=1.0, y=y, overwrite_y=1)[:n]
         rhs_norm, q_norm, err = np.abs(self._work, out=self._magnitudes).sum(axis=1)
-        scale = self.pencil.norm1 * q_norm + rhs_norm
+        scale = self.norm1 * q_norm + rhs_norm
         backward = err / scale if scale else 0.0  # F = 0 gives U = 0 exactly
         if not backward <= self.bound:
             raise SingularAtLambda(
@@ -164,9 +192,10 @@ def resolvent_solve(sys: AssembledSystem, lam: float, F: np.ndarray) -> np.ndarr
     Raises OutOfDomain for a NaN or infinite lam, and SingularAtLambda
     when i*lam sits on the discrete spectrum (possible only for the
     undamped system): the 1-norm reciprocal condition number of P(lam) is
-    at most dim * eps.  It raises too when the P solve leaves a residual
-    above dim * eps * (||P||_1 ||q||_1 + ||rhs||_1), the rounding level of
-    the residual itself.  DimensionMismatch, before any work, unless F is
+    at most dim * eps, as it is (0.0) for an exact zero pivot of its LU.
+    It raises too when the P solve leaves a residual above dim * eps *
+    (||P||_1 ||q||_1 + ||rhs||_1), the rounding level of the residual
+    itself.  DimensionMismatch, before any work, unless F is
     a flat state of shape (2 sys.n_dofs,).  Returns U complex.
     """
     _check_dims(sys, F)

@@ -243,6 +243,31 @@ class TestMainExitCodes:
         assert f"resolvent.lambda_min={lambda_min!r}" in err and "mesh cap 1/h=16.0" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["resolvent", "dichotomy"])
+    @pytest.mark.parametrize(
+        "setting, code, message",
+        [
+            pytest.param({"window": [30.0, 5.0]}, 13, "resolvent.window=[30.0, 5.0] must rise", id="reversed-window"),
+            pytest.param({"window": [5.0, 5.0]}, 13, "resolvent.window=[5.0, 5.0] must rise", id="empty-window"),
+            pytest.param({"count": 4}, 11, "'resolvent.count': expected an integer >= 5", id="count-4"),
+        ],
+    )
+    def test_unfittable_profile_is_refused_before_any_norm(
+        self, tmp_path, capsys, monkeypatch, command, setting, code, message
+    ):
+        """A fit window that does not rise, or fewer lambdas than the fit's
+        5, can never be fitted: both commands refuse it before the first
+        resolvent norm, and make no output directory."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a resolvent profile was computed")
+
+        monkeypatch.setattr(cli, "profile", refuse)
+        path = write_config(tmp_path, resolvent=setting)
+        assert cli.main([command, "--config", str(path)]) == code
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_bad_interval(self, tmp_path):
         raw = base_config(tmp_path / "out")
         raw["params"]["alpha"] = 0.8

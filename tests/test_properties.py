@@ -14,7 +14,6 @@ import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
 from bresse.discretization import (
-    _trailing_block,
     apply_generator,
     assemble,
     build_mesh,
@@ -23,7 +22,7 @@ from bresse.discretization import (
 )
 from bresse.errors import BadInterval, TooCoarse
 from bresse.model import ModelParams
-from bresse.resolvent import _Resolvent, lambda_cap
+from bresse.resolvent import _Resolvent, _trailing_block, lambda_cap
 from bresse.timedomain import step_midpoint
 
 from conftest import lower_band_dense, random_state

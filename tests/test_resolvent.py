@@ -8,13 +8,8 @@ from numpy.testing import assert_allclose
 from scipy.linalg import eig
 from scipy.linalg.lapack import zgbtrf, zgbtrs
 
-from bresse import discretization, resolvent
-from bresse.discretization import (
-    AssembledSystem,
-    _trailing_block,
-    apply_generator,
-    g_norm_sq,
-)
+from bresse import resolvent
+from bresse.discretization import AssembledSystem, apply_generator, g_norm_sq
 from bresse.errors import (
     DimensionMismatch,
     EmptyGrid,
@@ -26,6 +21,7 @@ from bresse.errors import (
 )
 from bresse.resolvent import (
     ResolventProfile,
+    _trailing_block,
     default_fit_window,
     fit_growth_exponent,
     lambda_cap,
@@ -97,8 +93,8 @@ class TestBandedPencil:
     def test_band_is_the_pencil(self, sys16, lam):
         op = resolvent._Resolvent(sys16, lam, _trailing_block(sys16.KMC_csr, sys16.n_dofs))
         P = self.dense_pencil(sys16, lam)
-        assert np.array_equal(full_band_dense(op.pencil.band), P)
-        assert abs(op.pencil.norm1 - np.linalg.norm(P, 1)) <= 1e-14 * np.linalg.norm(P, 1)
+        assert np.array_equal(full_band_dense(op.band), P)
+        assert abs(op.norm1 - np.linalg.norm(P, 1)) <= 1e-14 * np.linalg.norm(P, 1)
 
     @pytest.mark.parametrize("k2", [1.0, 2.0])
     @pytest.mark.parametrize("lam", [3.0, 7.5, 20.0])
@@ -126,14 +122,39 @@ class TestBandedPencil:
             profile(sys16, lam)
         assert exc.value.exit_code == 15
 
+    def test_residual_with_fewer_dofs_than_band_rows(self, monkeypatch):
+        """4 elements give N = 9, fewer than the band's 2 kl + 1 = 11 rows:
+        the rhs - P q that apply forms on the padded product is the dense
+        one.  q is a random vector in place of the solution, so the
+        residual is O(1) and the solve is refused on it."""
+        sys = make_system(4)
+        lam = 3.0
+        rng = np.random.default_rng(9)
+        x = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+        monkeypatch.setattr(resolvent, "zgbtrs", lambda *args, **kwargs: (x.copy(), 0))
+        op = resolvent._Resolvent(sys, lam, _trailing_block(sys.KMC_csr, sys.n_dofs))
+        with pytest.raises(SingularAtLambda, match="backward error"):
+            op.apply(random_state(sys, rng, complex_valued=True), np.empty(2 * sys.n_dofs, dtype=complex))
+        rhs, q, res = op._work
+        assert np.array_equal(q, x)
+        P = self.dense_pencil(sys, lam)
+        assert_allclose(res, rhs - P @ q, rtol=0, atol=1e-12 * np.abs(rhs).max())
+
     def test_zero_pivot_raises(self, sys16, monkeypatch):
+        """An exact zero on U's diagonal, which zgbtrf reports as info > 0,
+        makes zgbcon's reciprocal condition number 0.0: the one
+        conditioning test refuses it, exit 22."""
+        j = sys16.n_dofs // 2
+
         def zero_pivot(ab, kl, ku, **kwargs):
             lu, piv, _ = zgbtrf(ab, kl, ku, **kwargs)
-            return lu, piv, 1
+            lu[kl + ku, j] = 0.0
+            return lu, piv, j + 1
 
-        monkeypatch.setattr(discretization, "zgbtrf", zero_pivot)
-        with pytest.raises(SingularAtLambda, match="zero pivot"):
+        monkeypatch.setattr(resolvent, "zgbtrf", zero_pivot)
+        with pytest.raises(SingularAtLambda, match="reciprocal condition number 0.000e[+]00") as exc:
             resolvent_solve(sys16, 3.0, random_state(sys16, np.random.default_rng(46)))
+        assert exc.value.exit_code == 22
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +343,7 @@ class TestProfile:
                 q[0] += 1e-6 * np.abs(q).max()
             return q, info
 
-        monkeypatch.setattr(discretization, "zgbtrs", perturbed)
+        monkeypatch.setattr(resolvent, "zgbtrs", perturbed)
         with pytest.raises(SingularAtLambda, match="backward error"):
             profile(sys16, [3.0, 5.0])
         assert len(calls) == first_bad

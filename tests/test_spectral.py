@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag, eig
 
-from bresse import discretization, spectral
+from bresse import discretization, resolvent, spectral
 from bresse.discretization import AssembledSystem
 from bresse.errors import (
     DimensionMismatch,
@@ -214,8 +214,8 @@ class TestQuadraticEigs:
         def refuse(*args, **kwargs):
             raise AssertionError("a pencil was factored")
 
-        monkeypatch.setattr(discretization, "_Pencil", refuse)
-        monkeypatch.setattr(discretization, "zgbtrf", refuse)
+        monkeypatch.setattr(resolvent, "_Resolvent", refuse)
+        monkeypatch.setattr(resolvent, "zgbtrf", refuse)
         report = quadratic_eigs(make_system(16), [2j, 5j])
         assert report.eigenvalues.size >= 4
         assert np.all(report.residuals <= 1e-10 * report.k_norm)
