@@ -25,12 +25,14 @@ exit 11) and "mesh_n"; everything else is optional with documented defaults:
 
 h is the largest element width.  The lambda grid runs from lambda_min
 to top, lambda_max or 1/h, both ends exact (lambda_min >= top exits 13);
-the default window is [max(3, top/10), top], and a given window that
-does not rise exits 13 before any norm is computed.  Unknown keys
-anywhere are rejected, and so are out-of-range settings: seed must be
->= 0; per_shift and sample_stride >= 1; count >= 5, the fit's minimum;
-lambda_min, lambda_max, dt and t_final > 0.  One reader walks the
-config dataclasses, and each checks itself when built:
+the default window is [max(3, top/10), top].  A given window that does
+not rise exits 13, and a window, given or default, holding fewer than
+the fit's 5 lambdas of the grid exits 26, both before any norm is
+computed.  Unknown keys anywhere are rejected, and so are out-of-range
+settings: seed must be >= 0; per_shift and sample_stride >= 1; count
+>= 5, the fit's minimum; lambda_min, lambda_max, dt and t_final > 0.
+One reader walks the config dataclasses, and each checks itself when
+built:
 ModelParams the params block, ResolventSettings lambda_max > lambda_min
 (exit 13), and last ExperimentConfig d0 > 0 (exit 12): the library admits
 the undamped beam (d0 = 0), the CLI runs the damped one.  Exit codes: 0
@@ -47,8 +49,9 @@ CSV tables, its JSON summary and run_report.json, in that order; the report's
 alone; spectrum spectrum.csv; resolvent resolvent.csv; simulate and
 decay-fit energy.csv, one helper's trajectory of initial_data(L), which
 decay-fit fits on sim.fit_window once it has refused, before the first
-step, a window outside (0, t_final] (exit 13).  dichotomy refuses such
-a window before any work, then runs resolvent and decay-fit on the
+step, a window outside (0, t_final] (exit 13) or one holding fewer than
+the fit's 10 of the times simulate samples (exit 26).  dichotomy refuses
+such a window before any work, then runs resolvent and decay-fit on the
 equal and then the unequal regime (k2 twice its equal-speed value),
 writing resolvent_<regime>.csv and energy_<regime>.csv, then
 dichotomy.csv.
@@ -83,9 +86,9 @@ from .errors import (
     SchemaError,
 )
 from .model import ModelParams, _isfinite, classify_speeds
-from .resolvent import fit_growth_exponent, lambda_cap, profile
+from .resolvent import _fit_points, fit_growth_exponent, lambda_cap, profile
 from .spectral import quadratic_eigs
-from .timedomain import SimConfig, fit_decay, initial_data, simulate
+from .timedomain import SimConfig, _fit_samples, _sample_steps, fit_decay, initial_data, simulate
 
 __all__ = [
     "ExperimentConfig",
@@ -281,7 +284,9 @@ def _build(cfg: ExperimentConfig):
 def _profile(cfg: ExperimentConfig, sys_):
     """Resolvent norms on the config's log-spaced lambda grid, ends exact;
     BadInterval, before the grid is built, unless the grid and the fit
-    window both rise, OutOfDomain when the grid cannot be allocated."""
+    window both rise, OutOfDomain when the grid cannot be allocated, and
+    WindowTooSmall, before any norm, when the fit window holds fewer than
+    5 of its lambdas."""
     rs = cfg.resolvent
     hi = rs.lambda_max if rs.lambda_max is not None else lambda_cap(sys_)
     if not hi > rs.lambda_min:
@@ -295,12 +300,14 @@ def _profile(cfg: ExperimentConfig, sys_):
             f"resolvent.count={rs.count:.3e} asks for more lambdas than can be allocated"
         ) from None
     grid[-1], grid[0] = hi, rs.lambda_min  # the exact bounds; one point is lambda_min
+    _fit_points(grid, rs.window)
     return profile(sys_, grid, seed=cfg.seed)
 
 
-def _sim_config(cfg: ExperimentConfig, sys_) -> SimConfig:
+def _sim_config(cfg: ExperimentConfig, mesh) -> SimConfig:
+    """The config's time grid; a null dt is half the largest element width."""
     ss = cfg.sim
-    dt = ss.dt if ss.dt is not None else 0.5 * float(sys_.mesh.widths.max())
+    dt = ss.dt if ss.dt is not None else 0.5 * float(mesh.widths.max())
     return SimConfig(dt, ss.t_final, ss.sample_stride)
 
 
@@ -363,7 +370,7 @@ def _run_resolvent(cfg, timings):
 
 def _run_simulate(cfg, timings):
     sys_ = _build(cfg)
-    sim_cfg = _sim_config(cfg, sys_)
+    sim_cfg = _sim_config(cfg, sys_.mesh)
     series, norm0 = _timed(timings, "simulate", _trajectory, sys_, sim_cfg)
     summary = {
         "dt": sim_cfg.dt,
@@ -377,10 +384,14 @@ def _run_simulate(cfg, timings):
 
 
 def _fit_window(cfg: ExperimentConfig) -> tuple:
-    """sim.fit_window, refused (BadInterval) unless 0 < lo < hi <= t_final."""
+    """sim.fit_window, refused before the first step: BadInterval unless
+    0 < lo < hi <= t_final, WindowTooSmall unless it holds 10 of the times
+    simulate samples on the config's grid, which k2 does not change."""
     window = cfg.sim.fit_window
     if not 0.0 < window[0] < window[1] <= cfg.sim.t_final:
         raise BadInterval(f"fit_window={window!r} must lie inside (0, t_final]")
+    sim_cfg = _sim_config(cfg, build_mesh(cfg.params, cfg.mesh_n))
+    _fit_samples(_sample_steps(sim_cfg) * sim_cfg.dt, window)
     return window
 
 
@@ -389,7 +400,7 @@ def _run_decay_fit(cfg, timings):
     sys_ = _build(cfg)
 
     def decay_fit():
-        series, norm0 = _trajectory(sys_, _sim_config(cfg, sys_))
+        series, norm0 = _trajectory(sys_, _sim_config(cfg, sys_.mesh))
         return series, norm0, fit_decay(series, window)
 
     series, norm0, fit = _timed(timings, "decay_fit", decay_fit)

@@ -326,27 +326,29 @@ def profile(sys: AssembledSystem, lambda_grid, seed: int = 0) -> ResolventProfil
     return ResolventProfile(lambdas=grid, norms=norms, iters=iters, residuals=residuals)
 
 
-def default_fit_window(prof: ResolventProfile) -> tuple:
+def default_fit_window(lambdas: np.ndarray) -> tuple:
     """[top/10, top], top the grid's largest lambda, clipped below at lambda=3."""
-    top = float(prof.lambdas[-1])
+    top = float(lambdas.max())
     return (max(3.0, top / 10.0), top)
 
 
+def _fit_points(lambdas: np.ndarray, window) -> np.ndarray:
+    """The mask of the grid points in window, default_fit_window(lambdas)
+    when None; WindowTooSmall unless it holds the fit's 5 points."""
+    lo, hi = default_fit_window(lambdas) if window is None else (float(window[0]), float(window[1]))
+    mask = (lambdas >= lo) & (lambdas <= hi)
+    if int(mask.sum()) < 5:
+        raise WindowTooSmall(f"only {int(mask.sum())} grid points in window [{lo}, {hi}]; need 5")
+    return mask
+
+
 def fit_growth_exponent(prof: ResolventProfile, window=None) -> PowerLawFit:
-    """Least-squares PowerLawFit of log(norm) vs log(lambda) inside the window.
+    """Least-squares PowerLawFit of log(norm) vs log(lambda) inside the window
+    (see _fit_points).
 
     The stored window is the effective one (smallest and largest grid
     points actually used), so it always lies within the profile range.
     Needs at least 5 grid points; raises WindowTooSmall otherwise.
     """
-    if window is None:
-        window = default_fit_window(prof)
-    lo, hi = float(window[0]), float(window[1])
-    if not lo < hi:
-        raise WindowTooSmall(f"window {window!r} is empty")
-    mask = (prof.lambdas >= lo) & (prof.lambdas <= hi)
-    if int(mask.sum()) < 5:
-        raise WindowTooSmall(
-            f"only {int(mask.sum())} grid points in window [{lo}, {hi}]; need 5"
-        )
+    mask = _fit_points(prof.lambdas, window)
     return _loglog_fit(prof.lambdas[mask], prof.norms[mask])

@@ -15,14 +15,13 @@ whole discrete spectrum; each shift then selects, by index, the
 eigenvalues nearest to it, so eigenvalues closer together than any
 tolerance stay distinct, within a block or across the two.
 
-Each selected eigenvalue s is certified on the quadratic pencil itself,
-never on the companion problem alone: x, read from its eigenvector y
-and lifted from the block basis, must have a small ||P(s) x|| / ||x||,
-P(s) = s^2 M + s C + K, the backward error of (s, x) up to the norms of
-M, C and K (Tisseur, Linear Algebra Appl. 2000).
+Each selected eigenvalue s and its conjugate partner is certified on the
+pencil itself, never on the companion problem alone: x, read from its
+own eigenvector y and lifted from the block basis, must have a small
+||P(s) x|| / ||x||, P(s) = s^2 M + s C + K, the backward error of (s, x)
+up to the norms of M, C and K (Tisseur, Linear Algebra Appl. 2000).
 """
 
-import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,8 +42,9 @@ class SpectrumReport:
     with x read from its companion eigenvector (see _companion_eig);
     k_norm is the spectral norm of K (its largest eigenvalue, K being
     SPD) used for relative residual checks.
-    Eigenvalues come conjugate-completed: for real matrices the conjugate
-    of a certified pair is certified too, with the same residual.
+    Eigenvalues come conjugate-completed: the conjugate partner of each
+    selected eigenvalue is certified on its own eigenvector, the exact
+    conjugate of the selected one's, so with the same residual.
     """
 
     eigenvalues: np.ndarray
@@ -147,65 +147,57 @@ def quadratic_eigs(
     The full spectrum comes from one dense companion eigensolve with
     right vectors per parity block (_companion_eig).  Each shift selects
     the indices of its per_shift nearest eigenvalues (stable sort on
-    distance); each selected s counts when its own lifted eigenvector x
+    distance).  The picks are the selected indices and each one's
+    conjugate partner, which eig stores next to it (a pair as (Im > 0,
+    Im < 0)).  Each pick s counts when its own lifted eigenvector x
     (_lift) has ||P(s) x|| / ||x|| <= _RESIDUAL_TOL * ||K||_2, from one
     KMC_csr product for all picks, no pencil factored.  Raises, before the
     eigensolve, DimensionMismatch unless shifts is one-dimensional,
     OutOfDomain for a NaN or infinite shift, SchemaError for a
     non-integral per_shift (an integral float is taken as an int) and
     NonPositiveParameter when per_shift < 1, and after it NoConvergence
-    when a shift has no certified pair among its selection.  The
-    conjugate partner of a certified eigenvalue is added by index, since
-    a real companion block's eigenvalues come in exact, adjacent
-    conjugate pairs, and the result is sorted by (Re, Im).
+    when a shift has no certified pair among its selection.  The result
+    is sorted by (Re, Im).
     """
     shifts = np.asarray(shifts, dtype=complex)
     if shifts.ndim != 1:
         raise DimensionMismatch(f"shift list of shape {shifts.shape} is not one-dimensional")
-    shifts = shifts.tolist()
-    if not shifts:
+    if not shifts.size:
         raise EmptyGrid("no shifts supplied")
-    if not all(map(cmath.isfinite, shifts)):
+    if not np.isfinite(shifts).all():
         raise OutOfDomain(f"every shift must be finite, got {shifts!r}")
-    if _integer("per_shift", per_shift) < 1:
+    per_shift = _integer("per_shift", per_shift)
+    if per_shift < 1:
         raise NonPositiveParameter("per_shift", per_shift)
-    per_shift = int(per_shift)
     n = sys.n_dofs
     top = eig_banded(sys.K_band, lower=True, eigvals_only=True, select="i", select_range=(n - 1,) * 2)
     k_norm = float(top[0])
     tol_abs = _RESIDUAL_TOL * k_norm
     w, blocks = _companion_eig(sys)
-    selections = [np.argsort(np.abs(w - sigma), kind="stable")[:per_shift] for sigma in shifts]
-    picks = np.unique(np.concatenate(selections))
+    nearest = np.argsort(np.abs(w - shifts[:, None]), axis=1, kind="stable")[:, :per_shift]
+    near = np.unique(nearest)
+    picks = np.union1d(near, near + np.sign(w[near].imag).astype(int))
     X = _lift(blocks, picks, n)
     KX, MX, CX = np.split(sys.KMC_csr @ np.vstack((X, X, X)), 3)
     s = w[picks]
     ratios = np.linalg.norm(KX + s * (s * MX + CX), axis=0) / np.linalg.norm(X, axis=0)
-    residual = dict(zip(picks.tolist(), ratios.tolist()))
-    for sigma, nearest in zip(shifts, selections):
-        if not any(residual[i] <= tol_abs for i in nearest):
-            best = min(residual[i] for i in nearest)
-            raise NoConvergence(
-                f"eigensolve at shift {sigma!r} certified no pair"
-                f" (best residual {best:.3e} exceeds the bound {tol_abs:.3e})"
-            )
+    chosen = ratios[np.searchsorted(picks, nearest)]  # one row per shift
+    failed = np.flatnonzero(~(chosen <= tol_abs).any(axis=1))
+    if failed.size:
+        i = failed[0]
+        raise NoConvergence(
+            f"eigensolve at shift {complex(shifts[i])!r} certified no pair"
+            f" (best residual {chosen[i].min():.3e} exceeds the bound {tol_abs:.3e})"
+        )
 
-    certified = {}
-    for i, r in residual.items():
-        if r <= tol_abs:
-            certified[i] = r
-            if w[i].imag != 0.0:  # eig stores a pair as (Im > 0, Im < 0)
-                certified.setdefault(i + 1 if w[i].imag > 0 else i - 1, r)
-    order = sorted(certified, key=lambda i: (w[i].real, w[i].imag))
-
-    eigenvalues = w[order]
-    residuals = np.array([certified[i] for i in order])
+    certified = np.flatnonzero(ratios <= tol_abs)
+    certified = certified[np.lexsort((s[certified].imag, s[certified].real))]
+    eigenvalues = s[certified]
     re = eigenvalues.real
     return SpectrumReport(
         eigenvalues=eigenvalues,
-        residuals=residuals,
+        residuals=ratios[certified],
         spectral_abscissa=float(re.max()),
         min_abs_real=float(np.abs(re).min()),
         k_norm=k_norm,
     )
-

@@ -131,6 +131,20 @@ def _validate_sim_config(cfg: SimConfig) -> int:
     return stride
 
 
+def _sample_steps(cfg: SimConfig) -> np.ndarray:
+    """The steps a trajectory on cfg's time grid samples: every
+    sample_stride-th of its round(t_final / dt) steps, and the last.
+    Checks cfg first (_validate_sim_config); OutOfDomain when the steps
+    are too many to record, t_final/dt past the float range included."""
+    stride = _validate_sim_config(cfg)
+    ratio = cfg.t_final / cfg.dt  # inf when the quotient overflows
+    try:
+        n_steps = int(round(ratio))
+        return np.append(np.arange(0, n_steps, stride), n_steps)
+    except (OverflowError, ValueError, MemoryError):
+        raise OutOfDomain(f"t_final/dt asks for {ratio:.3e} steps, too many to record") from None
+
+
 def simulate(sys: AssembledSystem, U0: np.ndarray, cfg: SimConfig) -> EnergySeries:
     """Integrate with the midpoint rule, recording the energy budget.
 
@@ -151,17 +165,15 @@ def simulate(sys: AssembledSystem, U0: np.ndarray, cfg: SimConfig) -> EnergySeri
     that overflows, and FactorizationFailed when a later energy is not
     finite.
     """
-    stride = _validate_sim_config(cfg)
-    dt = cfg.dt
-    ratio = cfg.t_final / dt  # inf when the quotient overflows
+    samples = _sample_steps(cfg)
+    dt, n_steps = cfg.dt, int(samples[-1])
     _check_dims(sys, U0)
     n = sys.n_dofs
     X = np.zeros(3 * n, dtype=np.result_type(U0, float))
     try:
-        n_steps = int(round(ratio))
         dots = np.empty((n_steps + 1, 3), dtype=X.dtype)
-    except (OverflowError, ValueError, MemoryError):
-        raise OutOfDomain(f"t_final/dt asks for {ratio:.3e} steps, too many to record") from None
+    except (ValueError, MemoryError):
+        raise OutOfDomain(f"t_final/dt asks for {n_steps:.3e} steps, too many to record") from None
     real = dots.real  # (q.Kq, v.Mv, v_mid.C v_mid) of each step
 
     KMC = sys.KMC_csr
@@ -191,7 +203,6 @@ def simulate(sys: AssembledSystem, U0: np.ndarray, cfg: SimConfig) -> EnergySeri
     # Formed in the record, so the residuals are the one new array of its
     # length: its columns (q.Kq, v.Mv, v_mid.C v_mid) become (potential,
     # kinetic, dt v_mid.C v_mid), then the first one the energy.
-    samples = np.append(np.arange(0, n_steps, stride), n_steps)
     real[:, 0] *= 0.5  # column by column: a 2-D strided update buffers a copy
     real[:, 1] *= 0.5
     real[:, 2] *= dt
@@ -263,13 +274,19 @@ def fit_decay(series: EnergySeries, window) -> PowerLawFit:
     e0 = E[0]
     if e0 <= 0.0:
         raise NonpositiveEnergy("initial energy is zero; nothing to fit")
-    mask &= E >= _MIN_ENERGY_RATIO * e0
+    mask = _fit_samples(t, (lo, hi), E >= _MIN_ENERGY_RATIO * e0)
+    return _loglog_fit(t[mask], E[mask])
+
+
+def _fit_samples(times: np.ndarray, window, usable=True) -> np.ndarray:
+    """The mask of the usable times in window [lo, hi]; WindowTooSmall
+    unless it holds the fit's 10 samples."""
+    lo, hi = window
+    mask = (times >= lo) & (times <= hi) & usable
     count = int(mask.sum())
     if count < 10:
-        raise WindowTooSmall(
-            f"only {count} usable samples in window [{lo}, {hi}]; need 10"
-        )
-    return _loglog_fit(t[mask], E[mask])
+        raise WindowTooSmall(f"only {count} usable samples in window [{lo}, {hi}]; need 10")
+    return mask
 
 
 def initial_data(L: float):

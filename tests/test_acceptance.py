@@ -226,7 +226,7 @@ class TestAcceptance:
             params = dataclasses.asdict(make_params(k2=k2))
             cfg = cli.parse_config(json.dumps({"params": params, "mesh_n": 64}))
             sys = cli._build(cfg)
-            sim_cfg = cli._sim_config(cfg, sys)
+            sim_cfg = cli._sim_config(cfg, sys.mesh)
             dt, stride, window = sim_cfg.dt, sim_cfg.sample_stride, cfg.sim.fit_window
             assert (dt, sim_cfg.t_final, stride, window) == (1 / 128, 200.0, 16, (10.0, 100.0))
             n_samples = int(round(sim_cfg.t_final / dt)) // stride + 1

@@ -245,25 +245,43 @@ class TestMainExitCodes:
 
     @pytest.mark.parametrize("command", ["resolvent", "dichotomy"])
     @pytest.mark.parametrize(
-        "setting, code, message",
+        "overrides, code, message",
         [
-            pytest.param({"window": [30.0, 5.0]}, 13, "resolvent.window=[30.0, 5.0] must rise", id="reversed-window"),
-            pytest.param({"window": [5.0, 5.0]}, 13, "resolvent.window=[5.0, 5.0] must rise", id="empty-window"),
-            pytest.param({"count": 4}, 11, "'resolvent.count': expected an integer >= 5", id="count-4"),
+            pytest.param(
+                {"resolvent": {"window": [30.0, 5.0]}}, 13, "resolvent.window=[30.0, 5.0] must rise",
+                id="reversed-window",
+            ),
+            pytest.param(
+                {"resolvent": {"window": [5.0, 5.0]}}, 13, "resolvent.window=[5.0, 5.0] must rise",
+                id="empty-window",
+            ),
+            pytest.param(
+                {"resolvent": {"count": 4}}, 11, "'resolvent.count': expected an integer >= 5", id="count-4"
+            ),
+            pytest.param(
+                {"mesh_n": 64, "resolvent": {"count": 5}}, 26,
+                "only 4 grid points in window [6.4, 64.0]; need 5",
+                id="default-window-n64-count-5",
+            ),
+            pytest.param(
+                {"resolvent": {"window": [3.0, 3.1]}}, 26, "only 1 grid points in window [3.0, 3.1]; need 5",
+                id="narrow-window",
+            ),
         ],
     )
     def test_unfittable_profile_is_refused_before_any_norm(
-        self, tmp_path, capsys, monkeypatch, command, setting, code, message
+        self, tmp_path, capsys, monkeypatch, command, overrides, code, message
     ):
-        """A fit window that does not rise, or fewer lambdas than the fit's
-        5, can never be fitted: both commands refuse it before the first
+        """A fit window that does not rise, fewer lambdas than the fit's 5,
+        or a rising window, default or set, that holds fewer than 5 of them
+        can never be fitted: both commands refuse it before the first
         resolvent norm, and make no output directory."""
 
         def refuse(*args, **kwargs):
             raise AssertionError("a resolvent profile was computed")
 
         monkeypatch.setattr(cli, "profile", refuse)
-        path = write_config(tmp_path, resolvent=setting)
+        path = write_config(tmp_path, **overrides)
         assert cli.main([command, "--config", str(path)]) == code
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
@@ -518,6 +536,24 @@ class TestCommands:
         path.write_text(json.dumps(raw))
         assert cli.main([command, "--config", str(path)]) == 13
         assert "fit_window=(10.0, 100.0)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["decay-fit", "dichotomy"])
+    def test_fit_window_with_too_few_samples_is_refused_before_any_work(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        """At n = 16 (dt = h/2 = 1/32, every 8th step sampled) the window
+        [10, 10.5] holds 3 sample times, fewer than the fit's 10: exit 26
+        before the first midpoint step or resolvent norm."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a trajectory or a profile was computed")
+
+        monkeypatch.setattr(cli, "simulate", refuse)
+        monkeypatch.setattr(cli, "profile", refuse)
+        path = write_config(tmp_path, sim={"t_final": 20.0, "fit_window": [10.0, 10.5]})
+        assert cli.main([command, "--config", str(path)]) == 26
+        assert "only 3 usable samples in window [10.0, 10.5]; need 10" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_dichotomy_refuses_the_fit_window_before_any_profile(self, tmp_path, monkeypatch):
         """dichotomy checks sim.fit_window before the equal regime's

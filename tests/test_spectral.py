@@ -109,6 +109,32 @@ class TestQuadraticEigs:
             dist = np.min(np.abs(report.eigenvalues - np.conj(s)))
             assert dist <= 1e-10 * (1.0 + abs(s))
 
+    def test_partners_are_certified_on_their_own_vectors(self, monkeypatch):
+        """At shift 2j each selected eigenvalue's conjugate partner, which
+        eig stores next to it, is lifted and certified on its own vector;
+        a partner that is not selected is reported with its selected
+        eigenvalue's residual, bit for bit."""
+        sys = make_system(16)
+        lifted = []
+        lift = spectral._lift
+
+        def recording(blocks, picks, n):
+            lifted.append(picks)
+            return lift(blocks, picks, n)
+
+        monkeypatch.setattr(spectral, "_lift", recording)
+        report = quadratic_eigs(sys, [2j])
+        w, _ = spectral._companion_eig(sys)
+        near = np.argsort(np.abs(w - 2j), kind="stable")[:5]
+        partners = near + np.sign(w[near].imag).astype(int)
+        extra = [(i, j) for i, j in zip(near, partners) if j not in near]
+        assert extra and np.all(w[partners] == np.conj(w[near]))
+        assert np.isin(partners, lifted[0]).all()
+        for i, j in extra:
+            (pick,) = np.flatnonzero(report.eigenvalues == w[i])
+            (partner,) = np.flatnonzero(report.eigenvalues == w[j])
+            assert report.residuals[partner] == report.residuals[pick]
+
     def test_report_summaries_consistent(self):
         sys = make_system(24)
         report = quadratic_eigs(sys, [1j, 4j, 8j])
